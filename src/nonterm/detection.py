@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+from .errors import InvalidPositionError
 from .rewriting import (
     Chain,
     Program,
@@ -32,7 +33,6 @@ from .substitution import Substitution, apply, compose, match
 from .terms import (
     App,
     Context,
-    EMPTY_CONTEXT,
     Goal,
     GoalContext,
     HOLE,
@@ -42,7 +42,6 @@ from .terms import (
     Var,
     canonical,
     hole_positions,
-    is_hole,
     iter_positions,
     plug,
     plug2,
@@ -249,7 +248,7 @@ def _strip_layer(t: Term, c2: Context) -> Optional[Term]:
     hp = hole_positions(c2)[0]
     try:
         inner = subterm_at(t, hp)
-    except Exception:
+    except InvalidPositionError:
         return None
     if plug(c2, inner) == t:
         return inner
@@ -344,6 +343,14 @@ def _all_equal(items: list) -> bool:
     return all(x == items[0] for x in items[1:])
 
 
+# The last first chain's decompositions, reused across its partners:
+# (chain1.start, chain1.end, decompositions).  The key is identity, not
+# value: Var equality ignores display names and every parse restarts
+# variable ids at 0, so an equal term from another program would put
+# that program's variable names into the witness.
+_decomposed: tuple = (None, None, [])
+
+
 def match_recurrent_pattern(
     chain1: Chain, chain2: Chain
 ) -> Optional[RecurrentPair]:
@@ -352,121 +359,141 @@ def match_recurrent_pattern(
     Enumeration is canonical: variable pairs ordered by interned id,
     anchor subterms from the innermost outwards, tower exponents
     ascending; the first decomposition satisfying all side conditions
-    wins.
+    wins.  The first chain's half of the decomposition is computed once
+    and reused while consecutive calls share that chain.
     """
-    u1, v1 = chain1.start, chain1.end
-    u2, v2 = chain2.start, chain2.end
-    if not all(isinstance(t, (Var, App)) for t in (u1, v1, u2, v2)):
+    global _decomposed
+    ends = (chain1.start, chain1.end, chain2.start, chain2.end)
+    if not all(isinstance(t, (Var, App)) for t in ends):
         return None
+    start, end, decompositions = _decomposed
+    if start is not chain1.start or end is not chain1.end:
+        decompositions = _first_chain_decompositions(chain1.start, chain1.end)
+        _decomposed = (chain1.start, chain1.end, decompositions)
+    for x, y, c1, c2, n1 in decompositions:
+        rp = _match_partner(chain1, chain2, x, y, c1, c2, n1)
+        if rp is not None:
+            return rp
+    return None
 
+
+def _anchor_candidates(u1: Term) -> dict[Var, list[Term]]:
+    """For each variable y, the subterms of u1 containing y and no other
+    variable, smallest first."""
+    by_var: dict[Var, list[Term]] = {}
+    for p in iter_positions(u1):
+        sub = subterm_at(u1, p)
+        if not isinstance(sub, App):
+            continue
+        vs = term_vars(sub)
+        if len(vs) == 1:
+            seen = by_var.setdefault(next(iter(vs)), [])
+            if sub not in seen:
+                seen.append(sub)
+    for seen in by_var.values():
+        seen.sort(key=lambda t: len(render(t)))
+    return by_var
+
+
+def _first_chain_decompositions(u1, v1) -> list[tuple]:
+    """Every (x, y, c1, c2, n1) with u1 = c1[x, c2[y]] and
+    v1 = c1[c2^n1[x], y], in canonical order."""
+    anchors = _anchor_candidates(u1)
     u1_vars = sorted(term_vars(u1), key=lambda v: v.id)
+    out = []
     for x in u1_vars:
         for y in u1_vars:
             if x == y:
                 continue
-            rp = _try_decompose(chain1, chain2, x, y)
-            if rp is not None:
-                return rp
-    return None
-
-
-def _anchor_candidates(u1: Term, x: Var, y: Var) -> list[Term]:
-    """Subterms of u1 containing y and no other variable, smallest first."""
-    seen = []
-    for p in iter_positions(u1):
-        sub = subterm_at(u1, p)
-        if isinstance(sub, App) and term_vars(sub) == {y} and sub not in seen:
-            seen.append(sub)
-    seen.sort(key=lambda t: len(render(t)))
-    return seen
-
-
-def _try_decompose(chain1: Chain, chain2: Chain, x: Var, y: Var):
-    u1, v1 = chain1.start, chain1.end
-    u2, v2 = chain2.start, chain2.end
-    for d in _anchor_candidates(u1, x, y):
-        body = _replace_occurrences(u1, d, App(HOLE2))
-        body = _replace_occurrences(body, x, App(HOLE))
-        c1 = Context(body)
-        if not c1.is_two_hole or {x, y} & term_vars(body):
-            continue
-        c2 = Context(_replace_occurrences(d, y, App(HOLE)))
-        if term_vars(c2.body):
-            continue
-        # v1 = c1[c2^n1[x], y]
-        got = _match_against_context(c1, v1, {v: v for v in term_vars(body)})
-        if got is None:
-            continue
-        res1, res2 = got
-        if not (_all_equal(res1) and _all_equal(res2) and res2[0] == y):
-            continue
-        stages = _peel_stages(res1[0], c2)
-        n1 = next((n for n, st in enumerate(stages) if st == x), None)
-        if n1 is None:
-            continue
-        # u2 = c1[x', c2^n2[s]] with x' a variable and s ground, possibly
-        # after instantiating some of the second chain's variables with
-        # ground content taken from the skeleton (loose passes)
-        var_map: dict[Var, Var] = {}
-        bindings: dict[Var, Term] = {}
-        if not _walk_template(c1.body, u2, var_map, bindings, [], [], loose=True):
-            continue
-        if not _walk_template(c1.body, v2, var_map, bindings, [], [], loose=True):
-            continue
-        sigma = Substitution(bindings)
-        got = _match_against_context(c1, apply(sigma, u2), var_map)
-        if got is None:
-            continue
-        res1, res2 = got
-        if not (_all_equal(res1) and _all_equal(res2)):
-            continue
-        x2 = res1[0]
-        if not isinstance(x2, Var) or term_vars(res2[0]):
-            continue
-        got2 = _match_against_context(c1, apply(sigma, v2), var_map)
-        if got2 is None:
-            continue
-        r1, r2 = got2
-        if not (_all_equal(r1) and _all_equal(r2)):
-            continue
-        stages4 = _peel_stages(r2[0], c2)
-        n4 = next((n for n, st in enumerate(stages4) if st == x2), None)
-        if n4 is None:
-            continue
-        tower2 = _peel_stages(res2[0], c2)
-        stages3 = _peel_stages(r1[0], c2)
-        for n2, s in enumerate(tower2):
-            if n4 < n2:
-                break
-            for n3, base in enumerate(stages3):
-                if base == x2:
-                    t_is_s = False
-                elif base == s:
-                    t_is_s = True
-                else:
+            for d in anchors.get(y, ()):
+                body = _replace_occurrences(u1, d, App(HOLE2))
+                body = _replace_occurrences(body, x, App(HOLE))
+                c1 = Context(body)
+                if not c1.is_two_hole or {x, y} & term_vars(body):
                     continue
-                # carry the second chain over into the first chain's
-                # namespace: ground instantiation first, then renaming
-                ren = {x2: x}
-                for cv, uv in var_map.items():
-                    if uv != cv:
-                        ren[uv] = cv
-                chain2r = chain2.instantiate(compose(sigma, Substitution(ren)))
-                return RecurrentPair(
-                    chain1,
-                    chain2r,
-                    c1,
-                    c2,
-                    n1,
-                    n2,
-                    n3,
-                    n4,
-                    s,
-                    t_is_s,
-                    x,
-                    y,
-                    chain1.steps[0].semantics if chain1.steps else Semantics.TRS,
-                )
+                c2 = Context(_replace_occurrences(d, y, App(HOLE)))
+                if term_vars(c2.body):
+                    continue
+                got = _match_against_context(c1, v1, {v: v for v in term_vars(body)})
+                if got is None:
+                    continue
+                res1, res2 = got
+                if not (_all_equal(res1) and _all_equal(res2) and res2[0] == y):
+                    continue
+                stages = _peel_stages(res1[0], c2)
+                n1 = next((n for n, st in enumerate(stages) if st == x), None)
+                if n1 is not None:
+                    out.append((x, y, c1, c2, n1))
+    return out
+
+
+def _match_partner(chain1: Chain, chain2: Chain, x, y, c1, c2, n1):
+    """The recurrent pair of ``chain2`` with one decomposition of
+    ``chain1``, or None."""
+    u2, v2 = chain2.start, chain2.end
+    # u2 = c1[x', c2^n2[s]] with x' a variable and s ground, possibly
+    # after instantiating some of the second chain's variables with
+    # ground content taken from the skeleton (loose passes)
+    var_map: dict[Var, Var] = {}
+    bindings: dict[Var, Term] = {}
+    if not _walk_template(c1.body, u2, var_map, bindings, [], [], loose=True):
+        return None
+    if not _walk_template(c1.body, v2, var_map, bindings, [], [], loose=True):
+        return None
+    sigma = Substitution(bindings)
+    got = _match_against_context(c1, apply(sigma, u2), var_map)
+    if got is None:
+        return None
+    res1, res2 = got
+    if not (_all_equal(res1) and _all_equal(res2)):
+        return None
+    x2 = res1[0]
+    if not isinstance(x2, Var) or term_vars(res2[0]):
+        return None
+    got2 = _match_against_context(c1, apply(sigma, v2), var_map)
+    if got2 is None:
+        return None
+    r1, r2 = got2
+    if not (_all_equal(r1) and _all_equal(r2)):
+        return None
+    stages4 = _peel_stages(r2[0], c2)
+    n4 = next((n for n, st in enumerate(stages4) if st == x2), None)
+    if n4 is None:
+        return None
+    tower2 = _peel_stages(res2[0], c2)
+    stages3 = _peel_stages(r1[0], c2)
+    for n2, s in enumerate(tower2):
+        if n4 < n2:
+            break
+        for n3, base in enumerate(stages3):
+            if base == x2:
+                t_is_s = False
+            elif base == s:
+                t_is_s = True
+            else:
+                continue
+            # carry the second chain over into the first chain's
+            # namespace: ground instantiation first, then renaming
+            ren = {x2: x}
+            for cv, uv in var_map.items():
+                if uv != cv:
+                    ren[uv] = cv
+            chain2r = chain2.instantiate(compose(sigma, Substitution(ren)))
+            return RecurrentPair(
+                chain1,
+                chain2r,
+                c1,
+                c2,
+                n1,
+                n2,
+                n3,
+                n4,
+                s,
+                t_is_s,
+                x,
+                y,
+                chain1.steps[0].semantics if chain1.steps else Semantics.TRS,
+            )
     return None
 
 
@@ -572,6 +599,7 @@ def witness_chain(rp: RecurrentPair, m: int, n0: int, k: int) -> Chain:
         raise ValueError("k must be at least 1")
     if n0 < rp.n2:
         raise ValueError("start exponent must be at least the peel minimum")
+    _power_cache.clear()  # hold one witness's powers only
 
     def c1_at(mm: int, nn: int) -> Term:
         return plug2(rp.c1, _tower(rp.c2, mm, rp.s), _tower(rp.c2, nn, rp.s))

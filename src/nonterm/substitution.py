@@ -20,7 +20,6 @@ from .terms import (
     VarSupply,
     is_hole,
     render_term,
-    term_vars,
 )
 
 
@@ -49,10 +48,6 @@ class Substitution:
 
     def is_identity(self) -> bool:
         return not self._bindings
-
-    def restrict(self, vs: Iterable[Var]) -> "Substitution":
-        keep = set(vs)
-        return Substitution({v: t for v, t in self._bindings.items() if v in keep})
 
     def is_renaming(self) -> bool:
         targets = list(self._bindings.values())
@@ -196,17 +191,3 @@ def renaming_apart(
 def more_general(s: Union[Term, Goal], t: Union[Term, Goal]) -> bool:
     """True iff ``t`` is an instance of ``s``."""
     return match(s, t) is not None
-
-
-def generalizes_via(
-    theta: Substitution, sigma: Substitution, vs: Iterable[Var]
-) -> bool:
-    """True iff some eta makes theta.eta pointwise equal sigma on ``vs``.
-
-    Because theta is idempotent, eta = sigma itself works whenever theta
-    is at least as general as sigma, so the check is direct.
-    """
-    for v in vs:
-        if apply(sigma, theta.get(v)) != sigma.get(v):
-            return False
-    return True

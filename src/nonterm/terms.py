@@ -9,7 +9,6 @@ two reserved 0-ary hole symbols; they never appear in ordinary terms.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
@@ -122,17 +121,14 @@ ROOT: Position = ()
 class VarSupply:
     """Monotonically increasing source of globally fresh variables.
 
-    One supply is owned by each analysis session; the increment is
-    serialized so values may be handed to concurrent workers.
+    One supply is owned by each analysis session.
     """
 
     def __init__(self, start: int = 0):
         self._counter = itertools.count(start)
-        self._lock = threading.Lock()
 
     def fresh(self, hint: str = "x") -> Var:
-        with self._lock:
-            n = next(self._counter)
+        n = next(self._counter)
         return Var(n, f"{hint}_{n}")
 
 
@@ -205,11 +201,6 @@ def term_vars(t: Union[Term, Goal]) -> set[Var]:
     for a in t.args:
         out |= term_vars(a)
     return out
-
-
-def max_var_id(t: Union[Term, Goal]) -> int:
-    vs = term_vars(t)
-    return max((v.id for v in vs), default=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +306,6 @@ class GoalContext:
         parts.append("[]")
         parts.extend(render_term(t) for t in self.suffix)
         return "<" + ",".join(parts) + ">"
-
-
-EMPTY_GOAL_CONTEXT = GoalContext()
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import inspect
 import json
 
 import pytest
 
 from conftest import lp, trs
+from nonterm import analysis, detection
 from nonterm.analysis import (
     AnalysisConfig,
     analyze,
@@ -169,3 +171,25 @@ def test_cli_raw_flag(tmp_path, capsys):
     )
     assert main([f, "--raw", "--max-word", "3"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "NO"
+
+
+# The benchmark's tracer (bench/spans.py) swaps these module attributes
+# for timing wrappers; a rename would silently drop a layer from its trace.
+TRACED_ANALYSIS_NAMES = (
+    "unfold_trs",
+    "binary_unfold",
+    "_rule_loop_witness",
+    "find_loop",
+    "find_recurrent_pair",
+    "infinite_chain_prefix",
+    "witness_chain",
+    "verify_chain",
+)
+
+
+def test_tracer_hook_names_exist():
+    for name in TRACED_ANALYSIS_NAMES:
+        assert callable(getattr(analysis, name)), name
+    params = inspect.signature(detection.match_recurrent_pattern).parameters
+    assert list(params) == ["chain1", "chain2"]
+    assert isinstance(detection._power_cache, dict)

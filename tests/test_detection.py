@@ -1,6 +1,10 @@
+import copy
+
 import pytest
 
 from conftest import lp, term, trs
+from nonterm import detection
+from nonterm.analysis import AnalysisConfig, analyze, emit_certificate
 from nonterm.detection import (
     Budget,
     EmbeddingKind,
@@ -20,8 +24,10 @@ from nonterm.rewriting import (
     Step,
     verify_chain,
 )
+from nonterm.parsing import parse_trs
 from nonterm.substitution import Substitution, apply
-from nonterm.terms import GoalContext, is_variant, render
+from nonterm.terms import App, GoalContext, is_variant, render, term_vars
+from nonterm.unfolding import unfold_trs, unfolded_program
 
 
 def one_step_chain(rule, semantics=Semantics.TRS):
@@ -254,3 +260,98 @@ def test_recurrent_pair_restricted_filters_extra_vars():
 def test_recurrent_pair_none_on_terminating():
     p = trs("plus(zero,x) -> x  plus(s(x),y) -> s(plus(x,y))")
     assert find_recurrent_pair(p, p.rules, 1, Semantics.TRS) is None
+
+
+# ---------------------------------------------------------------------------
+# Recurrent-pair search over unfolded pools
+
+COUNTDOWN = "f(x,s(y)) -> f(s(x),y)"
+COUNTING = "f(x,s(y)) -> f(s(x),y)  f(x,zero) -> f(s(zero),x)"
+
+
+def unfolded_candidates(text, depth):
+    p = trs(text)
+    return unfolded_program(unfold_trs(p, depth), p.mode, p.signature)
+
+
+def root_compatible_pairs(rules):
+    """The (first, second) chain pairs find_recurrent_pair hands to
+    match_recurrent_pattern, in its order."""
+    chains = [one_step_chain(r) for r in rules if r.trs_usable]
+
+    def root(t):
+        return t.symbol if isinstance(t, App) else None
+
+    for c1 in chains:
+        r = root(c1.start)
+        if r is None or root(c1.end) != r or len(term_vars(c1.start)) < 2:
+            continue
+        for c2 in chains:
+            if root(c2.start) == r and root(c2.end) == r:
+                yield c1, c2
+
+
+@pytest.mark.parametrize("text", [COUNTDOWN, COUNTING])
+def test_recurrent_pair_reuse_agrees_with_fresh_decomposition(text):
+    cand = unfolded_candidates(text, 2)
+    pairs = list(root_compatible_pairs(cand.rules))
+    reused = [match_recurrent_pattern(c1, c2) for c1, c2 in pairs]
+    # a deep copy has new start/end objects, so its decomposition is
+    # computed from scratch for every pair
+    fresh = [match_recurrent_pattern(copy.deepcopy(c1), c2) for c1, c2 in pairs]
+    assert reused == fresh
+    first = next((rp for rp in fresh if rp is not None), None)
+    assert find_recurrent_pair(cand, cand.rules, 1, Semantics.TRS) == first
+    assert (first is None) == (text == COUNTDOWN)
+
+
+def test_recurrent_pair_reuse_tells_apart_chains_with_one_start():
+    u = term("f(x,s(y))")
+    partner = one_step_chain(zantema_rules().rules[1])
+    for n1, rhs in ((1, "f(s(x),y)"), (2, "f(s(s(x)),y)")):
+        chain = Chain(u, [Step(u, "r", (), Substitution(), term(rhs), Semantics.TRS)])
+        assert match_recurrent_pattern(chain, partner).n1 == n1
+
+
+def test_recurrent_pair_certificate_names_its_own_variables():
+    # both parses number their variables from 0, and Var equality ignores
+    # the display name, so the two systems are equal as values
+    for x, y in (("x", "y"), ("u", "v")):
+        program = parse_trs(
+            f"(VAR {x} {y})(RULES f({x},s({y})) -> f(s({x}),{y})"
+            f"  f({x},zero) -> f(s(zero),{x}))"
+        )
+        v = analyze(program, AnalysisConfig(techniques=("recpair",)))
+        lines = emit_certificate(v).splitlines()
+        assert v.answer == "NO"
+        assert f"x: {x}" in lines and f"y: {y}" in lines
+
+
+def test_recurrent_pair_budget_ticks_once_per_pair(monkeypatch):
+    cand = unfolded_candidates(COUNTDOWN, 2)
+    original = detection.match_recurrent_pattern
+    calls = []
+
+    def counting(chain1, chain2):
+        calls.append((chain1, chain2))
+        return original(chain1, chain2)
+
+    monkeypatch.setattr(detection, "match_recurrent_pattern", counting)
+    budget = Budget()
+    assert find_recurrent_pair(cand, cand.rules, 1, Semantics.TRS, budget) is None
+    expected = len(list(root_compatible_pairs(cand.rules)))
+    assert expected > 0
+    assert budget.nodes == len(calls) == expected
+
+
+def test_witness_chain_keeps_one_witness_powers():
+    counting = find_recurrent_pair(zantema_rules(), zantema_rules().rules, 1, Semantics.TRS)
+    p = trs("f(c,a(x),y) -> f(c,x,a(y))  f(c,a(x),y) -> f(x,y,a(a(c)))")
+    theta = Substitution({term("x"): term("c", "")})
+    swapping = match_recurrent_pattern(
+        one_step_chain(p.rules[0]), one_step_chain(p.rules[1]).instantiate(theta)
+    )
+    witness_chain(counting, 1, 0, 3)
+    witness_chain(swapping, 1, 0, 3)
+    assert detection._power_cache
+    assert {body for body, _ in detection._power_cache} == {swapping.c2.body}
