@@ -6,6 +6,10 @@ against the rules it uses) or MAYBE (nothing found within the configured
 depth, word-length and time budgets).  A NO is only ever reported after
 the simulated prefix has been re-executed step by step.
 
+One driver searches either the input rules themselves (``raw``) or one
+unfolded pool per depth, running each technique's witness search on the
+pool and re-verifying every witness it yields.
+
 All output is deterministic: certificates for the same input and
 configuration are byte-identical across runs.
 """
@@ -57,16 +61,18 @@ TECHNIQUE_RECPAIR = "recpair"
 class AnalysisConfig:
     techniques: tuple[str, ...] = (TECHNIQUE_LOOP, TECHNIQUE_RECPAIR)
     unfold_depth: int = DEFAULT_DEPTH
-    max_word_len: Optional[int] = None  # defaults: 1 unfolded, 3 raw
+    max_word_len: Optional[int] = None  # raw only; default 3
     simulate_steps: int = 5
     timeout: Optional[float] = 10.0  # seconds per technique
     rule_cap: int = DEFAULT_RULE_CAP
     raw: bool = False
 
     def word_len(self) -> int:
-        if self.max_word_len is not None:
-            return self.max_word_len
-        return 3 if self.raw else 1
+        """Longest rule word searched: 1 in an unfolded pool, whose rules
+        already stand for words of input rules."""
+        if not self.raw:
+            return 1
+        return 3 if self.max_word_len is None else self.max_word_len
 
 
 @dataclass
@@ -107,117 +113,108 @@ def _rule_loop_witness(r, kind: EmbeddingKind) -> Optional[LoopWitness]:
     return None
 
 
-def _check_loop_verdict(cand, lw, cfg, stats) -> Optional[Verdict]:
-    prefix = infinite_chain_prefix(cand, lw, max(1, cfg.simulate_steps))
-    if not verify_chain(cand, prefix):
-        stats.setdefault("rejected", []).append(TECHNIQUE_LOOP)
-        return None
-    return Verdict("NO", TECHNIQUE_LOOP, lw, prefix, cand, stats)
+def unfold(program: Program, depth: int, cap: int = DEFAULT_RULE_CAP) -> list:
+    """The derived-rule pool of ``program`` at ``depth``: dependency-pair
+    unfolding for a TRS, binary unfolding for a logic program."""
+    if program.mode is Mode.TRS:
+        return unfold_trs(program, depth, cap)
+    return binary_unfold(program, depth, cap)
 
 
-def _check_recpair_verdict(cand, rp, cfg, stats) -> Optional[Verdict]:
-    prefix = witness_chain(rp, rp.n2, rp.n2, max(1, cfg.simulate_steps))
-    if not verify_chain(cand, prefix):
-        stats.setdefault("rejected", []).append(TECHNIQUE_RECPAIR)
-        return None
-    return Verdict("NO", TECHNIQUE_RECPAIR, rp, prefix, cand, stats)
-
-
-def _analyze_raw(program: Program, cfg: AnalysisConfig, stats: dict) -> Verdict:
-    stats["unfolding"] = "none"
-    trs_mode = program.mode is Mode.TRS
-    kind = EmbeddingKind.INS if trs_mode else EmbeddingKind.MG
-    semantics = Semantics.TRS if trs_mode else Semantics.LP_NARROW
-    budgets = {t: Budget(timeout=cfg.timeout) for t in cfg.techniques}
-    for tech in cfg.techniques:
-        v = None
-        if tech == TECHNIQUE_LOOP:
-            lw = find_loop(
-                program,
-                program.rules,
-                cfg.word_len(),
-                kind,
-                semantics,
-                full_context=True,
-                budget=budgets[tech],
-            )
-            if lw is not None:
-                v = _check_loop_verdict(program, lw, cfg, stats)
-        else:
-            rp_sem = Semantics.TRS if trs_mode else Semantics.LP_RESTRICTED
-            rp = find_recurrent_pair(
-                program, program.rules, cfg.word_len(), rp_sem, budgets[tech]
-            )
-            if rp is not None:
-                v = _check_recpair_verdict(program, rp, cfg, stats)
-        if budgets[tech].exhausted:
-            stats.setdefault("exhausted", []).append(tech)
-        if v is not None:
-            return v
-    return Verdict("MAYBE", stats=stats)
-
-
-def _analyze_unfolded(program: Program, cfg: AnalysisConfig, stats: dict) -> Verdict:
-    trs_mode = program.mode is Mode.TRS
-    if trs_mode:
+def _pools(program: Program, cfg: AnalysisConfig, stats: dict):
+    """Yield the programs to search: the input itself under ``raw``,
+    otherwise the unfolded pool of each depth in turn, so cheap witnesses
+    are found before the pool grows large."""
+    if cfg.raw:
+        stats["unfolding"] = "none"
+        yield program
+        return
+    if program.mode is Mode.TRS:
         stats["unfolding"] = "dependency-pair"
         stats["dependency_pairs"] = len(dependency_pairs(program))
     else:
         stats["unfolding"] = "binary"
-    kind = EmbeddingKind.INS if trs_mode else EmbeddingKind.MG
-    rp_sem = Semantics.TRS if trs_mode else Semantics.LP_RESTRICTED
-    budgets = {t: Budget(timeout=cfg.timeout) for t in cfg.techniques}
-
-    # Deepen the unfolding one level at a time so cheap witnesses are
-    # found before the candidate pool grows large.
     for depth in range(cfg.unfold_depth + 1):
-        if trs_mode:
-            pool = unfold_trs(program, depth, cfg.rule_cap)
-        else:
-            pool = binary_unfold(program, depth, cfg.rule_cap)
-        cand = unfolded_program(pool, program.mode, program.signature)
+        pool = unfold(program, depth, cfg.rule_cap)
         stats["unfold_depth"] = depth
         stats["unfolded_rules"] = len(pool)
-        for tech in cfg.techniques:
-            budget = budgets[tech]
-            if budget.exhausted:
-                continue
-            v = None
-            if tech == TECHNIQUE_LOOP:
-                for r in cand.rules:
-                    if not budget.tick():
-                        break
-                    lw = _rule_loop_witness(r, kind)
-                    if lw is not None:
-                        v = _check_loop_verdict(cand, lw, cfg, stats)
-                        if v is not None:
-                            break
-            else:
-                rp = find_recurrent_pair(cand, cand.rules, 1, rp_sem, budget)
-                if rp is not None:
-                    v = _check_recpair_verdict(cand, rp, cfg, stats)
-            if budget.exhausted:
-                stats.setdefault("exhausted", []).append(tech)
-            if v is not None:
-                return v
-        if all(b.exhausted for b in budgets.values()):
-            break
-    return Verdict("MAYBE", stats=stats)
+        yield unfolded_program(pool, program.mode, program.signature)
+
+
+def _loop_witnesses(cand: Program, cfg: AnalysisConfig, budget: Budget):
+    """Loop candidates: one full-context word search on the input rules,
+    or a context-free self-loop check of every unfolded rule."""
+    kind = EmbeddingKind.INS if cand.mode is Mode.TRS else EmbeddingKind.MG
+    if cfg.raw:
+        semantics = Semantics.TRS if cand.mode is Mode.TRS else Semantics.LP_NARROW
+        lw = find_loop(
+            cand,
+            cand.rules,
+            cfg.word_len(),
+            kind,
+            semantics,
+            full_context=True,
+            budget=budget,
+        )
+        if lw is not None:
+            yield lw
+        return
+    for r in cand.rules:
+        if not budget.tick():
+            return
+        lw = _rule_loop_witness(r, kind)
+        if lw is not None:
+            yield lw
+
+
+def _recpair_witnesses(cand: Program, cfg: AnalysisConfig, budget: Budget):
+    semantics = Semantics.TRS if cand.mode is Mode.TRS else Semantics.LP_RESTRICTED
+    rp = find_recurrent_pair(cand, cand.rules, cfg.word_len(), semantics, budget)
+    if rp is not None:
+        yield rp
+
+
+_WITNESSES = {TECHNIQUE_LOOP: _loop_witnesses, TECHNIQUE_RECPAIR: _recpair_witnesses}
+
+
+def _verified(tech: str, cand: Program, witness, cfg, stats) -> Optional[Verdict]:
+    """NO if the simulated prefix of ``witness`` re-verifies in ``cand``."""
+    steps = max(1, cfg.simulate_steps)
+    if tech == TECHNIQUE_LOOP:
+        prefix = infinite_chain_prefix(cand, witness, steps)
+    else:
+        prefix = witness_chain(witness, witness.n2, witness.n2, steps)
+    if not verify_chain(cand, prefix):
+        stats.setdefault("rejected", []).append(tech)
+        return None
+    return Verdict("NO", tech, witness, prefix, cand, stats)
 
 
 def analyze(program: Program, cfg: Optional[AnalysisConfig] = None) -> Verdict:
     cfg = cfg or AnalysisConfig()
     stats: dict = {"mode": program.mode.value, "input_rules": len(program.rules)}
     for tech in cfg.techniques:
-        if tech not in (TECHNIQUE_LOOP, TECHNIQUE_RECPAIR):
+        if tech not in _WITNESSES:
             raise ValueError(f"unknown technique {tech!r}")
+    budgets = {t: Budget(timeout=cfg.timeout) for t in cfg.techniques}
     try:
-        if cfg.raw:
-            return _analyze_raw(program, cfg, stats)
-        return _analyze_unfolded(program, cfg, stats)
+        for cand in _pools(program, cfg, stats):
+            for tech in cfg.techniques:
+                budget = budgets[tech]
+                if budget.exhausted:
+                    continue
+                witnesses = _WITNESSES[tech](cand, cfg, budget)
+                verdicts = (_verified(tech, cand, w, cfg, stats) for w in witnesses)
+                v = next((v for v in verdicts if v is not None), None)
+                if budget.exhausted:
+                    stats.setdefault("exhausted", []).append(tech)
+                if v is not None:
+                    return v
+            if all(b.exhausted for b in budgets.values()):
+                break
     except ResourceLimitError as exc:
         stats["resource_limit"] = str(exc)
-        return Verdict("MAYBE", stats=stats)
+    return Verdict("MAYBE", stats=stats)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,11 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .analysis import AnalysisConfig, analyze, emit_certificate
+from .analysis import AnalysisConfig, analyze, emit_certificate, unfold
 from .errors import NontermError, ParseError
 from .parsing import parse_lp, parse_trs, render_program
 from .rewriting import Mode
-from .unfolding import binary_unfold, unfold_trs, unfolded_program
+from .unfolding import unfolded_program
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,10 +105,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         text = Path(args.file).read_text()
         program = (parse_trs if mode is Mode.TRS else parse_lp)(text)
         if args.emit_unfolded:
-            if mode is Mode.TRS:
-                pool = unfold_trs(program, cfg.unfold_depth, cfg.rule_cap)
-            else:
-                pool = binary_unfold(program, cfg.unfold_depth, cfg.rule_cap)
+            pool = unfold(program, cfg.unfold_depth, cfg.rule_cap)
             unfolded = unfolded_program(pool, mode, program.signature)
             Path(args.emit_unfolded).write_text(render_program(unfolded))
         verdict = analyze(program, cfg)

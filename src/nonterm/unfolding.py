@@ -142,8 +142,8 @@ class _Pool:
     def __init__(self, cap: int):
         self.cap = cap
         self.items: list[UnfoldedRule] = []
-        self.by_id: dict[str, UnfoldedRule] = {}
         self._keys: set = set()
+        self._derived = 0
 
     def add(self, u: UnfoldedRule) -> Optional[UnfoldedRule]:
         key = _dedup_key(u.rule)
@@ -153,8 +153,16 @@ class _Pool:
             raise ResourceLimitError(f"unfolding exceeded {self.cap} rules")
         self._keys.add(key)
         self.items.append(u)
-        self.by_id[u.rule.id] = u
         return u
+
+    def derive(
+        self, prefix: str, lhs: Term, rhs: tuple, depth: int, provenance: ProvenanceStep
+    ) -> Optional[UnfoldedRule]:
+        """Name a derived rule ``<prefix><n>`` and add it; ``n`` counts
+        every derivation, including variants that are dropped."""
+        self._derived += 1
+        named = Rule(f"{prefix}{self._derived}", lhs, rhs)
+        return self.add(UnfoldedRule(named, depth, provenance))
 
 
 def _narrow_pair(
@@ -211,44 +219,26 @@ def unfold_trs(
     for u in dps:
         pool.add(u)
     frontier = list(pool.items)
-    counter = 0
+    dp_rules = [dp.rule for dp in dps]
     for depth in range(1, max_depth + 1):
         new_frontier = []
         for parent in frontier:
             u, v = parent.rule.lhs, parent.rule.rhs[0]
-            candidates = []
-            # forward: narrow a subterm of the rhs
-            for pos in iter_positions(v):
-                if pos == ROOT:
-                    for dp in dps:
-                        candidates.append(("forward", pos, dp.rule, True))
-                else:
-                    for base in r.rules:
-                        candidates.append(("forward", pos, base, True))
-            # backward: narrow a subterm of the lhs with reversed rules
-            for pos in iter_positions(u):
-                if pos == ROOT:
-                    for dp in dps:
-                        candidates.append(("backward", pos, dp.rule, True))
-                else:
-                    for base in r.rules:
-                        candidates.append(("backward", pos, base, True))
-            for kind, pos, with_rule, allow_var in candidates:
-                res = _narrow_pair(u, v, pos, with_rule, kind == "forward", allow_var)
+            # forward narrowing rewrites the rhs, backward narrowing the lhs
+            # with reversed rules
+            candidates = [
+                (kind, pos, with_rule)
+                for kind, side in (("forward", v), ("backward", u))
+                for pos in iter_positions(side)
+                for with_rule in (dp_rules if pos == ROOT else r.rules)
+            ]
+            for kind, pos, with_rule in candidates:
+                res = _narrow_pair(u, v, pos, with_rule, kind == "forward", True)
                 if res is None:
                     continue
                 pair, theta, _ = res
-                counter += 1
-                named = Rule(f"u{counter}", pair.lhs, pair.rhs)
-                added = pool.add(
-                    UnfoldedRule(
-                        named,
-                        depth,
-                        ProvenanceStep(
-                            kind, (parent.rule.id, with_rule.id), pos, theta
-                        ),
-                    )
-                )
+                step = ProvenanceStep(kind, (parent.rule.id, with_rule.id), pos, theta)
+                added = pool.derive("u", pair.lhs, pair.rhs, depth, step)
                 if added is not None:
                     new_frontier.append(added)
         frontier = new_frontier
@@ -277,7 +267,6 @@ def overlap_closure(
                 )
             )
     frontier = list(pool.items)
-    counter = 0
     for depth in range(1, max_depth + 1):
         new_frontier = []
         known = list(pool.items)
@@ -287,45 +276,23 @@ def overlap_closure(
             for b in known:
                 if a.depth != depth - 1 and b.depth != depth - 1:
                     continue
-                u1, v1 = a.rule.lhs, a.rule.rhs[0]
-                # forward: narrow a non-variable subterm of a's rhs with b
-                for pos in iter_positions(v1):
-                    res = _narrow_pair(u1, v1, pos, b.rule, True, False)
-                    if res is None:
-                        continue
-                    pair, theta, _ = res
-                    counter += 1
-                    added = pool.add(
-                        UnfoldedRule(
-                            Rule(f"oc{counter}", pair.lhs, pair.rhs),
-                            depth,
-                            ProvenanceStep(
-                                "oc-forward", (a.rule.id, b.rule.id), pos, theta
-                            ),
-                        )
-                    )
-                    if added is not None:
-                        new_frontier.append(added)
-                # backward: narrow a non-variable subterm of b's lhs with
-                # the reversal of a
-                u2, v2 = b.rule.lhs, b.rule.rhs[0]
-                for pos in iter_positions(u2):
-                    res = _narrow_pair(u2, v2, pos, a.rule, False, False)
-                    if res is None:
-                        continue
-                    pair, theta, _ = res
-                    counter += 1
-                    added = pool.add(
-                        UnfoldedRule(
-                            Rule(f"oc{counter}", pair.lhs, pair.rhs),
-                            depth,
-                            ProvenanceStep(
-                                "oc-backward", (a.rule.id, b.rule.id), pos, theta
-                            ),
-                        )
-                    )
-                    if added is not None:
-                        new_frontier.append(added)
+                # forward: narrow a non-variable subterm of a's rhs with b;
+                # backward: narrow one of b's lhs with the reversal of a
+                for kind, host, with_rule in (
+                    ("oc-forward", a.rule, b.rule),
+                    ("oc-backward", b.rule, a.rule),
+                ):
+                    forward = kind == "oc-forward"
+                    lhs, rhs = host.lhs, host.rhs[0]
+                    for pos in iter_positions(rhs if forward else lhs):
+                        res = _narrow_pair(lhs, rhs, pos, with_rule, forward, False)
+                        if res is None:
+                            continue
+                        pair, theta, _ = res
+                        step = ProvenanceStep(kind, (a.rule.id, b.rule.id), pos, theta)
+                        added = pool.derive("oc", pair.lhs, pair.rhs, depth, step)
+                        if added is not None:
+                            new_frontier.append(added)
         frontier = new_frontier
         if not frontier:
             break
@@ -347,14 +314,10 @@ def binary_unfold(
     if p.mode is not Mode.LP:
         raise ValueError("binary_unfold requires an LP program")
     pool = _Pool(cap)
-    counter = 0
 
     def emit(rule_lhs, rule_rhs, depth, kind, parents, pos, theta):
-        nonlocal counter
-        counter += 1
-        named = Rule(f"b{counter}", rule_lhs, rule_rhs)
-        return pool.add(
-            UnfoldedRule(named, depth, ProvenanceStep(kind, parents, pos, theta))
+        return pool.derive(
+            "b", rule_lhs, rule_rhs, depth, ProvenanceStep(kind, parents, pos, theta)
         )
 
     def erase_prefix(rule: Rule, upto: int, units: list[UnfoldedRule]):
@@ -386,6 +349,8 @@ def binary_unfold(
                 return []
         return states
 
+    # Iteration j combines only rules of earlier iterations, so every rule
+    # it emits has depth at most j.
     for iteration in range(max_depth + 1):
         units = [u for u in pool.items if len(u.rule.rhs) == 0]
         binaries = [u for u in pool.items if len(u.rule.rhs) == 1]
@@ -394,13 +359,10 @@ def binary_unfold(
             n = len(rule.rhs)
             # clause (C): erase the entire body
             for theta, used, dmax in erase_prefix(rule, n, units):
-                depth = dmax + 1
-                if depth > max_depth:
-                    continue
                 emit(
                     apply(theta, rule.lhs),
                     (),
-                    depth,
+                    dmax + 1,
                     "binunf-C",
                     (rule.id,) + used,
                     (n,),
@@ -409,17 +371,15 @@ def binary_unfold(
             for i in range(1, n + 1):
                 for theta, used, dmax in erase_prefix(rule, i - 1, units):
                     # clause (A): keep body atom i
-                    depth = dmax + 1
-                    if depth <= max_depth:
-                        emit(
-                            apply(theta, rule.lhs),
-                            (apply(theta, rule.rhs[i - 1]),),
-                            depth,
-                            "binunf-A",
-                            (rule.id,) + used,
-                            (i,),
-                            theta,
-                        )
+                    emit(
+                        apply(theta, rule.lhs),
+                        (apply(theta, rule.rhs[i - 1]),),
+                        dmax + 1,
+                        "binunf-A",
+                        (rule.id,) + used,
+                        (i,),
+                        theta,
+                    )
                     # clause (B): additionally narrow body atom i
                     vi = apply(theta, rule.rhs[i - 1])
                     for binr in binaries:
@@ -429,14 +389,11 @@ def binary_unfold(
                         sigma = mgu(vi, fresh.lhs)
                         if sigma is None:
                             continue
-                        depth = max(dmax, binr.depth) + 1
-                        if depth > max_depth:
-                            continue
                         acc = compose(theta, sigma)
                         emit(
                             apply(acc, rule.lhs),
                             (apply(sigma, fresh.rhs[0]),),
-                            depth,
+                            max(dmax, binr.depth) + 1,
                             "binunf-B",
                             (rule.id,) + used + (binr.rule.id,),
                             (i,),

@@ -14,6 +14,7 @@ from nonterm.analysis import (
 )
 from nonterm.cli import main
 from nonterm.rewriting import verify_chain
+from nonterm.unfolding import unfold_trs
 
 EX_TRS = "f(x) -> g(h(x,one),x)  one -> zero  h(x,zero) -> f(f(x))"
 EX_LP = "p(f(X,zero)) :- p(X), q(X)."
@@ -193,3 +194,57 @@ def test_tracer_hook_names_exist():
     params = inspect.signature(detection.match_recurrent_pattern).parameters
     assert list(params) == ["chain1", "chain2"]
     assert isinstance(detection._power_cache, dict)
+
+
+def _record(monkeypatch, name):
+    """Replace ``analysis.<name>`` with a wrapper that logs its arguments."""
+    calls = []
+    fn = getattr(analysis, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, name, wrapper)
+    return calls
+
+
+def test_tracer_hooks_unfolded_driver(monkeypatch):
+    unfolds = _record(monkeypatch, "unfold_trs")
+    checks = _record(monkeypatch, "_rule_loop_witness")
+    pairs = _record(monkeypatch, "find_recurrent_pair")
+    cfg = AnalysisConfig(unfold_depth=2, timeout=None, max_word_len=3)
+    assert analyze(trs(TERMINATING), cfg).answer == "MAYBE"
+    assert [args[1] for args, _ in unfolds] == [0, 1, 2]
+    # one context-free loop check per pooled rule at every depth
+    pooled = [u.rule.id for d in range(3) for u in unfold_trs(trs(TERMINATING), d)]
+    assert [args[0].id for args, _ in checks] == pooled
+    # one recurrent-pair search per depth, always over single rules
+    assert len(pairs) == 3
+    assert all(args[2] == 1 for args, _ in pairs)
+
+
+def test_tracer_hooks_raw_driver(monkeypatch):
+    trs_unfolds = _record(monkeypatch, "unfold_trs")
+    lp_unfolds = _record(monkeypatch, "binary_unfold")
+    loops = _record(monkeypatch, "find_loop")
+    assert analyze(trs(EX_TRS), AnalysisConfig(raw=True)).answer == "NO"
+    assert analyze(lp(EX_LP), AnalysisConfig(raw=True)).answer == "NO"
+    assert not trs_unfolds and not lp_unfolds
+    assert len(loops) == 2
+    for args, kwargs in loops:
+        assert args[2] == 3 and kwargs["full_context"] is True
+
+
+@pytest.mark.parametrize(
+    "text, parse, raw, exhausted",
+    [
+        (EX_TRS, trs, False, ["loop"]),
+        (EX_TRS, trs, True, ["loop", "recpair"]),
+        (EX_LP, lp, False, ["loop"]),
+    ],
+)
+def test_budget_exhaustion_reported(text, parse, raw, exhausted):
+    v = analyze(parse(text), AnalysisConfig(timeout=1e-9, raw=raw))
+    assert v.answer == "MAYBE"
+    assert v.stats["exhausted"] == exhausted

@@ -182,3 +182,39 @@ def test_unfolded_program_wraps_rules():
     prog = unfolded_program(pool, Mode.TRS)
     assert len(prog.rules) == len(pool)
     assert prog.rule(pool[0].rule.id) == pool[0].rule
+
+
+REV_LP = """
+rev(nil,nil).
+rev(cons(X,Xs),Ys) :- rev(Xs,Zs), app(Zs,cons(X,nil),Ys).
+app(nil,Y,Y).
+app(cons(X,Xs),Y,cons(X,Z)) :- app(Xs,Y,Z).
+"""
+
+
+def _ids(pool):
+    return [u.rule.id for u in pool]
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_binary_unfold_depth_bound_and_prefix(depth):
+    # iteration j only combines rules of earlier iterations, so no rule
+    # is deeper than the bound and deepening only appends rules
+    p = lp(REV_LP)
+    pool, deeper = binary_unfold(p, depth), binary_unfold(p, depth + 1)
+    assert all(u.depth <= depth for u in pool)
+    assert _ids(deeper)[: len(pool)] == _ids(pool)
+    assert [u.depth for u in deeper[: len(pool)]] == [u.depth for u in pool]
+
+
+COUNTING = "f(x,s(y)) -> f(s(x),y)  f(x,zero) -> f(s(zero),x)"
+
+
+@pytest.mark.parametrize("text", [EX_TRS, COUNTING])
+@pytest.mark.parametrize("depth", range(3))
+def test_unfold_trs_deepening_is_prefix(text, depth):
+    p = trs(text)
+    pool, deeper = unfold_trs(p, depth), unfold_trs(p, depth + 1)
+    assert all(u.depth <= depth for u in pool)
+    assert _ids(deeper)[: len(pool)] == _ids(pool)
+    assert len(deeper) > len(pool)
