@@ -210,6 +210,10 @@ def analyze(program: Program, cfg: Optional[AnalysisConfig] = None) -> Verdict:
                     stats.setdefault("exhausted", []).append(tech)
                 if v is not None:
                     return v
+            # a search that never ticked (no candidates) still has a deadline
+            for tech, budget in budgets.items():
+                if not budget.exhausted and not budget.tick(0):
+                    stats.setdefault("exhausted", []).append(tech)
             if all(b.exhausted for b in budgets.values()):
                 break
     except ResourceLimitError as exc:

@@ -26,7 +26,7 @@ from .rewriting import (
     Rule,
     Semantics,
     Step,
-    lp_successors,
+    rewrite_at,
     successors,
 )
 from .substitution import Substitution, apply, compose, match
@@ -572,19 +572,15 @@ def _extended_chains(program, seeds, max_word_len, semantics, budget):
 # Witness-chain generation
 
 
+# Towers c2^n[s] of the current witness, keyed (c2.body, n): each one is
+# built once, around the tower below it, so towers share structure.
+_power_cache: dict[tuple, Term] = {}
+
+
 def _tower(c2: Context, n: int, base: Term) -> Term:
-    return plug(_power(c2, n), base) if n else base
-
-
-_power_cache: dict[tuple, Context] = {}
-
-
-def _power(c2: Context, n: int) -> Context:
-    from .terms import context_power
-
     key = (c2.body, n)
     if key not in _power_cache:
-        _power_cache[key] = context_power(c2, n)
+        _power_cache[key] = plug(c2, _tower(c2, n - 1, base)) if n else base
     return _power_cache[key]
 
 
@@ -599,7 +595,7 @@ def witness_chain(rp: RecurrentPair, m: int, n0: int, k: int) -> Chain:
         raise ValueError("k must be at least 1")
     if n0 < rp.n2:
         raise ValueError("start exponent must be at least the peel minimum")
-    _power_cache.clear()  # hold one witness's powers only
+    _power_cache.clear()  # hold one witness's towers only
 
     def c1_at(mm: int, nn: int) -> Term:
         return plug2(rp.c1, _tower(rp.c2, mm, rp.s), _tower(rp.c2, nn, rp.s))
@@ -675,11 +671,12 @@ def _unroll_mg(program: Program, lw: LoopWitness, k: int) -> Chain:
     for _ in range(k - 1):
         indices = [(rid, offset + i) for rid, i in indices]
         for rid, i in indices:
-            found = None
-            for step in lp_successors(program, cur):
-                if step.rule_id == rid and step.position == (i,):
-                    found = step
-                    break
+            steps = (
+                rewrite_at(r, cur, (i,), Semantics.LP_NARROW)
+                for r in program.rules
+                if r.id == rid
+            )
+            found = next((st for st in steps if st is not None), None)
             if found is None:
                 raise RuntimeError("loop unrolling failed to re-apply a step")
             all_steps.append(found)

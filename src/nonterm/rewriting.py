@@ -10,8 +10,10 @@ Three successor relations are provided:
   at the root, limited to rules whose single body atom introduces no new
   variables.
 
-Successor enumeration order is fixed (rule order, then position) so that
-searches and certificates are reproducible.
+``rewrite_at`` builds the one step of a given rule at a given position;
+successor enumeration calls it in a fixed order (rule order, then
+position) so that searches and certificates are reproducible, and
+verification calls it only at each step's claimed rule and position.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import ResourceLimitError
+from .errors import InvalidPositionError, ResourceLimitError
 from .substitution import Substitution, apply, match, mgu, renaming_apart
 from .terms import (
     Goal,
@@ -148,53 +150,59 @@ class Chain:
         return Chain(apply(theta, self.start), steps)
 
 
+def rewrite_at(
+    rule: Rule, source: Union[Term, Goal], position: Position, semantics: Semantics
+) -> Optional[Step]:
+    """The step of ``rule`` at ``position`` of ``source``, or None.
+
+    Under narrowing the rule is renamed apart from the goal with ids
+    allocated just above the maximum id occurring in it, which makes
+    targets reproducible.
+    """
+    if semantics is Semantics.LP_NARROW:
+        if len(position) != 1 or not 1 <= position[0] <= len(source):
+            return None
+        i = position[0]
+        fresh = rename_apart(rule, term_vars(source))
+        theta = mgu(source[i - 1], fresh.lhs)
+        if theta is None:
+            return None
+        target = apply(theta, source[: i - 1] + fresh.rhs + source[i:])
+        return Step(source, rule.id, position, theta, target, semantics)
+    if semantics is Semantics.LP_RESTRICTED:
+        if position or not rule.restricted_usable:
+            return None
+    elif not rule.trs_usable:
+        return None
+    try:
+        theta = match(rule.lhs, subterm_at(source, position))
+    except InvalidPositionError:
+        return None
+    if theta is None:
+        return None
+    target = replace_at(source, position, apply(theta, rule.rhs[0]))
+    return Step(source, rule.id, position, theta, target, semantics)
+
+
+def _steps(p: Program, a: Union[Term, Goal], spots, semantics: Semantics) -> list[Step]:
+    """Every step of ``a``, rule order first, then position order."""
+    steps = (rewrite_at(r, a, pos, semantics) for r in p.rules for pos in spots)
+    return [st for st in steps if st is not None]
+
+
 def trs_successors(p: Program, s: Term) -> list[Step]:
     """All one-step term-rewriting successors of ``s``."""
-    out = []
-    for r in p.rules:
-        if not r.trs_usable:
-            continue
-        v = r.rhs[0]
-        for pos in iter_positions(s):
-            theta = match(r.lhs, subterm_at(s, pos))
-            if theta is None:
-                continue
-            target = replace_at(s, pos, apply(theta, v))
-            out.append(Step(s, r.id, pos, theta, target, Semantics.TRS))
-    return out
+    return _steps(p, s, list(iter_positions(s)), Semantics.TRS)
 
 
 def lp_successors(p: Program, g: Goal) -> list[Step]:
-    """All one-step narrowing successors of goal ``g``.
-
-    Rules are renamed apart from ``g`` with ids allocated just above the
-    maximum id occurring in ``g``, which makes targets reproducible.
-    """
-    out = []
-    goal_vars = term_vars(g)
-    for r in p.rules:
-        for i in range(1, len(g) + 1):
-            fresh = rename_apart(r, goal_vars)
-            theta = mgu(g[i - 1], fresh.lhs)
-            if theta is None:
-                continue
-            new_goal = apply(theta, g[: i - 1] + fresh.rhs + g[i:])
-            out.append(Step(g, r.id, (i,), theta, new_goal, Semantics.LP_NARROW))
-    return out
+    """All one-step narrowing successors of goal ``g``."""
+    return _steps(p, g, [(i,) for i in range(1, len(g) + 1)], Semantics.LP_NARROW)
 
 
 def restricted_successors(p: Program, s: Term) -> list[Step]:
     """Root-only instance-based steps for rules with no extra rhs variables."""
-    out = []
-    for r in p.rules:
-        if not r.restricted_usable:
-            continue
-        theta = match(r.lhs, s)
-        if theta is None:
-            continue
-        target = apply(theta, r.rhs[0])
-        out.append(Step(s, r.id, ROOT, theta, target, Semantics.LP_RESTRICTED))
-    return out
+    return _steps(p, s, [ROOT], Semantics.LP_RESTRICTED)
 
 
 def successors(
@@ -244,19 +252,25 @@ def run_word(
     return current
 
 
-def verify_step(p: Program, step: Step) -> bool:
-    for cand in successors(p, step.source, step.semantics):
-        if (
-            cand.rule_id == step.rule_id
-            and cand.position == step.position
-            and cand.target == step.target
-        ):
+def _replays(step: Step, rules: Iterable[Rule]) -> bool:
+    """True iff one of ``rules`` rewrites ``step.source`` at ``step.position``
+    to ``step.target``."""
+    for r in rules:
+        got = rewrite_at(r, step.source, step.position, step.semantics)
+        if got is not None and got.target == step.target:
             return True
     return False
+
+
+def verify_step(p: Program, step: Step) -> bool:
+    return _replays(step, (r for r in p.rules if r.id == step.rule_id))
 
 
 def verify_chain(p: Program, c: Chain) -> bool:
     """Re-execute every step of ``c``; True iff all of them reproduce."""
     if not c.consecutive():
         return False
-    return all(verify_step(p, s) for s in c.steps)
+    by_id: dict[str, list[Rule]] = {}
+    for r in p.rules:
+        by_id.setdefault(r.id, []).append(r)
+    return all(_replays(s, by_id.get(s.rule_id, ())) for s in c.steps)

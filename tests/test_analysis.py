@@ -13,13 +13,21 @@ from nonterm.analysis import (
     parse_certificate,
 )
 from nonterm.cli import main
+from nonterm.detection import witness_chain
 from nonterm.rewriting import verify_chain
+from nonterm.terms import hole_positions, subterm_at
 from nonterm.unfolding import unfold_trs
 
 EX_TRS = "f(x) -> g(h(x,one),x)  one -> zero  h(x,zero) -> f(f(x))"
 EX_LP = "p(f(X,zero)) :- p(X), q(X)."
 ZANTEMA = "f(x,s(y)) -> f(s(x),y)  f(x,zero) -> f(s(zero),x)"
 TERMINATING = "plus(zero,x) -> x  plus(s(x),y) -> s(plus(x,y))"
+# The paper's non-looping system: its recurrent pair has the non-linear
+# context c2 = g([],0,[]), so towers double in size at every level.
+PAPER_TRS = (
+    "f(x,g(y,0,y),x) -> h(x,y)  h(x,y) -> f(g(x,0,x),y,g(x,0,x))"
+    "  f(x,0,x) -> f(g(x,0,x),g(x,1,x),g(x,0,x))  1 -> 0"
+)
 
 
 def test_analyze_trs_loop_no():
@@ -41,6 +49,27 @@ def test_analyze_recurrent_pair_no():
     assert v.answer == "NO"
     assert v.technique == "recpair"
     assert verify_chain(v.used_program, v.simulated_prefix)
+
+
+def test_paper_trs_long_prefix_verifies():
+    v = analyze(trs(PAPER_TRS), AnalysisConfig(simulate_steps=4))
+    assert v.answer == "NO"
+    assert v.technique == "recpair"
+    assert verify_chain(v.used_program, v.simulated_prefix)
+
+
+def test_witness_chain_builds_each_tower_around_the_one_below():
+    rp = analyze(trs(PAPER_TRS), AnalysisConfig(simulate_steps=1)).witness
+    witness_chain(rp, rp.n2, rp.n2, 3)
+    towers = detection._power_cache
+    holes = hole_positions(rp.c2)
+    assert len(holes) == 2
+    assert max(n for _, n in towers) >= 2
+    assert towers[(rp.c2.body, 0)] is rp.s
+    for (body, n), tower in towers.items():
+        assert body == rp.c2.body
+        for hp in holes if n else ():
+            assert subterm_at(tower, hp) is towers[(body, n - 1)]
 
 
 def test_analyze_terminating_maybe():
@@ -239,12 +268,14 @@ def test_tracer_hooks_raw_driver(monkeypatch):
 @pytest.mark.parametrize(
     "text, parse, raw, exhausted",
     [
-        (EX_TRS, trs, False, ["loop"]),
+        (EX_TRS, trs, False, ["loop", "recpair"]),
         (EX_TRS, trs, True, ["loop", "recpair"]),
-        (EX_LP, lp, False, ["loop"]),
+        (EX_LP, lp, False, ["loop", "recpair"]),
     ],
 )
 def test_budget_exhaustion_reported(text, parse, raw, exhausted):
     v = analyze(parse(text), AnalysisConfig(timeout=1e-9, raw=raw))
     assert v.answer == "MAYBE"
     assert v.stats["exhausted"] == exhausted
+    # every budget is out after the first pool, so no deeper pool is built
+    assert raw or v.stats["unfold_depth"] == 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from conftest import lp, term, trs
@@ -8,6 +10,7 @@ from nonterm.rewriting import (
     Program,
     Rule,
     Semantics,
+    Step,
     lp_successors,
     restricted_successors,
     run_word,
@@ -17,7 +20,7 @@ from nonterm.rewriting import (
     verify_step,
 )
 from nonterm.substitution import Substitution, apply
-from nonterm.terms import is_variant, render
+from nonterm.terms import ROOT, is_variant, iter_positions, render
 
 
 EX_TRS = "f(x) -> g(h(x,one),x)  one -> zero  h(x,zero) -> f(f(x))"
@@ -151,3 +154,113 @@ def test_successors_dispatch():
     assert successors(p, term("one"), Semantics.TRS)[0].rule_id == "r2"
     plp = lp("p(a).")
     assert successors(plp, (term("p(a)"),), Semantics.LP_NARROW)[0].target == ()
+
+
+# ---------------------------------------------------------------------------
+# verify_step against the enumerate-and-filter verifier it replaced
+
+
+def oracle_verify_step(p, step):
+    """List every successor of the source and keep the claimed one."""
+    return any(
+        (c.rule_id, c.position, c.target) == (step.rule_id, step.position, step.target)
+        for c in successors(p, step.source, step.semantics)
+    )
+
+
+RESTRICTED = Program(
+    [
+        Rule("r1", term("f(x,s(y))"), (term("f(s(x),y)"),)),
+        Rule("r2", term("g(x)"), (term("g(f(x,y))"),)),  # extra var: unusable
+        Rule("r3", term("f(s(x),y)"), (term("g(x)"),)),
+    ],
+    Mode.LP,
+)
+
+ORACLE_CASES = [
+    (
+        trs(EX_TRS),
+        Semantics.TRS,
+        [term("f(one)"), term("h(f(one),zero)"), term("g(h(x,one),f(one))")],
+    ),
+    (
+        lp("p(f(X,zero)) :- p(X), q(X).  q(a).  p(a)."),
+        Semantics.LP_NARROW,
+        [(term("p(x)"), term("q(x)")), (term("q(y)"), term("p(f(x,zero))"), term("p(y)"))],
+    ),
+    (RESTRICTED, Semantics.LP_RESTRICTED, [term("f(s(a),s(b))"), term("f(s(s(a)),b)")]),
+]
+
+
+def _wrong_positions(source):
+    if isinstance(source, tuple):
+        return [(i,) for i in range(1, len(source) + 1)]
+    return list(iter_positions(source))
+
+
+@pytest.mark.parametrize("p, semantics, sources", ORACLE_CASES)
+def test_verify_step_agrees_with_oracle(p, semantics, sources):
+    outside = [(1, 1), (9,), (1, 9), (2, 1, 1)]
+    for source in sources:
+        steps = successors(p, source, semantics)
+        assert steps
+        for st in steps:
+            assert verify_step(p, st) and oracle_verify_step(p, st)
+            mutants = [
+                dataclasses.replace(st, position=pos)
+                for pos in _wrong_positions(source) + outside
+                if pos != st.position
+            ]
+            mutants += [
+                dataclasses.replace(st, rule_id="nope"),
+                dataclasses.replace(st, target=source),
+            ]
+            for m in mutants:
+                assert verify_step(p, m) == oracle_verify_step(p, m), m
+            # no program here rewrites one source to one target twice
+            for m in mutants[-2:]:
+                assert not verify_step(p, m) and not oracle_verify_step(p, m), m
+
+
+@pytest.mark.parametrize(
+    "p, step",
+    [
+        # wrong position: one -> zero happens below the root
+        (trs(EX_TRS), Step(term("f(one)"), "r2", ROOT, None, term("f(zero)"), Semantics.TRS)),
+        # position outside the term
+        (trs(EX_TRS), Step(term("f(one)"), "r2", (2,), None, term("f(zero)"), Semantics.TRS)),
+        (trs(EX_TRS), Step(term("one"), "r2", (1, 1), None, term("zero"), Semantics.TRS)),
+        (lp("q(a)."), Step((term("q(a)"),), "r1", (2,), None, (), Semantics.LP_NARROW)),
+        (lp("q(a)."), Step((term("q(a)"),), "r1", ROOT, None, (), Semantics.LP_NARROW)),
+        # wrong rule id
+        (trs(EX_TRS), Step(term("f(one)"), "r1", (1,), None, term("f(zero)"), Semantics.TRS)),
+        # wrong target
+        (trs(EX_TRS), Step(term("f(one)"), "r2", (1,), None, term("f(one)"), Semantics.TRS)),
+        # restricted steps happen at the root only
+        (
+            RESTRICTED,
+            Step(term("g(f(a,s(b)))"), "r1", (1,), None, term("g(f(s(a),b))"), Semantics.LP_RESTRICTED),
+        ),
+        # a rule with a two-atom body is no rewrite rule
+        (
+            Program([Rule("r1", term("f(x)"), (term("g(x)"), term("g(x)")))], Mode.TRS),
+            Step(term("f(a)"), "r1", ROOT, None, term("g(a)"), Semantics.TRS),
+        ),
+    ],
+)
+def test_verify_step_rejects_like_oracle(p, step):
+    assert not oracle_verify_step(p, step)
+    assert not verify_step(p, step)
+    assert not verify_chain(p, Chain(step.source, [step]))
+
+
+def test_verify_step_tries_every_rule_with_the_id():
+    # only the second rule named r1 rewrites f(x) to c
+    p = Program(
+        [Rule("r1", term("f(a)"), (term("b"),)), Rule("r1", term("f(x)"), (term("c"),))],
+        Mode.TRS,
+    )
+    step = Step(term("f(x)"), "r1", ROOT, Substitution(), term("c"), Semantics.TRS)
+    assert oracle_verify_step(p, step)
+    assert verify_step(p, step)
+    assert verify_chain(p, Chain(step.source, [step]))
