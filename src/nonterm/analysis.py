@@ -46,6 +46,7 @@ from .terms import GoalContext, ROOT, render, render_position
 from .unfolding import (
     DEFAULT_DEPTH,
     DEFAULT_RULE_CAP,
+    Unfolding,
     binary_unfold,
     dependency_pairs,
     unfold_trs,
@@ -113,18 +114,25 @@ def _rule_loop_witness(r, kind: EmbeddingKind) -> Optional[LoopWitness]:
     return None
 
 
-def unfold(program: Program, depth: int, cap: int = DEFAULT_RULE_CAP) -> list:
+def unfold(
+    program: Program,
+    depth: int,
+    cap: int = DEFAULT_RULE_CAP,
+    resume: Optional[Unfolding] = None,
+) -> list:
     """The derived-rule pool of ``program`` at ``depth``: dependency-pair
-    unfolding for a TRS, binary unfolding for a logic program."""
+    unfolding for a TRS, binary unfolding for a logic program.  With
+    ``resume``, the unfolding continues from where it last stopped."""
     if program.mode is Mode.TRS:
-        return unfold_trs(program, depth, cap)
-    return binary_unfold(program, depth, cap)
+        return unfold_trs(program, depth, cap, resume)
+    return binary_unfold(program, depth, cap, resume)
 
 
 def _pools(program: Program, cfg: AnalysisConfig, stats: dict):
     """Yield the programs to search: the input itself under ``raw``,
     otherwise the unfolded pool of each depth in turn, so cheap witnesses
-    are found before the pool grows large."""
+    are found before the pool grows large.  Each depth resumes the
+    unfolding of the one before."""
     if cfg.raw:
         stats["unfolding"] = "none"
         yield program
@@ -134,8 +142,9 @@ def _pools(program: Program, cfg: AnalysisConfig, stats: dict):
         stats["dependency_pairs"] = len(dependency_pairs(program))
     else:
         stats["unfolding"] = "binary"
+    resume = Unfolding()
     for depth in range(cfg.unfold_depth + 1):
-        pool = unfold(program, depth, cfg.rule_cap)
+        pool = unfold(program, depth, cfg.rule_cap, resume)
         stats["unfold_depth"] = depth
         stats["unfolded_rules"] = len(pool)
         yield unfolded_program(pool, program.mode, program.signature)
@@ -316,12 +325,13 @@ def emit_certificate(v: Verdict, as_json: bool = False) -> str:
         lines.append("rules:")
         for rid in rules:
             lines.append(f"  {rules[rid]}")
-    steps = _prefix_dicts(v)
+    steps = v.simulated_prefix.steps if v.simulated_prefix is not None else []
     if steps:
         lines.append("simulated prefix:")
-        lines.append(f"  {steps[0]['source']}")
+        lines.append(f"  {render(steps[0].source)}")
         for st in steps:
-            lines.append(f"  =[{st['rule']}@{st['position']}]=> {st['target']}")
+            pos = render_position(st.position)
+            lines.append(f"  =[{st.rule_id}@{pos}]=> {render(st.target)}")
     keys = _CERT_STATS_NO if v.answer == "NO" else _CERT_STATS
     for key in keys:
         if key in v.stats:

@@ -76,9 +76,9 @@ class Rule:
         return f"{self.id}: {render(self.lhs)} -> <{body}>"
 
 
-def rename_apart(r: Rule, avoid: Iterable, supply=None) -> Rule:
+def rename_apart(r: Rule, avoid: Iterable) -> Rule:
     """A variant of ``r`` whose variables are disjoint from ``avoid``."""
-    gamma = renaming_apart(r.all_vars(), avoid, supply)
+    gamma = renaming_apart(r.all_vars(), avoid)
     return r.rename(gamma)
 
 

@@ -17,7 +17,6 @@ from .terms import (
     Goal,
     Term,
     Var,
-    VarSupply,
     is_hole,
     render_term,
 )
@@ -165,26 +164,19 @@ def match(s: Union[Term, Goal], t: Union[Term, Goal]) -> Optional[Substitution]:
     return Substitution(bindings)
 
 
-def renaming_apart(
-    vs: Iterable[Var], avoid: Iterable[Var], supply: Optional[VarSupply] = None
-) -> Substitution:
+def renaming_apart(vs: Iterable[Var], avoid: Iterable[Var]) -> Substitution:
     """A renaming of ``vs`` whose image avoids ``avoid``.
 
-    Without a supply, fresh ids are allocated deterministically just above
-    every id in sight, so the result is a pure function of its inputs.
+    Fresh ids are allocated deterministically just above every id in
+    sight, so the result is a pure function of its inputs.
     """
     vs = sorted(set(vs), key=lambda v: v.id)
     avoid_ids = {v.id for v in avoid} | {v.id for v in vs}
-    if supply is None:
-        next_id = max(avoid_ids, default=-1) + 1
-        out = {}
-        for v in vs:
-            out[v] = Var(next_id, f"{v.name.rstrip('0123456789_')}{next_id}")
-            next_id += 1
-        return Substitution(out)
+    next_id = max(avoid_ids, default=-1) + 1
     out = {}
     for v in vs:
-        out[v] = supply.fresh(v.name.rstrip("0123456789_") or "x")
+        out[v] = Var(next_id, f"{v.name.rstrip('0123456789_')}{next_id}")
+        next_id += 1
     return Substitution(out)
 
 

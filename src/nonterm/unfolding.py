@@ -10,12 +10,19 @@ fragment of an intrinsically infinite closure:
 
 Every produced rule carries a provenance record; replaying it from the
 parent rules reconstructs the rule up to variable renaming.
+
+Dependency-pair and binary unfolding resume depth by depth: given the
+same ``Unfolding`` at each call, depth d+1 starts from the pool, frontier
+and derivation counter that depth d left, instead of from the dependency
+pairs or the program.  A narrowing whose two sides carry different
+function symbols at a shared position is skipped before the rule is
+renamed apart, since no renaming can make them unify.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import ResourceLimitError
 from .rewriting import Mode, Program, Rule, rename_apart
@@ -26,7 +33,7 @@ from .terms import (
     ROOT,
     Symbol,
     Term,
-    canonical,
+    Var,
     iter_positions,
     replace_at,
     subterm_at,
@@ -132,8 +139,26 @@ def dependency_pairs(r: Program) -> list[UnfoldedRule]:
     return out
 
 
-def _dedup_key(rule: Rule):
-    return canonical((rule.lhs,) + rule.rhs)
+def _dedup_key(rule: Rule) -> tuple:
+    """A flat variant key: the body length, then the symbols of the head
+    and body in preorder, each variable replaced by the number of its
+    first occurrence.  Two rules get equal keys exactly when their
+    ``canonical`` forms are equal."""
+    key = [len(rule.rhs)]
+    numbers: dict[Var, int] = {}
+
+    def walk(t: Term) -> None:
+        if isinstance(t, Var):
+            key.append(numbers.setdefault(t, len(numbers)))
+        else:
+            key.append(t.symbol)
+            for a in t.args:
+                walk(a)
+
+    walk(rule.lhs)
+    for t in rule.rhs:
+        walk(t)
+    return tuple(key)
 
 
 class _Pool:
@@ -165,6 +190,56 @@ class _Pool:
         return self.add(UnfoldedRule(named, depth, provenance))
 
 
+class Unfolding:
+    """Where one program's dependency-pair or binary unfolding stopped.
+
+    Pass the same instance to successive ``unfold_trs``/``binary_unfold``
+    calls on one program, at depths that do not decrease: each call then
+    unfolds only the depths not done yet.  A call cut short by the rule
+    cap leaves the instance unusable.
+    """
+
+    def __init__(self):
+        self.program: Optional[Program] = None
+        self.pool: Optional[_Pool] = None
+        self.depth = -1  # deepest depth unfolded
+        self.frontier: list[UnfoldedRule] = []  # rules new at that depth
+
+    def deepen(
+        self,
+        program: Program,
+        max_depth: int,
+        cap: int,
+        layer: Callable[[int], list[UnfoldedRule]],
+    ) -> list[UnfoldedRule]:
+        """Run ``layer(depth)`` for each depth after the last one done, up
+        to ``max_depth``, stopping once a depth adds no rule; return the
+        pool as a new list."""
+        if self.program is None:
+            self.program, self.pool = program, _Pool(cap)
+        elif self.program is not program:
+            raise ValueError("an Unfolding resumes the program it started with")
+        if self.depth is None:
+            raise ValueError("an unfolding cut short by the rule cap cannot resume")
+        if max_depth < self.depth:
+            raise ValueError(f"already unfolded to depth {self.depth} > {max_depth}")
+        self.pool.cap = cap
+        while self.depth < max_depth and (self.depth < 0 or self.frontier):
+            depth, self.depth = self.depth + 1, None
+            self.frontier = layer(depth)
+            self.depth = depth
+        return list(self.pool.items)
+
+
+def _clash(s: Term, t: Term) -> bool:
+    """True when ``s`` and ``t`` carry different function symbols at a
+    position where both have one; they then have no unifier, under any
+    renaming of their variables."""
+    if isinstance(s, Var) or isinstance(t, Var):
+        return False
+    return s.symbol != t.symbol or any(map(_clash, s.args, t.args))
+
+
 def _narrow_pair(
     lhs: Term,
     rhs: Term,
@@ -172,18 +247,20 @@ def _narrow_pair(
     with_rule: Rule,
     forward: bool,
     allow_var: bool,
-) -> Optional[tuple[Rule, Substitution, Rule]]:
+) -> Optional[tuple[Rule, Substitution]]:
     """Narrow one side of a pair at ``pos`` with ``with_rule``.
 
     Forward narrowing rewrites ``rhs`` with the rule as is; backward
     narrowing rewrites ``lhs`` with the reversed rule.  Returns the new
-    (unnamed) pair, the unifier and the renamed variant actually used.
+    (unnamed) pair and the unifier.
     """
     if len(with_rule.rhs) != 1:
         return None
     target = rhs if forward else lhs
     sub = subterm_at(target, pos)
     if not allow_var and not isinstance(sub, App):
+        return None
+    if _clash(sub, with_rule.lhs if forward else with_rule.rhs[0]):
         return None
     fresh = rename_apart(with_rule, term_vars(lhs) | term_vars(rhs))
     src, dst = (
@@ -198,31 +275,35 @@ def _narrow_pair(
         pair = Rule("", other, (new_target,))
     else:
         pair = Rule("", new_target, (other,))
-    return pair, theta, fresh
+    return pair, theta
 
 
 def unfold_trs(
     r: Program,
     max_depth: int = DEFAULT_DEPTH,
     cap: int = DEFAULT_RULE_CAP,
+    resume: Optional[Unfolding] = None,
 ) -> list[UnfoldedRule]:
     """Depth-bounded dependency-pair unfolding of a TRS.
 
     Depth 0 is the set of dependency pairs.  Each later depth narrows one
-    side of an unfolded pair: below the root with the base rules (variable
-    subterms allowed), at the root with a dependency pair.
+    side of a pair new at the depth before: below the root with the base
+    rules (variable subterms allowed), at the root with a dependency
+    pair.  With ``resume``, only the depths it has not reached are
+    unfolded.
     """
     if r.mode is not Mode.TRS:
         raise ValueError("unfold_trs requires a TRS program")
+    state = resume if resume is not None else Unfolding()
     dps = dependency_pairs(r)
-    pool = _Pool(cap)
-    for u in dps:
-        pool.add(u)
-    frontier = list(pool.items)
     dp_rules = [dp.rule for dp in dps]
-    for depth in range(1, max_depth + 1):
-        new_frontier = []
-        for parent in frontier:
+
+    def layer(depth: int) -> list[UnfoldedRule]:
+        pool = state.pool
+        if depth == 0:
+            return [u for u in dps if pool.add(u) is not None]
+        new = []
+        for parent in state.frontier:
             u, v = parent.rule.lhs, parent.rule.rhs[0]
             # forward narrowing rewrites the rhs, backward narrowing the lhs
             # with reversed rules
@@ -236,15 +317,14 @@ def unfold_trs(
                 res = _narrow_pair(u, v, pos, with_rule, kind == "forward", True)
                 if res is None:
                     continue
-                pair, theta, _ = res
+                pair, theta = res
                 step = ProvenanceStep(kind, (parent.rule.id, with_rule.id), pos, theta)
                 added = pool.derive("u", pair.lhs, pair.rhs, depth, step)
                 if added is not None:
-                    new_frontier.append(added)
-        frontier = new_frontier
-        if not frontier:
-            break
-    return pool.items
+                    new.append(added)
+        return new
+
+    return state.deepen(r, max_depth, cap, layer)
 
 
 def overlap_closure(
@@ -288,7 +368,7 @@ def overlap_closure(
                         res = _narrow_pair(lhs, rhs, pos, with_rule, forward, False)
                         if res is None:
                             continue
-                        pair, theta, _ = res
+                        pair, theta = res
                         step = ProvenanceStep(kind, (a.rule.id, b.rule.id), pos, theta)
                         added = pool.derive("oc", pair.lhs, pair.rhs, depth, step)
                         if added is not None:
@@ -303,20 +383,22 @@ def binary_unfold(
     p: Program,
     max_depth: int = DEFAULT_DEPTH,
     cap: int = DEFAULT_RULE_CAP,
+    resume: Optional[Unfolding] = None,
 ) -> list[UnfoldedRule]:
     """Depth-bounded binary unfolding of a logic program.
 
     Derived rules all have right-hand sides of length at most one.  A
     derivation erases a proven prefix of a rule body with derived unit
     rules, then either keeps the next body atom (A), narrows it with a
-    derived binary rule (B), or erases the whole body (C).
+    derived binary rule (B), or erases the whole body (C).  With
+    ``resume``, only the iterations it has not reached are run.
     """
     if p.mode is not Mode.LP:
         raise ValueError("binary_unfold requires an LP program")
-    pool = _Pool(cap)
+    state = resume if resume is not None else Unfolding()
 
     def emit(rule_lhs, rule_rhs, depth, kind, parents, pos, theta):
-        return pool.derive(
+        return state.pool.derive(
             "b", rule_lhs, rule_rhs, depth, ProvenanceStep(kind, parents, pos, theta)
         )
 
@@ -331,6 +413,8 @@ def binary_unfold(
             for theta, used, dmax in states:
                 vj = apply(theta, rule.rhs[j])
                 for unit in units:
+                    if _clash(vj, unit.rule.lhs):
+                        continue
                     fresh = rename_apart(
                         unit.rule, term_vars(rule.lhs) | term_vars(rule.rhs)
                     )
@@ -351,7 +435,8 @@ def binary_unfold(
 
     # Iteration j combines only rules of earlier iterations, so every rule
     # it emits has depth at most j.
-    for iteration in range(max_depth + 1):
+    def layer(iteration: int) -> list[UnfoldedRule]:
+        pool = state.pool
         units = [u for u in pool.items if len(u.rule.rhs) == 0]
         binaries = [u for u in pool.items if len(u.rule.rhs) == 1]
         before = len(pool.items)
@@ -383,6 +468,8 @@ def binary_unfold(
                     # clause (B): additionally narrow body atom i
                     vi = apply(theta, rule.rhs[i - 1])
                     for binr in binaries:
+                        if _clash(vi, binr.rule.lhs):
+                            continue
                         fresh = rename_apart(
                             binr.rule, term_vars(rule.lhs) | term_vars(rule.rhs)
                         )
@@ -399,9 +486,9 @@ def binary_unfold(
                             (i,),
                             acc,
                         )
-        if len(pool.items) == before:
-            break
-    return pool.items
+        return pool.items[before:]
+
+    return state.deepen(p, max_depth, cap, layer)
 
 
 def unfolded_program(
@@ -461,7 +548,7 @@ def replay_provenance(
         )
         if res is None:
             return None
-        pair, _, _ = res
+        pair, _ = res
         return Rule(u.rule.id, pair.lhs, pair.rhs)
     if pv.kind.startswith("binunf"):
         rule = lookup(pv.parents[0])

@@ -1,11 +1,19 @@
-import pytest
+import random
 
-from conftest import lp, term, trs
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import lp, random_term, term, trs
+from test_substitution import terms
 from nonterm.errors import ResourceLimitError
-from nonterm.rewriting import Mode, Semantics, run_word
-from nonterm.terms import App, Symbol, is_variant, render
+from nonterm.rewriting import Mode, Rule, Semantics, rename_apart, run_word
+from nonterm.substitution import Substitution, mgu
+from nonterm.terms import App, Symbol, Var, canonical, is_variant, render, term_vars
 from nonterm.unfolding import (
     MarkedSignature,
+    Unfolding,
+    _clash,
+    _dedup_key,
     binary_unfold,
     defined_symbols,
     dependency_pairs,
@@ -218,3 +226,133 @@ def test_unfold_trs_deepening_is_prefix(text, depth):
     assert all(u.depth <= depth for u in pool)
     assert _ids(deeper)[: len(pool)] == _ids(pool)
     assert len(deeper) > len(pool)
+
+
+GOLDEN_LP = "p(f(X,0)) :- p(X), q(X)."
+
+RESUME_CASES = [
+    (trs, unfold_trs, EX_TRS),
+    (trs, unfold_trs, COUNTING),
+    (lp, binary_unfold, GOLDEN_LP),
+    (lp, binary_unfold, REV_LP),
+]
+
+
+def _signature(pool):
+    return [
+        (
+            u.rule.id,
+            repr(u.rule),
+            u.depth,
+            u.provenance.kind,
+            u.provenance.parents,
+            u.provenance.position,
+            u.provenance.unifier,
+        )
+        for u in pool
+    ]
+
+
+@pytest.mark.parametrize("parse, unfolder, text", RESUME_CASES)
+def test_resumed_unfolding_matches_fresh(parse, unfolder, text):
+    p = parse(text)
+    state = Unfolding()
+    returned = []
+    for depth in range(5):
+        pool = unfolder(p, depth, resume=state)
+        assert _signature(pool) == _signature(unfolder(p, depth))
+        returned.append((pool, _signature(pool)))
+    # deepening leaves every list handed out earlier as it was
+    for pool, sig in returned:
+        assert _signature(pool) == sig
+    assert len({id(pool) for pool, _ in returned}) == len(returned)
+
+
+@pytest.mark.parametrize("parse, unfolder, text", RESUME_CASES[1:])
+def test_resumed_unfolding_may_skip_depths(parse, unfolder, text):
+    p = parse(text)
+    state = Unfolding()
+    for depth in (0, 2, 2, 3):
+        assert _signature(unfolder(p, depth, resume=state)) == _signature(
+            unfolder(p, depth)
+        )
+
+
+def test_resumed_unfolding_rule_cap():
+    p = trs(EX_TRS)
+    state = Unfolding()
+    unfold_trs(p, 0, cap=10, resume=state)
+    with pytest.raises(ResourceLimitError):
+        unfold_trs(p, 4, cap=10, resume=state)
+    # a depth cut short cannot be finished later
+    with pytest.raises(ValueError):
+        unfold_trs(p, 4, resume=state)
+
+
+def test_resumed_unfolding_rejects_misuse():
+    p = trs(EX_TRS)
+    state = Unfolding()
+    unfold_trs(p, 2, resume=state)
+    with pytest.raises(ValueError):
+        unfold_trs(p, 1, resume=state)
+    with pytest.raises(ValueError):
+        unfold_trs(trs(COUNTING), 3, resume=state)
+
+
+@given(terms(), terms())
+@settings(max_examples=300, deadline=None)
+def test_clash_means_no_unifier(s, t):
+    # renaming changes no symbol, so a clash survives renaming apart
+    fresh = rename_apart(Rule("r", t, ()), term_vars(s)).lhs
+    if _clash(s, t):
+        assert mgu(s, fresh) is None
+
+
+def test_clash_examples():
+    assert _clash(term("f(a,x)"), term("f(b,y)"))
+    assert _clash(term("g(f(a,x))"), term("g(g(y))"))
+    assert not _clash(term("f(x,a)"), term("f(g(x),y)"))
+    # an occurs-check failure is no clash: only mgu can tell
+    assert not _clash(term("x"), term("g(x)"))
+
+
+@st.composite
+def rules(draw):
+    """A random rule; half the time, paired with a renamed variant."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    body = draw(st.integers(0, 2))
+    a = Rule("a", random_term(rng, 3), tuple(random_term(rng, 2) for _ in range(body)))
+    if draw(st.booleans()):
+        ids = list(range(3))
+        rng.shuffle(ids)
+        b = a.rename(Substitution({Var(i): Var(10 + ids[i]) for i in range(3)}))
+    else:
+        body = draw(st.integers(0, 2))
+        b = Rule("b", random_term(rng, 3), tuple(random_term(rng, 2) for _ in range(body)))
+    return a, b
+
+
+def _old_key(rule):
+    return canonical((rule.lhs,) + rule.rhs)
+
+
+@given(rules())
+@settings(max_examples=500, deadline=None)
+def test_dedup_key_equal_exactly_when_canonical_equal(pair):
+    a, b = pair
+    assert (_dedup_key(a) == _dedup_key(b)) == (_old_key(a) == _old_key(b))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # unit versus binary: same head, bodies of different lengths
+        ("p(f(X,0)).", "p(f(X,0)) :- p(X)."),
+        ("p(X) :- q(X).", "p(X) :- q(X), q(X)."),
+        ("p(X) :- q(X, Y).", "p(Y) :- q(Y, X)."),
+        ("p(X) :- q(X, Y).", "p(X) :- q(Y, X)."),
+    ],
+)
+def test_dedup_key_lp_rules(a, b):
+    ra, rb = lp(a).rules[0], lp(b).rules[0]
+    assert (_dedup_key(ra) == _dedup_key(rb)) == (_old_key(ra) == _old_key(rb))
