@@ -27,6 +27,7 @@ from .errors import (
     NontermError,
     ParseError,
     ResourceLimitError,
+    UnrollError,
 )
 from .parsing import parse_lp, parse_program, parse_trs, render_program
 from .rewriting import (

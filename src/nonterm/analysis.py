@@ -31,14 +31,14 @@ from .detection import (
     infinite_chain_prefix,
     witness_chain,
 )
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, UnrollError
 from .rewriting import (
     Chain,
     Mode,
     Program,
     Semantics,
     Step,
-    lp_successors,
+    rewrite_at,
     verify_chain,
 )
 from .substitution import Substitution
@@ -94,24 +94,15 @@ def _rule_loop_witness(r, kind: EmbeddingKind) -> Optional[LoopWitness]:
         emb = find_embedding(EmbeddingKind.INS, r.lhs, r.rhs[0], full_context=False)
         if emb is None:
             return None
+        # built by hand: rewrite_at would first match the rule against itself
         step = Step(r.lhs, r.id, ROOT, Substitution(), r.rhs[0], Semantics.TRS)
-        return LoopWitness(
-            (r.id,), r.lhs, r.rhs[0], emb, Semantics.TRS, Chain(r.lhs, [step])
-        )
+        return LoopWitness(emb, Semantics.TRS, Chain(r.lhs, [step]))
     start = (r.lhs,)
-    mini = Program([r], Mode.LP)
-    for step in lp_successors(mini, start):
-        emb = find_embedding(EmbeddingKind.MG, start, step.target, full_context=False)
-        if emb is not None:
-            return LoopWitness(
-                (r.id,),
-                start,
-                step.target,
-                emb,
-                Semantics.LP_NARROW,
-                Chain(start, [step]),
-            )
-    return None
+    step = rewrite_at(r, start, (1,), Semantics.LP_NARROW)
+    emb = find_embedding(EmbeddingKind.MG, start, step.target, full_context=False)
+    if emb is None:
+        return None
+    return LoopWitness(emb, Semantics.LP_NARROW, Chain(start, [step]))
 
 
 def unfold(
@@ -147,7 +138,7 @@ def _pools(program: Program, cfg: AnalysisConfig, stats: dict):
         pool = unfold(program, depth, cfg.rule_cap, resume)
         stats["unfold_depth"] = depth
         stats["unfolded_rules"] = len(pool)
-        yield unfolded_program(pool, program.mode, program.signature)
+        yield unfolded_program(pool, program.mode)
 
 
 def _loop_witnesses(cand: Program, cfg: AnalysisConfig, budget: Budget):
@@ -190,10 +181,13 @@ def _verified(tech: str, cand: Program, witness, cfg, stats) -> Optional[Verdict
     """NO if the simulated prefix of ``witness`` re-verifies in ``cand``."""
     steps = max(1, cfg.simulate_steps)
     if tech == TECHNIQUE_LOOP:
-        prefix = infinite_chain_prefix(cand, witness, steps)
+        try:
+            prefix = infinite_chain_prefix(cand, witness, steps)
+        except UnrollError:
+            prefix = None
     else:
         prefix = witness_chain(witness, witness.n2, witness.n2, steps)
-    if not verify_chain(cand, prefix):
+    if prefix is None or not verify_chain(cand, prefix):
         stats.setdefault("rejected", []).append(tech)
         return None
     return Verdict("NO", tech, witness, prefix, cand, stats)

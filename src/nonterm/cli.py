@@ -106,7 +106,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         program = (parse_trs if mode is Mode.TRS else parse_lp)(text)
         if args.emit_unfolded:
             pool = unfold(program, cfg.unfold_depth, cfg.rule_cap)
-            unfolded = unfolded_program(pool, mode, program.signature)
+            unfolded = unfolded_program(pool, mode)
             Path(args.emit_unfolded).write_text(render_program(unfolded))
         verdict = analyze(program, cfg)
     except ParseError as exc:

@@ -5,6 +5,8 @@ A loop is a finite rewrite a =w=> a' where a' embeds an instance of a
 relation is compatible with the respective rewrite relation, so a loop
 unrolls into an infinite chain; ``infinite_chain_prefix`` materializes a
 finite prefix of that chain, step by step, so it can be re-verified.
+It replays the loop's rule word with ``rewrite_at``, each round one
+embedding deeper than the round before.
 
 A recurrent pair is a pair of finite chains shaped so that one rule word
 peels a tower of contexts while the other rebuilds it, certifying an
@@ -19,7 +21,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .errors import InvalidPositionError
+from .errors import InvalidPositionError, UnrollError
 from .rewriting import (
     Chain,
     Program,
@@ -41,6 +43,7 @@ from .terms import (
     Term,
     Var,
     canonical,
+    check_size,
     hole_positions,
     iter_positions,
     plug,
@@ -63,20 +66,24 @@ class Embedding:
     context: Union[Context, GoalContext]
     binder: Substitution
 
-    def is_trivial_context(self) -> bool:
-        if isinstance(self.context, GoalContext):
-            return not self.context.prefix and not self.context.suffix
-        return self.context.body == App(HOLE)
-
 
 @dataclass
 class LoopWitness:
-    word: tuple[str, ...]
-    start: Union[Term, Goal]
-    end: Union[Term, Goal]
     embedding: Embedding
     semantics: Semantics
     chain: Chain
+
+    @property
+    def word(self) -> tuple[str, ...]:
+        return tuple(st.rule_id for st in self.chain.steps)
+
+    @property
+    def start(self) -> Union[Term, Goal]:
+        return self.chain.start
+
+    @property
+    def end(self) -> Union[Term, Goal]:
+        return self.chain.end
 
 
 @dataclass
@@ -219,14 +226,7 @@ def find_loop(
                     extended = Chain(start, chain.steps + [step])
                     emb = find_embedding(kind, start, step.target, full_context)
                     if emb is not None:
-                        return LoopWitness(
-                            tuple(s.rule_id for s in extended.steps),
-                            start,
-                            step.target,
-                            emb,
-                            semantics,
-                            extended,
-                        )
+                        return LoopWitness(emb, semantics, extended)
                     key = canonical(step.target)
                     key = key if isinstance(key, tuple) else (key,)
                     if key in seen:
@@ -408,13 +408,14 @@ def _first_chain_decompositions(u1, v1) -> list[tuple]:
             for d in anchors.get(y, ()):
                 body = _replace_occurrences(u1, d, App(HOLE2))
                 body = _replace_occurrences(body, x, App(HOLE))
+                # d holds no variable but y, so x survives outside d and
+                # becomes the hole, and c2 is ground; y may occur outside d
+                rest = term_vars(body)
+                if y in rest:
+                    continue
                 c1 = Context(body)
-                if not c1.is_two_hole or {x, y} & term_vars(body):
-                    continue
                 c2 = Context(_replace_occurrences(d, y, App(HOLE)))
-                if term_vars(c2.body):
-                    continue
-                got = _match_against_context(c1, v1, {v: v for v in term_vars(body)})
+                got = _match_against_context(c1, v1, {v: v for v in rest})
                 if got is None:
                     continue
                 res1, res2 = got
@@ -623,62 +624,42 @@ def witness_chain(rp: RecurrentPair, m: int, n0: int, k: int) -> Chain:
 def infinite_chain_prefix(
     program: Program, lw: LoopWitness, k: int
 ) -> Chain:
-    """Unroll a loop witness ``k`` times into a verifiable chain prefix."""
+    """Unroll a loop witness ``k`` times into a verifiable chain prefix.
+
+    The first round is the witness chain.  Each later round applies the
+    word's rules with ``rewrite_at`` to the previous round's end, every
+    step at its previous position moved into the embedding's hole: below
+    the hole position of a term context, or past the prefix of a goal
+    context.  Raises ``UnrollError`` when a step does not re-apply.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if lw.embedding.kind is EmbeddingKind.INS:
-        return _unroll_ins(lw, k)
-    return _unroll_mg(program, lw, k)
-
-
-def _unroll_ins(lw: LoopWitness, k: int) -> Chain:
     ctx = lw.embedding.context
-    theta = lw.embedding.binder
-    trivial = lw.embedding.is_trivial_context()
-    hole_prefix = hole_positions(ctx)[0] if not trivial else ROOT
+    if isinstance(ctx, GoalContext):
+        offset = len(ctx.prefix)
 
-    def wrap(chain: Chain) -> Chain:
-        inst = chain.instantiate(theta)
-        if trivial:
-            return inst
-        steps = [
-            Step(
-                plug(ctx, st.source),
-                st.rule_id,
-                hole_prefix + st.position,
-                st.binder,
-                plug(ctx, st.target),
-                Semantics.TRS,  # wrapped steps leave the root
-            )
-            for st in inst.steps
-        ]
-        return Chain(plug(ctx, inst.start), steps)
+        def shift(p):
+            return (p[0] + offset,)
 
-    segment = lw.chain
-    all_steps = list(segment.steps)
-    for _ in range(k - 1):
-        segment = wrap(segment)
-        all_steps.extend(segment.steps)
-    return Chain(lw.chain.start, all_steps)
+    else:
+        hole = hole_positions(ctx)[0]
 
+        def shift(p):
+            return hole + p
 
-def _unroll_mg(program: Program, lw: LoopWitness, k: int) -> Chain:
-    gc = lw.embedding.context
-    offset = len(gc.prefix)
-    indices = [(st.rule_id, st.position[0]) for st in lw.chain.steps]
-    all_steps = list(lw.chain.steps)
+    by_id = {rid: [r for r in program.rules if r.id == rid] for rid in set(lw.word)}
+    moves = [(st.rule_id, st.position) for st in lw.chain.steps]
+    steps = list(lw.chain.steps)
     cur = lw.end
     for _ in range(k - 1):
-        indices = [(rid, offset + i) for rid, i in indices]
-        for rid, i in indices:
-            steps = (
-                rewrite_at(r, cur, (i,), Semantics.LP_NARROW)
-                for r in program.rules
-                if r.id == rid
-            )
-            found = next((st for st in steps if st is not None), None)
-            if found is None:
-                raise RuntimeError("loop unrolling failed to re-apply a step")
-            all_steps.append(found)
-            cur = found.target
-    return Chain(lw.chain.start, all_steps)
+        moves = [(rid, shift(p)) for rid, p in moves]
+        for rid, p in moves:
+            found = (rewrite_at(r, cur, p, lw.semantics) for r in by_id[rid])
+            step = next((st for st in found if st is not None), None)
+            if step is None:
+                raise UnrollError(f"rule {rid} does not re-apply in the loop")
+            cur = step.target
+            if not isinstance(cur, tuple):
+                check_size(cur)
+            steps.append(step)
+    return Chain(lw.chain.start, steps)

@@ -17,6 +17,10 @@ class ResourceLimitError(NontermError):
     """A configured size / count / time budget was exceeded."""
 
 
+class UnrollError(NontermError):
+    """A loop witness's rule word did not re-apply inside its embedding."""
+
+
 class ParseError(NontermError):
     """Concrete-syntax error; carries line/column information."""
 

@@ -176,7 +176,7 @@ def parse_trs(text: str) -> Program:
             )
     if not rules:
         raise ParseError("input contains no rules", 1, 1)
-    return Program(rules, Mode.TRS, signature)
+    return Program(rules, Mode.TRS)
 
 
 def _is_prolog_var(name: str) -> bool:
@@ -221,7 +221,7 @@ def parse_lp(text: str) -> Program:
         rules.append(Rule(f"c{len(rules) + 1}", head, tuple(body)))
     if not rules:
         raise ParseError("input contains no clauses", 1, 1)
-    return Program(rules, Mode.LP, signature)
+    return Program(rules, Mode.LP)
 
 
 def parse_program(text: str, mode: Mode) -> Program:

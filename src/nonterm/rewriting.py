@@ -19,7 +19,7 @@ verification calls it only at each step's claimed rule and position.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InvalidPositionError, ResourceLimitError
@@ -28,7 +28,6 @@ from .terms import (
     Goal,
     Position,
     ROOT,
-    Signature,
     Term,
     canonical,
     render,
@@ -86,7 +85,6 @@ def rename_apart(r: Rule, avoid: Iterable) -> Rule:
 class Program:
     rules: list[Rule]
     mode: Mode
-    signature: Signature = field(default_factory=Signature)
 
     def rule(self, rule_id: str) -> Rule:
         for r in self.rules:

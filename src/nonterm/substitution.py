@@ -17,7 +17,6 @@ from .terms import (
     Goal,
     Term,
     Var,
-    is_hole,
     render_term,
 )
 
@@ -80,7 +79,7 @@ def apply(theta: Substitution, x: Union[Term, Goal, Context]):
         return tuple(apply(theta, t) for t in x)
     if isinstance(x, Var):
         return theta.get(x)
-    if is_hole(x):
+    if not x.args:
         return x
     return App(x.symbol, tuple(apply(theta, a) for a in x.args))
 

@@ -132,10 +132,6 @@ class VarSupply:
         return Var(n, f"{hint}_{n}")
 
 
-def is_hole(t: Term) -> bool:
-    return isinstance(t, App) and t.symbol in _HOLE_SYMBOLS
-
-
 def app(symbol: Symbol, *args: Term) -> App:
     return App(symbol, tuple(args))
 

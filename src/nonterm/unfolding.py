@@ -491,14 +491,10 @@ def binary_unfold(
     return state.deepen(p, max_depth, cap, layer)
 
 
-def unfolded_program(
-    rules: list[UnfoldedRule], mode: Mode, signature=None
-) -> Program:
+def unfolded_program(rules: list[UnfoldedRule], mode: Mode) -> Program:
     """Wrap unfolded rules as a runnable program."""
-    from .terms import Signature
-
     plain = [u.rule if isinstance(u, UnfoldedRule) else u for u in rules]
-    return Program(plain, mode, signature or Signature())
+    return Program(plain, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,15 @@ import pytest
 
 from conftest import lp, term, trs
 from nonterm import detection
-from nonterm.analysis import AnalysisConfig, analyze, emit_certificate
+from nonterm.analysis import (
+    AnalysisConfig,
+    _rule_loop_witness,
+    analyze,
+    emit_certificate,
+)
 from nonterm.detection import (
     Budget,
+    _first_chain_decompositions,
     EmbeddingKind,
     find_embedding,
     find_loop,
@@ -22,12 +28,23 @@ from nonterm.rewriting import (
     Rule,
     Semantics,
     Step,
+    rewrite_at,
     verify_chain,
 )
+from nonterm.errors import ResourceLimitError, UnrollError
 from nonterm.parsing import parse_trs
 from nonterm.substitution import Substitution, apply
-from nonterm.terms import App, GoalContext, is_variant, render, term_vars
-from nonterm.unfolding import unfold_trs, unfolded_program
+from nonterm.terms import (
+    App,
+    GoalContext,
+    HOLE,
+    hole_positions,
+    is_variant,
+    plug,
+    render,
+    term_vars,
+)
+from nonterm.unfolding import binary_unfold, unfold_trs, unfolded_program
 
 
 def one_step_chain(rule, semantics=Semantics.TRS):
@@ -45,7 +62,7 @@ def test_embedding_ins_reflexive():
     t = term("f(x,y)")
     emb = find_embedding(EmbeddingKind.INS, t, t)
     assert emb is not None
-    assert emb.is_trivial_context()
+    assert emb.context.body == App(HOLE)
     assert emb.binder.is_identity()
 
 
@@ -166,6 +183,165 @@ def test_loop_with_nontrivial_context_unrolls():
     assert verify_chain(p, chain)
 
 
+# The two unrollers the word replay replaced, kept as a reference: INS
+# instantiates every step with the binder and plugs it into the context,
+# MG re-applies each rule at goal indices shifted past the prefix.
+
+
+def _unroll_ins(lw, k):
+    ctx = lw.embedding.context
+    theta = lw.embedding.binder
+    trivial = ctx.body == App(HOLE)
+    hole_prefix = hole_positions(ctx)[0] if not trivial else ()
+
+    def wrap(chain):
+        inst = chain.instantiate(theta)
+        if trivial:
+            return inst
+        steps = [
+            Step(
+                plug(ctx, st.source),
+                st.rule_id,
+                hole_prefix + st.position,
+                st.binder,
+                plug(ctx, st.target),
+                Semantics.TRS,
+            )
+            for st in inst.steps
+        ]
+        return Chain(plug(ctx, inst.start), steps)
+
+    segment = lw.chain
+    all_steps = list(segment.steps)
+    for _ in range(k - 1):
+        segment = wrap(segment)
+        all_steps.extend(segment.steps)
+    return Chain(lw.chain.start, all_steps)
+
+
+def _unroll_mg(program, lw, k):
+    offset = len(lw.embedding.context.prefix)
+    indices = [(st.rule_id, st.position[0]) for st in lw.chain.steps]
+    all_steps = list(lw.chain.steps)
+    cur = lw.end
+    for _ in range(k - 1):
+        indices = [(rid, offset + i) for rid, i in indices]
+        for rid, i in indices:
+            steps = (
+                rewrite_at(r, cur, (i,), Semantics.LP_NARROW)
+                for r in program.rules
+                if r.id == rid
+            )
+            found = next((st for st in steps if st is not None), None)
+            if found is None:
+                raise RuntimeError("loop unrolling failed to re-apply a step")
+            all_steps.append(found)
+            cur = found.target
+    return Chain(lw.chain.start, all_steps)
+
+
+GOLDEN_TRS = "f(x) -> g(h(x,one),x)  one -> zero  h(x,zero) -> f(f(x))"
+NESTED_TRS = "f(x) -> g(f(h(x)))"
+GOLDEN_LP = "p(f(X,zero)) :- p(X), q(X)."
+APP_LP = "app(nil,Y,Y).  app(cons(X,Xs),Y,cons(X,Z)) :- app(Xs,Y,Z)."
+REV_LP = APP_LP + "  rev(nil,nil).  rev(cons(X,Xs),R) :- rev(Xs,T), app(T,cons(X,nil),R)."
+
+
+def loop_witness_cases():
+    """(program, loop witness) pairs: raw word searches and the self-loops
+    of unfolded pools, for terms and goals."""
+    cases = []
+    for text in (GOLDEN_TRS, NESTED_TRS):
+        p = trs(text)
+        cases.append((p, find_loop(p, p.rules, 3, EmbeddingKind.INS, Semantics.TRS)))
+        cand = unfolded_program(unfold_trs(p, 2), p.mode)
+        for r in cand.rules:
+            lw = _rule_loop_witness(r, EmbeddingKind.INS)
+            if lw is not None:
+                cases.append((cand, lw))
+    for text in (GOLDEN_LP, APP_LP, REV_LP):
+        p = lp(text)
+        cases.append((p, find_loop(p, p.rules, 1, EmbeddingKind.MG, Semantics.LP_NARROW)))
+        cand = unfolded_program(binary_unfold(p, 2), p.mode)
+        for r in cand.rules:
+            lw = _rule_loop_witness(r, EmbeddingKind.MG)
+            if lw is not None:
+                cases.append((cand, lw))
+    return cases
+
+
+def test_unrolling_agrees_with_the_replaced_unrollers():
+    kinds = set()
+    for program, lw in loop_witness_cases():
+        assert lw.word == tuple(st.rule_id for st in lw.chain.steps)
+        assert lw.start == lw.chain.start and lw.end == lw.chain.end
+        ctx = lw.embedding.context
+        if isinstance(ctx, GoalContext):
+            kinds.add("goal, suffix" if ctx.suffix else "goal")
+        else:
+            kinds.add("term" if ctx.body == App(HOLE) else "term, context")
+        for k in range(1, 7):
+            got = infinite_chain_prefix(program, lw, k)
+            if lw.embedding.kind is EmbeddingKind.INS:
+                want = _unroll_ins(lw, k)
+            else:
+                want = _unroll_mg(program, lw, k)
+            assert [(repr(st), st.source, st.target) for st in got.steps] == [
+                (repr(st), st.source, st.target) for st in want.steps
+            ]
+            assert got.start == want.start
+            assert verify_chain(program, got)
+    assert kinds == {"term", "term, context", "goal", "goal, suffix"}
+
+
+def test_loop_whose_word_does_not_replay_is_rejected():
+    # g(z) -> k(z,y) leaves y unbound, so one round later k(s(y),y) no
+    # longer matches k(x,x)
+    p = parse_trs("(VAR y z x)(RULES f(y) -> g(y) g(z) -> k(z,y) k(x,x) -> f(s(x)))")
+    lw = find_loop(p, p.rules, 3, EmbeddingKind.INS, Semantics.TRS)
+    assert lw.word == ("r1", "r2", "r3")
+    assert infinite_chain_prefix(p, lw, 1).steps == lw.chain.steps
+    with pytest.raises(UnrollError):
+        infinite_chain_prefix(p, lw, 2)
+    v = analyze(p, AnalysisConfig(raw=True))
+    assert v.answer == "MAYBE"
+    assert v.stats["rejected"] == ["loop"]
+
+
+def test_loop_with_extra_rhs_variable_replays():
+    # g(x) -> f(x,s(y)) -> g(x) loops; instantiating the word with the
+    # binder {y -> s(y)} would also rewrite the y that r2 introduces
+    p = parse_trs("(VAR x y)(RULES f(x,y) -> g(x) g(x) -> f(x,s(y)))")
+    v = analyze(p, AnalysisConfig(raw=True))
+    assert v.answer == "NO" and v.technique == "loop"
+    assert verify_chain(v.used_program, v.simulated_prefix)
+    assert not verify_chain(p, _unroll_ins(v.witness, 2))
+
+
+def test_unrolling_tries_every_rule_of_a_step_id():
+    # only the second rule named r re-applies inside g([])
+    p = Program(
+        [
+            Rule("r", term("h(x)"), (term("x"),)),
+            Rule("r", term("f(x)"), (term("g(f(s(x)))"),)),
+        ],
+        Mode.TRS,
+    )
+    lw = find_loop(p, p.rules, 1, EmbeddingKind.INS, Semantics.TRS)
+    chain = infinite_chain_prefix(p, lw, 3)
+    assert render(chain.end) == "g(g(g(f(s(s(s(x)))))))"
+    assert verify_chain(p, chain)
+
+
+def test_unrolling_keeps_the_term_size_cap():
+    # each round quadruples the term; the replay shares subterms, so only
+    # the size check stops it
+    p = trs("f(x) -> f(g(x,x,x,x))")
+    lw = find_loop(p, p.rules, 1, EmbeddingKind.INS, Semantics.TRS)
+    with pytest.raises(ResourceLimitError):
+        infinite_chain_prefix(p, lw, 30)
+
+
 # ---------------------------------------------------------------------------
 # Recurrent pairs
 
@@ -208,6 +384,12 @@ def test_recurrent_pair_ground_anchor():
     assert render(rp.c2.body) == "a([])"
     assert render(rp.s) == "a(c)"
     assert rp.t_is_s
+
+
+def test_first_chain_decomposition_keeps_y_out_of_c1():
+    # u1 = f(x,s(y),y) would give c1 = f([],[]',y), which still holds y
+    assert _first_chain_decompositions(term("f(x,s(y),y)"), term("f(s(x),y,y)")) == []
+    assert len(_first_chain_decompositions(term("f(x,s(y))"), term("f(s(x),y)"))) == 1
 
 
 def test_witness_chain_exponent_bookkeeping():
@@ -271,7 +453,7 @@ COUNTING = "f(x,s(y)) -> f(s(x),y)  f(x,zero) -> f(s(zero),x)"
 
 def unfolded_candidates(text, depth):
     p = trs(text)
-    return unfolded_program(unfold_trs(p, depth), p.mode, p.signature)
+    return unfolded_program(unfold_trs(p, depth), p.mode)
 
 
 def root_compatible_pairs(rules):
