@@ -602,8 +602,20 @@ def witness_chain(rp: RecurrentPair, m: int, n0: int, k: int) -> Chain:
         return plug2(rp.c1, _tower(rp.c2, mm, rp.s), _tower(rp.c2, nn, rp.s))
 
     cur_m, cur_n = m, n0
-    steps: list[Step] = []
-    start = c1_at(cur_m, cur_n)
+    cur = c1_at(cur_m, cur_n)
+    prefix = Chain(cur, [])
+
+    def replay(chain: Chain, sigma: Substitution) -> None:
+        """Append ``chain`` instantiated by ``sigma``: each step's source
+        is the term the step before ended in."""
+        nonlocal cur
+        for st in chain.steps:
+            target = apply(sigma, st.target)
+            prefix.steps.append(
+                Step(cur, st.rule_id, st.position, st.binder, target, st.semantics)
+            )
+            cur = target
+
     for _ in range(k):
         while cur_n > rp.n2:
             sigma = Substitution(
@@ -612,13 +624,12 @@ def witness_chain(rp: RecurrentPair, m: int, n0: int, k: int) -> Chain:
                     rp.y: _tower(rp.c2, cur_n - 1, rp.s),
                 }
             )
-            steps.extend(rp.chain1.instantiate(sigma).steps)
+            replay(rp.chain1, sigma)
             cur_m, cur_n = cur_m + rp.n1, cur_n - 1
-        sigma = Substitution({rp.x: _tower(rp.c2, cur_m, rp.s)})
-        steps.extend(rp.chain2.instantiate(sigma).steps)
+        replay(rp.chain2, Substitution({rp.x: _tower(rp.c2, cur_m, rp.s)}))
         m_prime = 0 if rp.t_is_s else cur_m
         cur_m, cur_n = m_prime + rp.n3, cur_m + rp.n4
-    return Chain(start, steps)
+    return prefix
 
 
 def infinite_chain_prefix(

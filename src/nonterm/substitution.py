@@ -5,10 +5,15 @@ occurs check.  Results are normalized to an idempotent solved form in
 which binding targets never mention domain variables; when either
 orientation of a variable-variable equation is legal, the variable with
 the smaller id is bound.  This keeps all outputs deterministic.
+
+Application shares structure: every subterm a substitution leaves
+unchanged comes back as the same object, so narrowing and instantiation
+allocate only the nodes on the paths to bound variables.
 """
 
 from __future__ import annotations
 
+from operator import is_not
 from typing import Iterable, Optional, Union
 
 from .terms import (
@@ -72,16 +77,35 @@ EMPTY_SUBST = Substitution()
 
 
 def apply(theta: Substitution, x: Union[Term, Goal, Context]):
-    """Homomorphic extension of ``theta``; holes are fixed points."""
-    if isinstance(x, Context):
-        return Context(apply(theta, x.body))
-    if isinstance(x, tuple):
-        return tuple(apply(theta, t) for t in x)
-    if isinstance(x, Var):
-        return theta.get(x)
-    if not x.args:
+    """Homomorphic extension of ``theta``; holes are fixed points.
+
+    Every subterm that ``theta`` leaves unchanged is returned as the same
+    object, so the result shares it with ``x``; an empty ``theta`` returns
+    ``x`` itself.
+    """
+    bindings = theta._bindings
+    if not bindings:
         return x
-    return App(x.symbol, tuple(apply(theta, a) for a in x.args))
+    get = bindings.get
+
+    def walk(t):
+        if t.__class__ is Var:
+            return get(t, t)
+        args = t.args
+        if not args:
+            return t
+        new = tuple(map(walk, args))
+        if any(map(is_not, new, args)):
+            return App(t.symbol, new)
+        return t
+
+    if isinstance(x, Context):
+        body = walk(x.body)
+        return x if body is x.body else Context(body)
+    if isinstance(x, tuple):
+        new = tuple(map(walk, x))
+        return new if any(map(is_not, new, x)) else x
+    return walk(x)
 
 
 def compose(sigma: Substitution, theta: Substitution) -> Substitution:

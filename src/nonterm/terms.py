@@ -4,6 +4,14 @@ Terms are immutable: a term is either a variable or an application of a
 function symbol to exactly ``arity`` argument terms.  Goals are finite
 tuples of terms.  Contexts are terms over the signature extended with the
 two reserved 0-ary hole symbols; they never appear in ordinary terms.
+
+Terms share subterms freely (``substitution.apply`` returns unchanged
+subterms as they are), so a term is a DAG whose tree size may be far
+larger than its number of objects.  Each ``App`` caches its hash and its
+tree size on first use, which makes ``term_size`` and ``check_size``
+cost only the nodes not sized before.  Terms are not interned: ``Var``
+equality ignores display names, so a global table would merge ``f(x)``
+and ``f(u)`` from two parses and print the wrong names.
 """
 
 from __future__ import annotations
@@ -94,17 +102,43 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
 class App:
-    symbol: Symbol
-    args: tuple["Term", ...] = ()
+    """A function symbol applied to exactly ``arity`` argument terms.
 
-    def __post_init__(self):
-        if len(self.args) != self.symbol.arity:
+    Never assign to a term's fields: ``apply`` shares unchanged subterms
+    between terms, and the hash and node count are cached on each node
+    the first time they are asked for.  The hash is ``hash((symbol,
+    args))``, the value a frozen dataclass with these two fields has.
+    The caches are not pickled or copied, since ``str`` hashes differ
+    between processes.
+    """
+
+    __slots__ = ("symbol", "args", "_hash", "_size")
+
+    def __init__(self, symbol: Symbol, args: tuple["Term", ...] = ()):
+        if len(args) != symbol.arity:
             raise ValueError(
-                f"{self.symbol.name} expects {self.symbol.arity} arguments, "
-                f"got {len(self.args)}"
+                f"{symbol.name} expects {symbol.arity} arguments, got {len(args)}"
             )
+        self.symbol = symbol
+        self.args = args
+        self._hash = None
+        self._size = None
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not App:
+            return NotImplemented
+        return self.symbol == other.symbol and self.args == other.args
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.symbol, self.args))
+        return self._hash
+
+    def __reduce__(self):
+        return App, (self.symbol, self.args)
 
     def __repr__(self):
         return render_term(self)
@@ -137,9 +171,14 @@ def app(symbol: Symbol, *args: Term) -> App:
 
 
 def term_size(t: Term) -> int:
+    """Node count of ``t`` as a tree; shared subterms count once per
+    occurrence.  Cached on each ``App``, so a term built around sized
+    subterms costs only its new nodes."""
     if isinstance(t, Var):
         return 1
-    return 1 + sum(term_size(a) for a in t.args)
+    if t._size is None:
+        t._size = 1 + sum(map(term_size, t.args))
+    return t._size
 
 
 def check_size(t: Term, limit: int = MAX_TERM_SIZE) -> Term:

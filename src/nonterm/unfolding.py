@@ -16,7 +16,10 @@ same ``Unfolding`` at each call, depth d+1 starts from the pool, frontier
 and derivation counter that depth d left, instead of from the dependency
 pairs or the program.  A narrowing whose two sides carry different
 function symbols at a shared position is skipped before the rule is
-renamed apart, since no renaming can make them unify.
+renamed apart, since no renaming can make them unify.  A rule is renamed
+apart from a parent pair at most once, however many positions of the
+pair it narrows: the renaming depends only on the rule and the pair's
+variables.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .terms import (
     Symbol,
     Term,
     Var,
-    iter_positions,
     replace_at,
     subterm_at,
     term_vars,
@@ -110,6 +112,14 @@ def unmark_root(t: Term) -> Term:
     return t
 
 
+def _subterms(t: Term, pos: Position = ROOT):
+    """(position, subterm) pairs of ``t`` in the order of ``iter_positions``."""
+    yield pos, t
+    if isinstance(t, App):
+        for i, arg in enumerate(t.args, start=1):
+            yield from _subterms(arg, pos + (i,))
+
+
 def dependency_pairs(r: Program) -> list[UnfoldedRule]:
     """Marked-root pairs extracted from defined-symbol subterms of rhs."""
     defined = defined_symbols(r)
@@ -120,8 +130,7 @@ def dependency_pairs(r: Program) -> list[UnfoldedRule]:
         if not isinstance(rule.lhs, App):
             continue
         for t in rule.rhs:
-            for pos in iter_positions(t):
-                sub = subterm_at(t, pos)
+            for pos, sub in _subterms(t):
                 if isinstance(sub, App) and sub.symbol in defined:
                     n += 1
                     pair = Rule(
@@ -240,35 +249,40 @@ def _clash(s: Term, t: Term) -> bool:
     return s.symbol != t.symbol or any(map(_clash, s.args, t.args))
 
 
+def _narrowable(sub: Term, with_rule: Rule, forward: bool, allow_var: bool) -> bool:
+    """Whether ``_narrow_pair`` may unify ``sub`` with ``with_rule``'s
+    narrowing side: the rule has one right-hand side, ``sub`` is not a
+    variable unless ``allow_var``, and the two do not clash."""
+    if len(with_rule.rhs) != 1:
+        return False
+    if not allow_var and isinstance(sub, Var):
+        return False
+    return not _clash(sub, with_rule.lhs if forward else with_rule.rhs[0])
+
+
 def _narrow_pair(
     lhs: Term,
     rhs: Term,
     pos: Position,
-    with_rule: Rule,
+    sub: Term,
+    fresh: Rule,
     forward: bool,
-    allow_var: bool,
 ) -> Optional[tuple[Rule, Substitution]]:
-    """Narrow one side of a pair at ``pos`` with ``with_rule``.
+    """Narrow one side of a pair at ``pos`` with ``fresh``.
 
+    ``sub`` is the subterm at ``pos`` of the narrowed side, and ``fresh``
+    a rule that ``_narrowable`` admits, renamed apart from the pair.
     Forward narrowing rewrites ``rhs`` with the rule as is; backward
     narrowing rewrites ``lhs`` with the reversed rule.  Returns the new
     (unnamed) pair and the unifier.
     """
-    if len(with_rule.rhs) != 1:
-        return None
-    target = rhs if forward else lhs
-    sub = subterm_at(target, pos)
-    if not allow_var and not isinstance(sub, App):
-        return None
-    if _clash(sub, with_rule.lhs if forward else with_rule.rhs[0]):
-        return None
-    fresh = rename_apart(with_rule, term_vars(lhs) | term_vars(rhs))
     src, dst = (
         (fresh.lhs, fresh.rhs[0]) if forward else (fresh.rhs[0], fresh.lhs)
     )
     theta = mgu(sub, src)
     if theta is None:
         return None
+    target = rhs if forward else lhs
     new_target = apply(theta, replace_at(target, pos, dst))
     other = apply(theta, lhs if forward else rhs)
     if forward:
@@ -305,23 +319,30 @@ def unfold_trs(
         new = []
         for parent in state.frontier:
             u, v = parent.rule.lhs, parent.rule.rhs[0]
+            avoid = term_vars(u) | term_vars(v)
+            # each rule renamed apart from this parent, at most once
+            renamed: dict[Rule, Rule] = {}
             # forward narrowing rewrites the rhs, backward narrowing the lhs
             # with reversed rules
-            candidates = [
-                (kind, pos, with_rule)
-                for kind, side in (("forward", v), ("backward", u))
-                for pos in iter_positions(side)
-                for with_rule in (dp_rules if pos == ROOT else r.rules)
-            ]
-            for kind, pos, with_rule in candidates:
-                res = _narrow_pair(u, v, pos, with_rule, kind == "forward", True)
-                if res is None:
-                    continue
-                pair, theta = res
-                step = ProvenanceStep(kind, (parent.rule.id, with_rule.id), pos, theta)
-                added = pool.derive("u", pair.lhs, pair.rhs, depth, step)
-                if added is not None:
-                    new.append(added)
+            for kind, side in (("forward", v), ("backward", u)):
+                forward = kind == "forward"
+                for pos, sub in _subterms(side):
+                    for with_rule in dp_rules if pos == ROOT else r.rules:
+                        if not _narrowable(sub, with_rule, forward, True):
+                            continue
+                        fresh = renamed.get(with_rule)
+                        if fresh is None:
+                            fresh = renamed[with_rule] = rename_apart(with_rule, avoid)
+                        res = _narrow_pair(u, v, pos, sub, fresh, forward)
+                        if res is None:
+                            continue
+                        pair, theta = res
+                        step = ProvenanceStep(
+                            kind, (parent.rule.id, with_rule.id), pos, theta
+                        )
+                        added = pool.derive("u", pair.lhs, pair.rhs, depth, step)
+                        if added is not None:
+                            new.append(added)
         return new
 
     return state.deepen(r, max_depth, cap, layer)
@@ -364,8 +385,12 @@ def overlap_closure(
                 ):
                     forward = kind == "oc-forward"
                     lhs, rhs = host.lhs, host.rhs[0]
-                    for pos in iter_positions(rhs if forward else lhs):
-                        res = _narrow_pair(lhs, rhs, pos, with_rule, forward, False)
+                    avoid = term_vars(lhs) | term_vars(rhs)
+                    for pos, sub in _subterms(rhs if forward else lhs):
+                        if not _narrowable(sub, with_rule, forward, False):
+                            continue
+                        fresh = rename_apart(with_rule, avoid)
+                        res = _narrow_pair(lhs, rhs, pos, sub, fresh, forward)
                         if res is None:
                             continue
                         pair, theta = res
@@ -534,14 +559,13 @@ def replay_provenance(
         with_rule = lookup(pv.parents[1])
         if parent is None or with_rule is None:
             return None
-        res = _narrow_pair(
-            parent.lhs,
-            parent.rhs[0],
-            pv.position,
-            with_rule,
-            pv.kind in ("forward", "oc-forward"),
-            not pv.kind.startswith("oc"),
-        )
+        lhs, rhs = parent.lhs, parent.rhs[0]
+        forward = pv.kind in ("forward", "oc-forward")
+        sub = subterm_at(rhs if forward else lhs, pv.position)
+        if not _narrowable(sub, with_rule, forward, not pv.kind.startswith("oc")):
+            return None
+        fresh = rename_apart(with_rule, term_vars(lhs) | term_vars(rhs))
+        res = _narrow_pair(lhs, rhs, pv.position, sub, fresh, forward)
         if res is None:
             return None
         pair, _ = res

@@ -3,6 +3,7 @@ import copy
 import pytest
 
 from conftest import lp, term, trs
+from test_analysis import PAPER_TRS
 from nonterm import detection
 from nonterm.analysis import (
     AnalysisConfig,
@@ -41,6 +42,7 @@ from nonterm.terms import (
     hole_positions,
     is_variant,
     plug,
+    plug2,
     render,
     term_vars,
 )
@@ -537,3 +539,68 @@ def test_witness_chain_keeps_one_witness_powers():
     witness_chain(swapping, 1, 0, 3)
     assert detection._power_cache
     assert {body for body, _ in detection._power_cache} == {swapping.c2.body}
+
+
+# The parent's witness_chain, kept as an oracle: it instantiated both
+# chains in full for every micro-step, sources and start included.
+def instantiating_witness_chain(rp, m, n0, k):
+    detection._power_cache.clear()
+
+    def tower(n):
+        return detection._tower(rp.c2, n, rp.s)
+
+    cur_m, cur_n = m, n0
+    steps = []
+    start = plug2(rp.c1, tower(cur_m), tower(cur_n))
+    for _ in range(k):
+        while cur_n > rp.n2:
+            sigma = Substitution({rp.x: tower(cur_m), rp.y: tower(cur_n - 1)})
+            steps.extend(rp.chain1.instantiate(sigma).steps)
+            cur_m, cur_n = cur_m + rp.n1, cur_n - 1
+        steps.extend(rp.chain2.instantiate(Substitution({rp.x: tower(cur_m)})).steps)
+        m_prime = 0 if rp.t_is_s else cur_m
+        cur_m, cur_n = m_prime + rp.n3, cur_m + rp.n4
+    return Chain(start, steps)
+
+
+def recurrent_pair_witnesses():
+    counting = find_recurrent_pair(zantema_rules(), zantema_rules().rules, 1, Semantics.TRS)
+    p = trs("f(c,a(x),y) -> f(c,x,a(y))  f(c,a(x),y) -> f(x,y,a(a(c)))")
+    theta = Substitution({term("x"): term("c", "")})
+    swapping = match_recurrent_pattern(
+        one_step_chain(p.rules[0]), one_step_chain(p.rules[1]).instantiate(theta)
+    )
+    paper = analyze(trs(PAPER_TRS), AnalysisConfig(simulate_steps=1)).witness
+    return {"counting": counting, "swapping": swapping, "paper": paper}
+
+
+@pytest.mark.parametrize("name", ["counting", "swapping", "paper"])
+def test_witness_chain_matches_the_instantiating_construction(name):
+    rp = recurrent_pair_witnesses()[name]
+    assert rp is not None
+    for m, n0 in ((rp.n2, rp.n2), (rp.n2 + 1, rp.n2 + 1)):
+        for k in range(1, 6):
+            try:
+                want = instantiating_witness_chain(rp, m, n0, k)
+            except ResourceLimitError:
+                with pytest.raises(ResourceLimitError):
+                    witness_chain(rp, m, n0, k)
+                continue
+            got = witness_chain(rp, m, n0, k)
+            # assert on booleans only: a failing assert must not print
+            # the paper's towers, which run to megabytes
+            same = got.start == want.start and render(got.start) == render(want.start)
+            assert same, f"start of k={k} from ({m}, {n0})"
+            assert len(got.steps) == len(want.steps)
+            for i, (a, b) in enumerate(zip(got.steps, want.steps)):
+                same = (
+                    (a.source, a.target, a.rule_id, a.position, a.binder, a.semantics)
+                    == (b.source, b.target, b.rule_id, b.position, b.binder, b.semantics)
+                    and repr(a) == repr(b)
+                )
+                assert same, f"step {i} of k={k} from ({m}, {n0})"
+    # the paper's towers double at every level: its fifth macro-step
+    # goes over the term size cap, in both constructions
+    if name == "paper":
+        with pytest.raises(ResourceLimitError):
+            witness_chain(rp, rp.n2, rp.n2, 5)

@@ -1,0 +1,215 @@
+"""Properties of the term core: ``App`` equality, hash and size caches,
+and ``apply``'s sharing of the subterms a substitution leaves unchanged."""
+
+import copy
+import os
+import pickle
+import random
+import subprocess
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import nonterm
+from conftest import GEN_VARS, random_term
+from nonterm.errors import ResourceLimitError
+from nonterm.substitution import Substitution, apply
+from nonterm.terms import (
+    App,
+    Context,
+    HOLE,
+    Symbol,
+    Var,
+    check_size,
+    term_size,
+    term_vars,
+)
+
+
+def reference_apply(theta, x):
+    """The structural ``apply`` the sharing one replaced: it rebuilds every
+    node with arguments."""
+    if isinstance(x, Context):
+        return Context(reference_apply(theta, x.body))
+    if isinstance(x, tuple):
+        return tuple(reference_apply(theta, t) for t in x)
+    if isinstance(x, Var):
+        return theta.get(x)
+    if not x.args:
+        return x
+    return App(x.symbol, tuple(reference_apply(theta, a) for a in x.args))
+
+
+@dataclass(frozen=True)
+class FrozenApp:
+    """The frozen dataclass ``App`` once was, for equality and hash."""
+
+    symbol: Symbol
+    args: tuple = ()
+
+
+def frozen(t):
+    if isinstance(t, Var):
+        return t
+    return FrozenApp(t.symbol, tuple(frozen(a) for a in t.args))
+
+
+def rebuilt(t):
+    """A copy of ``t`` that shares no ``App`` node with it."""
+    if isinstance(t, Var):
+        return Var(t.id, t.name)
+    return App(t.symbol, tuple(rebuilt(a) for a in t.args))
+
+
+def nodes(t):
+    yield t
+    if isinstance(t, App):
+        for a in t.args:
+            yield from nodes(a)
+
+
+@st.composite
+def terms(draw, depth=4):
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_term(random.Random(seed), draw(st.integers(0, depth)))
+
+
+@st.composite
+def substitutions(draw):
+    domain = draw(st.lists(st.sampled_from(GEN_VARS), unique=True))
+    return Substitution({v: draw(terms(depth=2)) for v in domain})
+
+
+@given(substitutions(), terms())
+@settings(max_examples=300, deadline=None)
+def test_apply_equals_the_structural_apply(theta, t):
+    got = apply(theta, t)
+    assert got == reference_apply(theta, t)
+    assert frozen(got) == frozen(reference_apply(theta, t))
+    assert repr(got) == repr(reference_apply(theta, t))
+
+
+@given(substitutions(), st.lists(terms(), max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_apply_on_goals_and_contexts(theta, goal):
+    goal = tuple(goal)
+    assert apply(theta, goal) == reference_apply(theta, goal)
+    if goal:
+        ctx = Context(App(Symbol("k", len(goal) + 1), goal + (App(HOLE),)))
+        assert apply(theta, ctx) == reference_apply(theta, ctx)
+
+
+@given(substitutions(), terms())
+@settings(max_examples=300, deadline=None)
+def test_apply_shares_every_subterm_theta_leaves_unchanged(theta, t):
+    domain = theta.domain()
+    if not domain & term_vars(t):
+        assert apply(theta, t) is t
+        assert apply(theta, (t,))[0] is t
+
+    def walk(before, after):
+        if not domain & term_vars(before):
+            assert after is before
+        elif isinstance(before, App):
+            for a, b in zip(before.args, after.args):
+                walk(a, b)
+
+    walk(t, apply(theta, t))
+
+
+@given(terms())
+@settings(max_examples=100, deadline=None)
+def test_empty_substitution_returns_its_input(t):
+    assert apply(Substitution(), t) is t
+    goal = (t, t)
+    assert apply(Substitution(), goal) is goal
+
+
+@given(terms(), terms())
+@settings(max_examples=300, deadline=None)
+def test_app_equality_and_hash_are_structural(s, t):
+    assert (s == t) == (frozen(s) == frozen(t))
+    assert (s != t) == (frozen(s) != frozen(t))
+    assert hash(s) == hash(frozen(s))
+    copy_ = rebuilt(s)
+    assert copy_ == s and hash(copy_) == hash(s)
+    if s == t:
+        assert hash(s) == hash(t)
+
+
+@given(terms())
+@settings(max_examples=100, deadline=None)
+def test_app_is_never_equal_to_a_var(t):
+    for node in nodes(t):
+        if isinstance(node, App):
+            for v in GEN_VARS:
+                assert node != v and v != node
+                assert not node == v
+
+
+@given(st.integers(0, 3), st.integers(0, 4))
+def test_wrong_arity_raises(arity, n):
+    sym = Symbol("f", arity)
+    args = tuple(GEN_VARS[0] for _ in range(n))
+    if n == arity:
+        assert App(sym, args).args == args
+    else:
+        with pytest.raises(ValueError):
+            App(sym, args)
+
+
+@given(terms())
+@settings(max_examples=100, deadline=None)
+def test_copies_and_pickles_are_equal_with_equal_hashes(t):
+    hash(t)
+    term_size(t)
+    for other in (copy.deepcopy(t), copy.copy(t), pickle.loads(pickle.dumps(t))):
+        assert other == t and hash(other) == hash(t)
+        assert repr(other) == repr(t)
+    for node in nodes(pickle.loads(pickle.dumps(t))):
+        if isinstance(node, App):
+            assert node._hash is None and node._size is None
+
+
+def test_pickled_term_hashes_like_a_fresh_one_in_another_process():
+    # str hashes differ between processes, so a pickled hash would be
+    # wrong here and the set lookup would miss
+    script = (
+        "import pickle, sys\n"
+        "from nonterm.terms import App, Symbol\n"
+        "t = App(Symbol('f', 1), (App(Symbol('a', 0)),))\n"
+        "hash(t)\n"
+        "sys.stdout.buffer.write(pickle.dumps(t))\n"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="12345")
+    env["PYTHONPATH"] = str(Path(nonterm.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, check=True
+    ).stdout
+    t = pickle.loads(out)
+    assert t in {App(Symbol("f", 1), (App(Symbol("a", 0)),))}
+
+
+def test_term_size_of_a_shared_tower_is_its_closed_form():
+    # c2 = g([],0,[]) doubles the tree at every level: 64 levels over the
+    # base 0 hold 3 * 2**64 - 2 nodes, but only 65 distinct App nodes
+    g, zero = Symbol("g", 3), App(Symbol("0", 0))
+    tower = zero
+    for _ in range(64):
+        tower = App(g, (tower, zero, tower))
+    # a failing assert must not print the tower, so compare plain ints
+    size = term_size(tower)
+    assert size == 3 * 2**64 - 2
+    with pytest.raises(ResourceLimitError, match="term exceeds 1000000 nodes"):
+        check_size(tower)
+
+
+def test_term_size_counts_every_occurrence():
+    f, a = Symbol("f", 2), App(Symbol("a", 0))
+    x = Var(0)
+    t = App(f, (App(f, (x, a)), App(f, (x, a))))
+    assert term_size(t) == 7
+    assert term_size(t) == 7  # cached
