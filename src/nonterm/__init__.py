@@ -56,7 +56,6 @@ from .terms import (
     Symbol,
     Term,
     Var,
-    VarSupply,
     canonical,
     is_variant,
     plug,

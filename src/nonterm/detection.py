@@ -45,12 +45,12 @@ from .terms import (
     canonical,
     check_size,
     hole_positions,
-    iter_positions,
     plug,
     plug2,
     render,
     replace_at,
     subterm_at,
+    subterms,
     term_vars,
 )
 
@@ -155,9 +155,8 @@ def find_embedding(
 
 
 def _find_term_embedding(kind, source: Term, target: Term, full_context):
-    spots = iter_positions(target) if full_context else [ROOT]
-    for p in spots:
-        sub = subterm_at(target, p)
+    spots = subterms(target) if full_context else [(ROOT, target)]
+    for p, sub in spots:
         theta = (
             match(source, sub) if kind is EmbeddingKind.INS else match(sub, source)
         )
@@ -381,8 +380,7 @@ def _anchor_candidates(u1: Term) -> dict[Var, list[Term]]:
     """For each variable y, the subterms of u1 containing y and no other
     variable, smallest first."""
     by_var: dict[Var, list[Term]] = {}
-    for p in iter_positions(u1):
-        sub = subterm_at(u1, p)
+    for _, sub in subterms(u1):
         if not isinstance(sub, App):
             continue
         vs = term_vars(sub)

@@ -16,7 +16,6 @@ and ``f(u)`` from two parses and print the wrong names.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
@@ -141,6 +140,10 @@ class App:
         return App, (self.symbol, self.args)
 
     def __repr__(self):
+        # a shared tower can hold far more tree nodes than objects
+        size = term_size(self)
+        if size > MAX_TERM_SIZE:
+            return f"<{self.symbol.name}(...): term of {size} nodes>"
         return render_term(self)
 
 
@@ -150,20 +153,6 @@ Position = tuple[int, ...]
 
 #: The root position.
 ROOT: Position = ()
-
-
-class VarSupply:
-    """Monotonically increasing source of globally fresh variables.
-
-    One supply is owned by each analysis session.
-    """
-
-    def __init__(self, start: int = 0):
-        self._counter = itertools.count(start)
-
-    def fresh(self, hint: str = "x") -> Var:
-        n = next(self._counter)
-        return Var(n, f"{hint}_{n}")
 
 
 def app(symbol: Symbol, *args: Term) -> App:
@@ -187,22 +176,18 @@ def check_size(t: Term, limit: int = MAX_TERM_SIZE) -> Term:
     return t
 
 
-def positions(t: Term) -> set[Position]:
-    """All positions of ``t``, root included, 1-indexed arguments."""
-    out: set[Position] = {ROOT}
+def subterms(t: Term, pos: Position = ROOT) -> Iterator[tuple[Position, Term]]:
+    """(position, subterm) pairs of ``t`` in lexicographic (prefix,
+    left-to-right) order of positions, ``pos`` prefixed to every one."""
+    yield pos, t
     if isinstance(t, App):
         for i, arg in enumerate(t.args, start=1):
-            out.update((i,) + p for p in positions(arg))
-    return out
+            yield from subterms(arg, pos + (i,))
 
 
 def iter_positions(t: Term) -> Iterator[Position]:
     """Positions of ``t`` in lexicographic (prefix, left-to-right) order."""
-    yield ROOT
-    if isinstance(t, App):
-        for i, arg in enumerate(t.args, start=1):
-            for p in iter_positions(arg):
-                yield (i,) + p
+    return (p for p, _ in subterms(t))
 
 
 def subterm_at(t: Term, p: Position) -> Term:
@@ -305,25 +290,8 @@ def plug2(c: Context, t: Term, t2: Term) -> Term:
     return check_size(out)
 
 
-def context_power(c: Context, n: int) -> Context:
-    """n-fold embedding of a one-hole context into itself."""
-    if n < 0:
-        raise ValueError("exponent must be non-negative")
-    if HOLE2 in c.holes:
-        raise HoleMismatchError("context_power requires a one-hole context")
-    body: Term = App(HOLE)
-    for _ in range(n):
-        body = check_size(_replace_symbol(c.body, HOLE, body))
-    return Context(body)
-
-
 def hole_positions(c: Context, sym: Symbol = HOLE) -> list[Position]:
-    out = []
-    for p in iter_positions(c.body):
-        s = subterm_at(c.body, p)
-        if isinstance(s, App) and s.symbol == sym:
-            out.append(p)
-    return out
+    return [p for p, s in subterms(c.body) if isinstance(s, App) and s.symbol == sym]
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,17 @@ fragment of an intrinsically infinite closure:
 * binary unfolding for logic programs under leftmost selection,
 * the overlap closure of a term rewrite system.
 
-Every produced rule carries a provenance record; replaying it from the
-parent rules reconstructs the rule up to variable renaming.
+Every produced rule carries a provenance record.  Each kind of derived
+rule is computed by one piece of code: ``_narrowings`` narrows a TRS
+pair, ``_erase`` and ``_binunf`` take the binary-unfolding steps, and
+``replay_provenance`` re-derives a rule from its parents through those
+same steps, so a replay reconstructs the rule up to variable renaming.
 
-Dependency-pair and binary unfolding resume depth by depth: given the
-same ``Unfolding`` at each call, depth d+1 starts from the pool, frontier
-and derivation counter that depth d left, instead of from the dependency
-pairs or the program.  A narrowing whose two sides carry different
+All three run on ``Unfolding.deepen``.  Dependency-pair and binary
+unfolding also resume depth by depth: given the same ``Unfolding`` at
+each call, depth d+1 starts from the pool, frontier and derivation
+counter that depth d left, instead of from the dependency pairs or the
+program.  A narrowing whose two sides carry different
 function symbols at a shared position is skipped before the rule is
 renamed apart, since no renaming can make them unify.  A rule is renamed
 apart from a parent pair at most once, however many positions of the
@@ -27,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import ResourceLimitError
+from .errors import InvalidPositionError, ResourceLimitError
 from .rewriting import Mode, Program, Rule, rename_apart
 from .substitution import Substitution, apply, compose, mgu
 from .terms import (
@@ -39,6 +43,7 @@ from .terms import (
     Var,
     replace_at,
     subterm_at,
+    subterms,
     term_vars,
 )
 
@@ -51,8 +56,25 @@ DEFAULT_RULE_CAP = 50_000
 
 @dataclass(frozen=True)
 class ProvenanceStep:
-    kind: str  # dp | forward | backward | binunf-A | binunf-B | binunf-C
-    #        | oc-forward | oc-backward | base
+    """How one rule was derived.
+
+    ``parents`` holds rule ids, in an order fixed by ``kind``:
+
+    * ``base``: (the program rule,);
+    * ``dp``: (the program rule whose right-hand side holds the pair's
+      right side at ``position``,);
+    * ``forward``/``backward``: (the narrowed pair, the rule narrowing it
+      at ``position``);
+    * ``oc-forward``: (the narrowed rule a, the rule b narrowing it);
+    * ``oc-backward``: (the rule a narrowing, the narrowed rule b), the
+      two of ``oc-forward``'s pair (a, b) in the same order;
+    * ``binunf-A``/``binunf-C``: (the program clause, then the unit rules
+      erasing its body atoms 1, 2, ... in order);
+    * ``binunf-B``: as ``binunf-A``, then the binary rule narrowing body
+      atom ``position[0]``.
+    """
+
+    kind: str
     parents: tuple[str, ...]
     position: Position
     unifier: Substitution
@@ -112,14 +134,6 @@ def unmark_root(t: Term) -> Term:
     return t
 
 
-def _subterms(t: Term, pos: Position = ROOT):
-    """(position, subterm) pairs of ``t`` in the order of ``iter_positions``."""
-    yield pos, t
-    if isinstance(t, App):
-        for i, arg in enumerate(t.args, start=1):
-            yield from _subterms(arg, pos + (i,))
-
-
 def dependency_pairs(r: Program) -> list[UnfoldedRule]:
     """Marked-root pairs extracted from defined-symbol subterms of rhs."""
     defined = defined_symbols(r)
@@ -130,7 +144,7 @@ def dependency_pairs(r: Program) -> list[UnfoldedRule]:
         if not isinstance(rule.lhs, App):
             continue
         for t in rule.rhs:
-            for pos, sub in _subterms(t):
+            for pos, sub in subterms(t):
                 if isinstance(sub, App) and sub.symbol in defined:
                     n += 1
                     pair = Rule(
@@ -200,7 +214,8 @@ class _Pool:
 
 
 class Unfolding:
-    """Where one program's dependency-pair or binary unfolding stopped.
+    """Where one program's dependency-pair or binary unfolding (or one
+    overlap closure) stopped.
 
     Pass the same instance to successive ``unfold_trs``/``binary_unfold``
     calls on one program, at depths that do not decrease: each call then
@@ -249,47 +264,50 @@ def _clash(s: Term, t: Term) -> bool:
     return s.symbol != t.symbol or any(map(_clash, s.args, t.args))
 
 
-def _narrowable(sub: Term, with_rule: Rule, forward: bool, allow_var: bool) -> bool:
-    """Whether ``_narrow_pair`` may unify ``sub`` with ``with_rule``'s
-    narrowing side: the rule has one right-hand side, ``sub`` is not a
-    variable unless ``allow_var``, and the two do not clash."""
-    if len(with_rule.rhs) != 1:
-        return False
-    if not allow_var and isinstance(sub, Var):
-        return False
-    return not _clash(sub, with_rule.lhs if forward else with_rule.rhs[0])
+def _narrowings(
+    host: Rule,
+    kinds: tuple[str, ...],
+    rules_at: Callable[[Position], list[Rule]],
+    allow_var: bool,
+):
+    """Every narrowing of the pair ``host``, the one place a pair is
+    narrowed.
 
-
-def _narrow_pair(
-    lhs: Term,
-    rhs: Term,
-    pos: Position,
-    sub: Term,
-    fresh: Rule,
-    forward: bool,
-) -> Optional[tuple[Rule, Substitution]]:
-    """Narrow one side of a pair at ``pos`` with ``fresh``.
-
-    ``sub`` is the subterm at ``pos`` of the narrowed side, and ``fresh``
-    a rule that ``_narrowable`` admits, renamed apart from the pair.
-    Forward narrowing rewrites ``rhs`` with the rule as is; backward
-    narrowing rewrites ``lhs`` with the reversed rule.  Returns the new
-    (unnamed) pair and the unifier.
+    For each kind in ``kinds`` in turn (a kind ending in ``forward``
+    rewrites the right-hand side with a rule as is, one ending in
+    ``backward`` the left-hand side with the reversed rule), each
+    position of that side in ``iter_positions`` order (a variable
+    subterm only if ``allow_var``) and each rule of ``rules_at(pos)`` with
+    one right-hand side, in order: the rule, renamed apart from ``host``
+    at most once per call, is unified with the subterm there.  Yields
+    ``(kind, pos, rule, lhs, rhs, unifier)`` for each unifier found,
+    ``lhs -> rhs`` being the new (unnamed) pair.
     """
-    src, dst = (
-        (fresh.lhs, fresh.rhs[0]) if forward else (fresh.rhs[0], fresh.lhs)
-    )
-    theta = mgu(sub, src)
-    if theta is None:
-        return None
-    target = rhs if forward else lhs
-    new_target = apply(theta, replace_at(target, pos, dst))
-    other = apply(theta, lhs if forward else rhs)
-    if forward:
-        pair = Rule("", other, (new_target,))
-    else:
-        pair = Rule("", new_target, (other,))
-    return pair, theta
+    lhs, rhs = host.lhs, host.rhs[0]
+    avoid = term_vars(lhs) | term_vars(rhs)
+    renamed: dict[Rule, Rule] = {}
+    for kind in kinds:
+        forward = kind.endswith("forward")
+        side, other = (rhs, lhs) if forward else (lhs, rhs)
+        for pos, sub in subterms(side):
+            if not allow_var and isinstance(sub, Var):
+                continue
+            for with_rule in rules_at(pos):
+                if len(with_rule.rhs) != 1 or _clash(
+                    sub, with_rule.lhs if forward else with_rule.rhs[0]
+                ):
+                    continue
+                fresh = renamed.get(with_rule)
+                if fresh is None:
+                    fresh = renamed[with_rule] = rename_apart(with_rule, avoid)
+                src, dst = fresh.lhs, fresh.rhs[0]
+                theta = mgu(sub, src if forward else dst)
+                if theta is None:
+                    continue
+                new = apply(theta, replace_at(side, pos, dst if forward else src))
+                old = apply(theta, other)
+                pair = (old, new) if forward else (new, old)
+                yield kind, pos, with_rule, *pair, theta
 
 
 def unfold_trs(
@@ -312,37 +330,22 @@ def unfold_trs(
     dps = dependency_pairs(r)
     dp_rules = [dp.rule for dp in dps]
 
+    def rules_at(pos: Position) -> list[Rule]:
+        return dp_rules if pos == ROOT else r.rules
+
     def layer(depth: int) -> list[UnfoldedRule]:
         pool = state.pool
         if depth == 0:
             return [u for u in dps if pool.add(u) is not None]
         new = []
         for parent in state.frontier:
-            u, v = parent.rule.lhs, parent.rule.rhs[0]
-            avoid = term_vars(u) | term_vars(v)
-            # each rule renamed apart from this parent, at most once
-            renamed: dict[Rule, Rule] = {}
-            # forward narrowing rewrites the rhs, backward narrowing the lhs
-            # with reversed rules
-            for kind, side in (("forward", v), ("backward", u)):
-                forward = kind == "forward"
-                for pos, sub in _subterms(side):
-                    for with_rule in dp_rules if pos == ROOT else r.rules:
-                        if not _narrowable(sub, with_rule, forward, True):
-                            continue
-                        fresh = renamed.get(with_rule)
-                        if fresh is None:
-                            fresh = renamed[with_rule] = rename_apart(with_rule, avoid)
-                        res = _narrow_pair(u, v, pos, sub, fresh, forward)
-                        if res is None:
-                            continue
-                        pair, theta = res
-                        step = ProvenanceStep(
-                            kind, (parent.rule.id, with_rule.id), pos, theta
-                        )
-                        added = pool.derive("u", pair.lhs, pair.rhs, depth, step)
-                        if added is not None:
-                            new.append(added)
+            for kind, pos, with_rule, lhs, rhs, theta in _narrowings(
+                parent.rule, ("forward", "backward"), rules_at, True
+            ):
+                step = ProvenanceStep(kind, (parent.rule.id, with_rule.id), pos, theta)
+                added = pool.derive("u", lhs, (rhs,), depth, step)
+                if added is not None:
+                    new.append(added)
         return new
 
     return state.deepen(r, max_depth, cap, layer)
@@ -359,49 +362,78 @@ def overlap_closure(
     """
     if r.mode is not Mode.TRS:
         raise ValueError("overlap_closure requires a TRS program")
-    pool = _Pool(cap)
-    for rule in r.rules:
-        if rule.trs_usable:
-            pool.add(
+    state = Unfolding()
+
+    def layer(depth: int) -> list[UnfoldedRule]:
+        pool = state.pool
+        if depth == 0:
+            base = [
                 UnfoldedRule(
                     rule, 0, ProvenanceStep("base", (rule.id,), ROOT, Substitution())
                 )
-            )
-    frontier = list(pool.items)
-    for depth in range(1, max_depth + 1):
-        new_frontier = []
+                for rule in r.rules
+                if rule.trs_usable
+            ]
+            return [u for u in base if pool.add(u) is not None]
+        new = []
         known = list(pool.items)
         # overlap every known pair in which at least one member is new at
-        # the previous depth
+        # the previous depth: forward narrows a's rhs with b, backward
+        # narrows b's lhs with the reversal of a
         for a in known:
             for b in known:
                 if a.depth != depth - 1 and b.depth != depth - 1:
                     continue
-                # forward: narrow a non-variable subterm of a's rhs with b;
-                # backward: narrow one of b's lhs with the reversal of a
-                for kind, host, with_rule in (
-                    ("oc-forward", a.rule, b.rule),
-                    ("oc-backward", b.rule, a.rule),
+                for kinds, host, with_rule in (
+                    (("oc-forward",), a.rule, b.rule),
+                    (("oc-backward",), b.rule, a.rule),
                 ):
-                    forward = kind == "oc-forward"
-                    lhs, rhs = host.lhs, host.rhs[0]
-                    avoid = term_vars(lhs) | term_vars(rhs)
-                    for pos, sub in _subterms(rhs if forward else lhs):
-                        if not _narrowable(sub, with_rule, forward, False):
-                            continue
-                        fresh = rename_apart(with_rule, avoid)
-                        res = _narrow_pair(lhs, rhs, pos, sub, fresh, forward)
-                        if res is None:
-                            continue
-                        pair, theta = res
+                    for kind, pos, _, lhs, rhs, theta in _narrowings(
+                        host, kinds, lambda pos: (with_rule,), False
+                    ):
                         step = ProvenanceStep(kind, (a.rule.id, b.rule.id), pos, theta)
-                        added = pool.derive("oc", pair.lhs, pair.rhs, depth, step)
+                        added = pool.derive("oc", lhs, (rhs,), depth, step)
                         if added is not None:
-                            new_frontier.append(added)
-        frontier = new_frontier
-        if not frontier:
-            break
-    return pool.items
+                            new.append(added)
+        return new
+
+    return state.deepen(r, max_depth, cap, layer)
+
+
+def _erase(rule: Rule, theta: Substitution, j: int, unit: Rule) -> Optional[Substitution]:
+    """``theta`` extended to erase body atom ``j`` (0-based) of ``rule``
+    with the unit rule ``unit``, renamed apart from ``rule``; None if the
+    two do not unify."""
+    atom = apply(theta, rule.rhs[j])
+    if _clash(atom, unit.lhs):
+        return None
+    fresh = rename_apart(unit, term_vars(rule.lhs) | term_vars(rule.rhs))
+    sigma = mgu(atom, fresh.lhs)
+    return None if sigma is None else compose(theta, sigma)
+
+
+def _binunf(
+    kind: str, rule: Rule, theta: Substitution, i: int, binr: Optional[Rule]
+) -> Optional[tuple[Term, tuple, Substitution]]:
+    """One binary-unfolding clause applied to ``rule`` once ``theta`` has
+    erased the body atoms before atom ``i`` (1-based): ``binunf-A`` keeps
+    atom ``i``, ``binunf-B`` narrows it with the binary rule ``binr``
+    (renamed apart from ``rule``), ``binunf-C`` (``theta`` having erased
+    the whole body) leaves no body.  Returns the derived head, body and
+    unifier, or None if atom ``i`` and ``binr`` do not unify."""
+    if kind == "binunf-C":
+        return apply(theta, rule.lhs), (), theta
+    atom = apply(theta, rule.rhs[i - 1])
+    if kind == "binunf-A":
+        return apply(theta, rule.lhs), (atom,), theta
+    if _clash(atom, binr.lhs):
+        return None
+    fresh = rename_apart(binr, term_vars(rule.lhs) | term_vars(rule.rhs))
+    sigma = mgu(atom, fresh.lhs)
+    if sigma is None:
+        return None
+    acc = compose(theta, sigma)
+    return apply(acc, rule.lhs), (apply(sigma, fresh.rhs[0]),), acc
 
 
 def binary_unfold(
@@ -422,41 +454,30 @@ def binary_unfold(
         raise ValueError("binary_unfold requires an LP program")
     state = resume if resume is not None else Unfolding()
 
-    def emit(rule_lhs, rule_rhs, depth, kind, parents, pos, theta):
-        return state.pool.derive(
-            "b", rule_lhs, rule_rhs, depth, ProvenanceStep(kind, parents, pos, theta)
-        )
-
     def erase_prefix(rule: Rule, upto: int, units: list[UnfoldedRule]):
-        """All ways of erasing body atoms 1..upto with derived unit rules.
-
-        Yields (accumulated substitution, used unit ids, max unit depth).
-        """
+        """All ways of erasing body atoms 1..upto with derived unit rules,
+        as (accumulated substitution, used unit ids, max unit depth)."""
         states = [(Substitution(), (), -1)]
         for j in range(upto):
-            nxt = []
-            for theta, used, dmax in states:
-                vj = apply(theta, rule.rhs[j])
-                for unit in units:
-                    if _clash(vj, unit.rule.lhs):
-                        continue
-                    fresh = rename_apart(
-                        unit.rule, term_vars(rule.lhs) | term_vars(rule.rhs)
-                    )
-                    sigma = mgu(vj, fresh.lhs)
-                    if sigma is None:
-                        continue
-                    nxt.append(
-                        (
-                            compose(theta, sigma),
-                            used + (unit.rule.id,),
-                            max(dmax, unit.depth),
-                        )
-                    )
-            states = nxt
+            states = [
+                (acc, used + (unit.rule.id,), max(dmax, unit.depth))
+                for theta, used, dmax in states
+                for unit in units
+                if (acc := _erase(rule, theta, j, unit.rule)) is not None
+            ]
             if not states:
-                return []
+                break
         return states
+
+    def emit(kind, rule, theta, i, used, dmax, binr=None):
+        out = _binunf(kind, rule, theta, i, binr.rule if binr else None)
+        if out is None:
+            return
+        lhs, rhs, unifier = out
+        if binr is not None:
+            used, dmax = used + (binr.rule.id,), max(dmax, binr.depth)
+        step = ProvenanceStep(kind, (rule.id,) + used, (i,), unifier)
+        state.pool.derive("b", lhs, rhs, dmax + 1, step)
 
     # Iteration j combines only rules of earlier iterations, so every rule
     # it emits has depth at most j.
@@ -467,50 +488,13 @@ def binary_unfold(
         before = len(pool.items)
         for rule in p.rules:
             n = len(rule.rhs)
-            # clause (C): erase the entire body
             for theta, used, dmax in erase_prefix(rule, n, units):
-                emit(
-                    apply(theta, rule.lhs),
-                    (),
-                    dmax + 1,
-                    "binunf-C",
-                    (rule.id,) + used,
-                    (n,),
-                    theta,
-                )
+                emit("binunf-C", rule, theta, n, used, dmax)
             for i in range(1, n + 1):
                 for theta, used, dmax in erase_prefix(rule, i - 1, units):
-                    # clause (A): keep body atom i
-                    emit(
-                        apply(theta, rule.lhs),
-                        (apply(theta, rule.rhs[i - 1]),),
-                        dmax + 1,
-                        "binunf-A",
-                        (rule.id,) + used,
-                        (i,),
-                        theta,
-                    )
-                    # clause (B): additionally narrow body atom i
-                    vi = apply(theta, rule.rhs[i - 1])
+                    emit("binunf-A", rule, theta, i, used, dmax)
                     for binr in binaries:
-                        if _clash(vi, binr.rule.lhs):
-                            continue
-                        fresh = rename_apart(
-                            binr.rule, term_vars(rule.lhs) | term_vars(rule.rhs)
-                        )
-                        sigma = mgu(vi, fresh.lhs)
-                        if sigma is None:
-                            continue
-                        acc = compose(theta, sigma)
-                        emit(
-                            apply(acc, rule.lhs),
-                            (apply(sigma, fresh.rhs[0]),),
-                            max(dmax, binr.depth) + 1,
-                            "binunf-B",
-                            (rule.id,) + used + (binr.rule.id,),
-                            (i,),
-                            acc,
-                        )
+                        emit("binunf-B", rule, theta, i, used, dmax, binr)
         return pool.items[before:]
 
     return state.deepen(p, max_depth, cap, layer)
@@ -532,8 +516,10 @@ def replay_provenance(
 ) -> Optional[Rule]:
     """Reconstruct ``u.rule`` from its parents; None if not replayable.
 
-    The reconstruction is deterministic, so callers can compare the result
-    with the stored rule up to variant equivalence.
+    The rule is derived again through the steps the unfolders use
+    (``_narrowings``, ``_erase``, ``_binunf``), restricted to the recorded
+    parents and position, so callers can compare the result with the
+    stored rule up to variant equivalence.
     """
     pv = u.provenance
 
@@ -545,62 +531,33 @@ def replay_provenance(
         except KeyError:
             return None
 
+    parents = [lookup(x) for x in pv.parents]
+    if not parents or any(x is None for x in parents):
+        return None
     if pv.kind == "base":
-        return lookup(pv.parents[0])
+        return parents[0]
     if pv.kind == "dp":
-        parent = lookup(pv.parents[0])
-        if parent is None:
-            return None
         marks = MarkedSignature(defined_symbols(base))
-        sub = subterm_at(parent.rhs[0], pv.position)
-        return Rule(u.rule.id, mark_root(parent.lhs, marks), (mark_root(sub, marks),))
+        try:
+            sub = subterm_at(parents[0].rhs[0], pv.position)
+        except InvalidPositionError:
+            return None
+        return Rule(u.rule.id, mark_root(parents[0].lhs, marks), (mark_root(sub, marks),))
     if pv.kind in ("forward", "backward", "oc-forward", "oc-backward"):
-        parent = lookup(pv.parents[0])
-        with_rule = lookup(pv.parents[1])
-        if parent is None or with_rule is None:
-            return None
-        lhs, rhs = parent.lhs, parent.rhs[0]
-        forward = pv.kind in ("forward", "oc-forward")
-        sub = subterm_at(rhs if forward else lhs, pv.position)
-        if not _narrowable(sub, with_rule, forward, not pv.kind.startswith("oc")):
-            return None
-        fresh = rename_apart(with_rule, term_vars(lhs) | term_vars(rhs))
-        res = _narrow_pair(lhs, rhs, pv.position, sub, fresh, forward)
-        if res is None:
-            return None
-        pair, _ = res
-        return Rule(u.rule.id, pair.lhs, pair.rhs)
+        host, with_rule = parents[::-1] if pv.kind == "oc-backward" else parents
+        at = lambda pos: (with_rule,) if pos == pv.position else ()  # noqa: E731
+        allow_var = not pv.kind.startswith("oc")
+        for _, _, _, lhs, rhs, _ in _narrowings(host, (pv.kind,), at, allow_var):
+            return Rule(u.rule.id, lhs, (rhs,))
+        return None
     if pv.kind.startswith("binunf"):
-        rule = lookup(pv.parents[0])
-        if rule is None:
-            return None
-        used = [lookup(x) for x in pv.parents[1:]]
-        if any(x is None for x in used):
-            return None
+        rule, *used = parents
+        binr = used.pop() if pv.kind == "binunf-B" else None
         theta = Substitution()
-        if pv.kind == "binunf-B":
-            *units, binr = used
-        else:
-            units, binr = used, None
-        for j, unit in enumerate(units):
-            fresh = rename_apart(unit, term_vars(rule.lhs) | term_vars(rule.rhs))
-            sigma = mgu(apply(theta, rule.rhs[j]), fresh.lhs)
-            if sigma is None:
+        for j, unit in enumerate(used):
+            theta = _erase(rule, theta, j, unit)
+            if theta is None:
                 return None
-            theta = compose(theta, sigma)
-        if pv.kind == "binunf-C":
-            return Rule(u.rule.id, apply(theta, rule.lhs), ())
-        i = pv.position[0]
-        if pv.kind == "binunf-A":
-            return Rule(
-                u.rule.id,
-                apply(theta, rule.lhs),
-                (apply(theta, rule.rhs[i - 1]),),
-            )
-        fresh = rename_apart(binr, term_vars(rule.lhs) | term_vars(rule.rhs))
-        sigma = mgu(apply(theta, rule.rhs[i - 1]), fresh.lhs)
-        if sigma is None:
-            return None
-        acc = compose(theta, sigma)
-        return Rule(u.rule.id, apply(acc, rule.lhs), (apply(sigma, fresh.rhs[0]),))
+        out = _binunf(pv.kind, rule, theta, pv.position[0], binr)
+        return None if out is None else Rule(u.rule.id, out[0], out[1])
     return None

@@ -5,6 +5,7 @@ import copy
 import os
 import pickle
 import random
+import resource
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -205,6 +206,41 @@ def test_term_size_of_a_shared_tower_is_its_closed_form():
     assert size == 3 * 2**64 - 2
     with pytest.raises(ResourceLimitError, match="term exceeds 1000000 nodes"):
         check_size(tower)
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_repr_of_a_shared_tower_names_its_node_count():
+    # the tower of the test above: rendering it in full would never
+    # finish, so its repr is taken in a child process with a time and
+    # memory limit, and a regression fails here instead of exhausting
+    # the machine
+    script = (
+        "from nonterm.terms import App, Symbol\n"
+        "g, zero = Symbol('g', 3), App(Symbol('0', 0))\n"
+        "tower = zero\n"
+        "for _ in range(64):\n"
+        "    tower = App(g, (tower, zero, tower))\n"
+        "print(repr(tower))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(nonterm.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        check=True,
+        timeout=10,
+        preexec_fn=_limit_memory,
+    ).stdout
+    assert out.decode() == f"<g(...): term of {3 * 2**64 - 2} nodes>\n"
+
+
+def test_repr_below_the_size_cap_renders_the_term():
+    f, a = Symbol("f", 2), App(Symbol("a", 0))
+    assert repr(App(f, (a, Var(0, "x")))) == "f(a,x)"
 
 
 def test_term_size_counts_every_occurrence():

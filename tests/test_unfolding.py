@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from nonterm.substitution import Substitution, mgu
 from nonterm.terms import App, Symbol, Var, canonical, is_variant, render, term_vars
 from nonterm.unfolding import (
     MarkedSignature,
+    UnfoldedRule,
     Unfolding,
     _clash,
     _dedup_key,
@@ -97,17 +99,43 @@ def test_unfold_rule_cap():
         unfold_trs(p, 4, cap=10)
 
 
+# f(a) -> f(b) overlaps b -> a backwards: on it every oc-backward rule
+# is narrowed in its second parent, not its first
+OC_BACKWARD = "f(a) -> f(b)  b -> a"
+
+
 def test_unfold_provenance_replays():
-    p = trs(EX_TRS)
-    pool = unfold_trs(p, 2)
-    by_id = {u.rule.id: u for u in pool}
-    for u in pool:
-        if u.depth == 0:
-            continue
-        replayed = replay_provenance(u, p, by_id)
-        assert is_variant(
-            (replayed.lhs,) + replayed.rhs, (u.rule.lhs,) + u.rule.rhs
-        )
+    # every rule of every unfolder, the depth-0 ones included, replays
+    # from its parents to a variant of itself
+    cases = []
+    for text in (EX_TRS, COUNTING, OC_BACKWARD):
+        p = trs(text)
+        cases += [(p, unfold_trs(p, 2)), (p, overlap_closure(p, 2))]
+    p = lp(REV_LP)
+    cases.append((p, binary_unfold(p, 3)))
+    kinds = set()
+    for p, pool in cases:
+        by_id = {u.rule.id: u for u in pool}
+        for u in pool:
+            replayed = replay_provenance(u, p, by_id)
+            assert replayed is not None, repr(u)
+            assert is_variant(
+                (replayed.lhs,) + replayed.rhs, (u.rule.lhs,) + u.rule.rhs
+            ), repr(u)
+            kinds.add(u.provenance.kind)
+    assert kinds == {
+        "dp", "forward", "backward", "base", "oc-forward", "oc-backward",
+        "binunf-A", "binunf-B", "binunf-C",
+    }
+
+
+def test_replay_rejects_a_wrong_position():
+    p = trs(OC_BACKWARD)
+    for pool, kind in ((overlap_closure(p, 1), "oc-backward"), (unfold_trs(p, 0), "dp")):
+        by_id = {u.rule.id: u for u in pool}
+        u = next(u for u in pool if u.provenance.kind == kind)
+        moved = UnfoldedRule(u.rule, u.depth, replace(u.provenance, position=(7,)))
+        assert replay_provenance(moved, p, by_id) is None
 
 
 def test_binary_unfold_example():
