@@ -400,14 +400,21 @@ def overlap_closure(
     return state.deepen(r, max_depth, cap, layer)
 
 
+def _in_use(rule: Rule, theta: Substitution) -> set[Var]:
+    """The variables a rule joining the derivation of ``rule`` under
+    ``theta`` must be renamed apart from: the clause's own, and those the
+    rules joined before brought in through ``theta``."""
+    return term_vars((rule.lhs, *rule.rhs, *theta.bindings.values()))
+
+
 def _erase(rule: Rule, theta: Substitution, j: int, unit: Rule) -> Optional[Substitution]:
     """``theta`` extended to erase body atom ``j`` (0-based) of ``rule``
-    with the unit rule ``unit``, renamed apart from ``rule``; None if the
-    two do not unify."""
+    with the unit rule ``unit``, renamed apart from ``rule`` and from the
+    range of ``theta``; None if the two do not unify."""
     atom = apply(theta, rule.rhs[j])
     if _clash(atom, unit.lhs):
         return None
-    fresh = rename_apart(unit, term_vars(rule.lhs) | term_vars(rule.rhs))
+    fresh = rename_apart(unit, _in_use(rule, theta))
     sigma = mgu(atom, fresh.lhs)
     return None if sigma is None else compose(theta, sigma)
 
@@ -418,7 +425,7 @@ def _binunf(
     """One binary-unfolding clause applied to ``rule`` once ``theta`` has
     erased the body atoms before atom ``i`` (1-based): ``binunf-A`` keeps
     atom ``i``, ``binunf-B`` narrows it with the binary rule ``binr``
-    (renamed apart from ``rule``), ``binunf-C`` (``theta`` having erased
+    (renamed apart as in ``_erase``), ``binunf-C`` (``theta`` having erased
     the whole body) leaves no body.  Returns the derived head, body and
     unifier, or None if atom ``i`` and ``binr`` do not unify."""
     if kind == "binunf-C":
@@ -428,7 +435,7 @@ def _binunf(
         return apply(theta, rule.lhs), (atom,), theta
     if _clash(atom, binr.lhs):
         return None
-    fresh = rename_apart(binr, term_vars(rule.lhs) | term_vars(rule.rhs))
+    fresh = rename_apart(binr, _in_use(rule, theta))
     sigma = mgu(atom, fresh.lhs)
     if sigma is None:
         return None

@@ -161,6 +161,29 @@ def test_binary_unfold_unit_rules_erase_prefix():
     assert any(rule_variant(u, want_lhs, want_rhs) for u in pool)
 
 
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        # two erased units
+        ("p(X, Y) :- q(X), r(Y).  q(f(Z)).  r(g(W)).", ("p(f(x),g(y))", ())),
+        # an erased unit, then a binary rule narrowing the next atom
+        ("p(X, Y) :- q(X), r(Y).  q(f(Z)).  r(g(W)) :- s(W).", ("p(f(x),g(y))", ("s(y)",))),
+    ],
+)
+def test_binary_unfold_renames_apart_from_earlier_erasures(text, want):
+    # each joined rule is renamed apart from the variables the rules
+    # joined before it brought in, so their variables stay distinct
+    p = lp(text)
+    pool = binary_unfold(p, 2)
+    lhs, rhs = term(want[0]), tuple(term(a) for a in want[1])
+    derived = [u for u in pool if rule_variant(u, lhs, rhs)]
+    assert len(derived) == 1
+    assert len(term_vars(derived[0].rule.lhs)) == 2
+    by_id = {u.rule.id: u for u in pool}
+    replayed = replay_provenance(derived[0], p, by_id)
+    assert is_variant((replayed.lhs,) + replayed.rhs, (lhs,) + rhs)
+
+
 def test_binary_unfold_soundness_via_narrowing():
     # every derived binary rule is realizable: <u> reaches a goal whose
     # first element is an instance-variant of v under narrowing
