@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Union
 
 from .detection import (
     Budget,
     EmbeddingKind,
     LoopWitness,
+    PairSweep,
     RecurrentPair,
     find_embedding,
     find_loop,
@@ -167,9 +169,15 @@ def _loop_witnesses(cand: Program, cfg: AnalysisConfig, budget: Budget):
             yield lw
 
 
-def _recpair_witnesses(cand: Program, cfg: AnalysisConfig, budget: Budget):
+def _recpair_witnesses(
+    cand: Program, cfg: AnalysisConfig, budget: Budget, resume: PairSweep
+):
+    """The first recurrent pair of ``cand``; over one-rule words the search
+    resumes from the pool of the depth before."""
     semantics = Semantics.TRS if cand.mode is Mode.TRS else Semantics.LP_RESTRICTED
-    rp = find_recurrent_pair(cand, cand.rules, cfg.word_len(), semantics, budget)
+    words = cfg.word_len()
+    resume = resume if words == 1 else None
+    rp = find_recurrent_pair(cand, cand.rules, words, semantics, budget, resume=resume)
     if rp is not None:
         yield rp
 
@@ -200,13 +208,17 @@ def analyze(program: Program, cfg: Optional[AnalysisConfig] = None) -> Verdict:
         if tech not in _WITNESSES:
             raise ValueError(f"unknown technique {tech!r}")
     budgets = {t: Budget(timeout=cfg.timeout) for t in cfg.techniques}
+    # the recurrent-pair search of each depth skips the pairs the depth
+    # before swept with no hit
+    searches = dict(_WITNESSES)
+    searches[TECHNIQUE_RECPAIR] = partial(_recpair_witnesses, resume=PairSweep())
     try:
         for cand in _pools(program, cfg, stats):
             for tech in cfg.techniques:
                 budget = budgets[tech]
                 if budget.exhausted:
                     continue
-                witnesses = _WITNESSES[tech](cand, cfg, budget)
+                witnesses = searches[tech](cand, cfg, budget)
                 verdicts = (_verified(tech, cand, w, cfg, stats) for w in witnesses)
                 v = next((v for v in verdicts if v is not None), None)
                 if budget.exhausted:

@@ -11,7 +11,12 @@ embedding deeper than the round before.
 A recurrent pair is a pair of finite chains shaped so that one rule word
 peels a tower of contexts while the other rebuilds it, certifying an
 infinite chain alternating the two words; ``witness_chain`` materializes
-its prefix with exact exponent bookkeeping.
+its prefix with exact exponent bookkeeping.  ``find_recurrent_pair``
+skips every first chain that fails ``_may_decompose``, a walk over its
+two sides that rules out a decomposition without building a context.
+Given a ``PairSweep``, it also skips the pairs of two candidates an
+earlier search over a shorter pool already swept with no hit
+(semi-naive evaluation), which keeps the first hit the same.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
+from operator import is_
 from typing import Optional, Sequence, Union
 
 from .errors import InvalidPositionError, UnrollError
@@ -393,9 +399,49 @@ def _anchor_candidates(u1: Term) -> dict[Var, list[Term]]:
     return by_var
 
 
+def _may_decompose(u1: Term, v1: Term) -> bool:
+    """False when no (x, y, c1, c2, n1) has u1 = c1[x, c2[y]] and
+    v1 = c1[c2^n1[x], y]; walks the two terms once and builds nothing.
+
+    Where u1 and v1 differ, they differ below c1's holes: a topmost
+    differing position holds x in u1, facing the one term c2^n1[x] in v1
+    (n1 > 0), or the anchor d = c2[y] over y alone, facing y; d occurs at
+    least once.  Neither x (if it differs at all) nor y occurs where the
+    two terms agree, since every occurrence of either is a hole of c1.
+    """
+    differ: set = set()
+    agree: list = []
+    stack = [(u1, v1)]
+    while stack:
+        s, t = stack.pop()
+        if s == t:
+            agree.append(s)
+        elif isinstance(s, App) and isinstance(t, App) and s.symbol == t.symbol:
+            stack.extend(zip(s.args, t.args))
+        elif isinstance(s, Var) is isinstance(t, Var):
+            return False  # a variable facing another, or a symbol clash
+        else:
+            differ.add((s, t))
+            if len(differ) > 2:
+                return False
+    x = [s for s, _ in differ if isinstance(s, Var)]
+    d = [(s, t) for s, t in differ if isinstance(t, Var)]
+    if len(x) > 1 or len(d) != 1:
+        return False
+    d, y = d[0]
+    if term_vars(d) != {y}:
+        return False
+    shared = term_vars(tuple(agree))
+    if x:
+        return x[0] != y and y not in shared and x[0] not in shared
+    return y not in shared and len(term_vars(u1)) > 1
+
+
 def _first_chain_decompositions(u1, v1) -> list[tuple]:
     """Every (x, y, c1, c2, n1) with u1 = c1[x, c2[y]] and
     v1 = c1[c2^n1[x], y], in canonical order."""
+    if not _may_decompose(u1, v1):
+        return []
     anchors = _anchor_candidates(u1)
     u1_vars = sorted(term_vars(u1), key=lambda v: v.id)
     out = []
@@ -512,35 +558,69 @@ def _one_step_chains(candidates: Sequence[Rule], semantics: Semantics) -> list[C
     return out
 
 
+class PairSweep:
+    """What one program's recurrent-pair search has already ruled out.
+
+    Pass the same instance to successive ``find_recurrent_pair`` calls
+    on the pools of one program, each pool extending the one before (its
+    rules kept, in order).  ``swept`` holds the candidates of the last
+    call when that call paired all of them with no hit; the next call
+    pairs only chains of which at least one is new.  A call that finds a
+    pair or runs out of budget empties it, so the next call searches in
+    full.
+    """
+
+    def __init__(self):
+        self.swept: Sequence[Rule] = ()
+
+
 def find_recurrent_pair(
     program: Program,
     candidates: Sequence[Rule],
     max_word_len: int,
     semantics: Semantics,
     budget: Optional[Budget] = None,
+    resume: Optional[PairSweep] = None,
 ) -> Optional[RecurrentPair]:
     """First recurrent pair among candidate chains, in canonical order.
 
     Requires a substitution-closed semantics (term rewriting or the
-    restricted narrowing relation).
+    restricted narrowing relation).  A first chain that fails
+    ``_may_decompose`` is skipped with no ``match_recurrent_pattern``
+    call and no budget tick.  With ``resume`` (one-rule words only), the
+    pairs of two candidates it has swept before are skipped too;
+    ``match_recurrent_pattern`` depends only on its two chains, so the
+    first hit is the one a full search would return.
     """
     if semantics not in (Semantics.TRS, Semantics.LP_RESTRICTED):
         raise ValueError("recurrent pairs need a substitution-closed semantics")
+    if resume is not None and max_word_len > 1:
+        raise ValueError("only a search over one-rule words can resume")
     budget = budget or Budget()
-    chains = _one_step_chains(candidates, semantics)
+    swept = resume.swept if resume is not None else ()
+    if len(swept) > len(candidates) or not all(map(is_, swept, candidates)):
+        swept = ()  # not a prefix of these candidates: search in full
+    chains = _one_step_chains(swept, semantics)
+    old = len(chains)
+    chains += _one_step_chains(candidates[len(swept):], semantics)
     if max_word_len > 1:
         chains = chains + _extended_chains(program, chains, max_word_len, semantics, budget)
+    if resume is not None:
+        resume.swept = ()
 
     # Every component of a recurrent pair shares the root symbol of c1,
     # and the first chain needs two distinct variables to instantiate.
     def root(t):
         return t.symbol if isinstance(t, App) else None
 
-    for c1 in chains:
+    new = chains[old:]  # the partners of an old first chain
+    for i, c1 in enumerate(chains):
         r = root(c1.start)
         if r is None or root(c1.end) != r or len(term_vars(c1.start)) < 2:
             continue
-        for c2 in chains:
+        if not _may_decompose(c1.start, c1.end):
+            continue
+        for c2 in new if i < old else chains:
             if root(c2.start) != r or root(c2.end) != r:
                 continue
             if not budget.tick():
@@ -548,6 +628,8 @@ def find_recurrent_pair(
             rp = match_recurrent_pattern(c1, c2)
             if rp is not None:
                 return rp
+    if resume is not None:
+        resume.swept = tuple(candidates)
     return None
 
 

@@ -79,6 +79,17 @@ def test_analyze_terminating_maybe():
     assert v.witness is None and v.simulated_prefix is None
 
 
+def test_criterion_10_mutants_plus_and_minus_stats():
+    # minus has no first chain that can decompose, so its search ends
+    # before the pair cap; plus still reaches it
+    minus = analyze(trs("minus(x,0) -> x  minus(s(x),s(y)) -> minus(x,y)"))
+    assert minus.answer == "MAYBE"
+    assert "exhausted" not in minus.stats
+    assert minus.stats["unfold_depth"] == 4
+    plus = analyze(trs("plus(0,x) -> x  plus(s(x),y) -> s(plus(x,y))"))
+    assert plus.answer == "MAYBE"
+
+
 def test_analyze_raw_search():
     v = analyze(trs(EX_TRS), AnalysisConfig(raw=True))
     assert v.answer == "NO"

@@ -1,10 +1,13 @@
 import copy
+import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import lp, term, trs
+from conftest import A0, B0, F2, G1, GEN_VARS, lp, random_term, term, trs
 from test_analysis import PAPER_TRS
-from nonterm import detection
+from nonterm import analysis, detection
 from nonterm.analysis import (
     AnalysisConfig,
     _rule_loop_witness,
@@ -13,8 +16,10 @@ from nonterm.analysis import (
 )
 from nonterm.detection import (
     Budget,
-    _first_chain_decompositions,
     EmbeddingKind,
+    PairSweep,
+    _first_chain_decompositions,
+    _may_decompose,
     find_embedding,
     find_loop,
     find_recurrent_pair,
@@ -37,16 +42,20 @@ from nonterm.parsing import parse_trs
 from nonterm.substitution import Substitution, apply
 from nonterm.terms import (
     App,
+    Context,
     GoalContext,
     HOLE,
+    HOLE2,
     hole_positions,
     is_variant,
     plug,
     plug2,
     render,
+    replace_at,
+    subterms,
     term_vars,
 )
-from nonterm.unfolding import binary_unfold, unfold_trs, unfolded_program
+from nonterm.unfolding import Unfolding, binary_unfold, unfold_trs, unfolded_program
 
 
 def one_step_chain(rule, semantics=Semantics.TRS):
@@ -523,9 +532,215 @@ def test_recurrent_pair_budget_ticks_once_per_pair(monkeypatch):
     monkeypatch.setattr(detection, "match_recurrent_pattern", counting)
     budget = Budget()
     assert find_recurrent_pair(cand, cand.rules, 1, Semantics.TRS, budget) is None
-    expected = len(list(root_compatible_pairs(cand.rules)))
-    assert expected > 0
-    assert budget.nodes == len(calls) == expected
+    pairs = list(root_compatible_pairs(cand.rules))
+    # a first chain that fails the precheck costs no call and no tick
+    expected = [(c1, c2) for c1, c2 in pairs if _may_decompose(c1.start, c1.end)]
+    assert 0 < len(expected) < len(pairs)
+    assert budget.nodes == len(calls) == len(expected)
+
+
+# ---------------------------------------------------------------------------
+# The divergence precheck and the search that resumes from depth to depth
+
+PLUS = "plus(0,x) -> x  plus(s(x),y) -> s(plus(x,y))"
+MINUS = "minus(x,0) -> x  minus(s(x),s(y)) -> minus(x,y)"
+# system -> deepest pool searched
+SWEEP_SYSTEMS = {COUNTDOWN: 3, COUNTING: 3, PLUS: 3, MINUS: 3, PAPER_TRS: 2}
+
+
+def unfiltered_decompositions(u1, v1):
+    """_first_chain_decompositions with the precheck switched off."""
+    with mock.patch.object(detection, "_may_decompose", lambda u, v: True):
+        return _first_chain_decompositions(u1, v1)
+
+
+def unfiltered_first_hit(rules):
+    """The search before the precheck and the resume, kept as an oracle:
+    every root-compatible pair in canonical order, each decomposed in
+    full."""
+    try:
+        with mock.patch.object(detection, "_may_decompose", lambda u, v: True):
+            pairs = root_compatible_pairs(rules)
+            hits = (match_recurrent_pattern(c1, c2) for c1, c2 in pairs)
+            return next((rp for rp in hits if rp is not None), None)
+    finally:
+        # drop the unfiltered decomposition the one-slot memo kept
+        detection._decomposed = (None, None, [])
+
+
+def unfolded_pools(text, depth):
+    """The pools of depth 0..depth, one unfolding resumed."""
+    p, state = trs(text), Unfolding()
+    return [unfolded_program(unfold_trs(p, d, resume=state), p.mode) for d in range(depth + 1)]
+
+
+@pytest.mark.parametrize("text", sorted(SWEEP_SYSTEMS))
+def test_recurrent_pair_search_matches_the_unfiltered_sweep(text):
+    # one PairSweep across the depths, as analyze carries it
+    resume = PairSweep()
+    for cand in unfolded_pools(text, SWEEP_SYSTEMS[text]):
+        want = unfiltered_first_hit(cand.rules)
+        budget = Budget(node_cap=10**9)
+        got = find_recurrent_pair(cand, cand.rules, 1, Semantics.TRS, budget, resume=resume)
+        assert got == want
+        assert list(resume.swept) == ([] if want is not None else cand.rules)
+
+
+@pytest.mark.parametrize("text", [COUNTDOWN, PLUS])
+def test_resumed_search_pairs_only_new_chains(text, monkeypatch):
+    calls = []
+    original = detection.match_recurrent_pattern
+
+    def counting(chain1, chain2):
+        calls.append((chain1.steps[0].rule_id, chain2.steps[0].rule_id))
+        return original(chain1, chain2)
+
+    monkeypatch.setattr(detection, "match_recurrent_pattern", counting)
+    old, new = unfolded_pools(text, 2)[1:]
+    resume = PairSweep()
+    assert find_recurrent_pair(old, old.rules, 1, Semantics.TRS, resume=resume) is None
+    calls.clear()
+    assert find_recurrent_pair(new, new.rules, 1, Semantics.TRS, resume=resume) is None
+    old_ids = {r.id for r in old.rules}
+    assert calls
+    assert not [pair for pair in calls if set(pair) <= old_ids]
+    # the pairs left are those of a full search, in the same order
+    full = [
+        (c1.steps[0].rule_id, c2.steps[0].rule_id)
+        for c1, c2 in root_compatible_pairs(new.rules)
+        if _may_decompose(c1.start, c1.end)
+    ]
+    assert calls == [pair for pair in full if not set(pair) <= old_ids]
+
+
+def test_resume_is_ignored_for_another_pool():
+    resume = PairSweep()
+    plus, minus = unfolded_pools(PLUS, 2)[2], unfolded_pools(MINUS, 2)[2]
+    assert find_recurrent_pair(plus, plus.rules, 1, Semantics.TRS, resume=resume) is None
+    counting = unfolded_pools(COUNTING, 2)[2]
+    # the swept rules are not a prefix of these candidates: a full search
+    got = find_recurrent_pair(counting, counting.rules, 1, Semantics.TRS, resume=resume)
+    assert got == unfiltered_first_hit(counting.rules) is not None
+    assert find_recurrent_pair(minus, minus.rules, 1, Semantics.TRS, resume=resume) is None
+    with pytest.raises(ValueError):
+        find_recurrent_pair(minus, minus.rules, 2, Semantics.TRS, resume=resume)
+
+
+def test_rejected_hit_makes_the_next_depth_search_in_full(monkeypatch):
+    # every prefix fails verification, so each depth's hit is rejected
+    monkeypatch.setattr(analysis, "verify_chain", lambda program, chain: False)
+    searches = []
+    search = analysis.find_recurrent_pair
+
+    def recording(program, candidates, *args, resume=None, **kwargs):
+        swept = len(resume.swept)
+        rp = search(program, candidates, *args, resume=resume, **kwargs)
+        searches.append((list(candidates), swept, rp))
+        return rp
+
+    monkeypatch.setattr(analysis, "find_recurrent_pair", recording)
+    cfg = AnalysisConfig(techniques=("recpair",), unfold_depth=3, timeout=None)
+    v = analyze(trs(COUNTING), cfg)
+    assert v.answer == "MAYBE" and v.stats["rejected"] == ["recpair"] * 4
+    assert len(searches) == 4
+    for (rules, swept, rp), (_, _, before) in zip(searches[1:], searches):
+        assert before is not None and swept == 0
+        assert rp == unfiltered_first_hit(rules) is not None
+
+
+@st.composite
+def shaped_chains(draw):
+    """(u1, v1, shaped): half the time u1 = c1[x, c2[y]] and
+    v1 = c1[c2^n1[x], y] for a random c1, c2 and n1, possibly then
+    perturbed (shaped is True when it was not); else a random pair."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    x, y, z = GEN_VARS
+    x, y = rng.sample([x, y], 2)  # either order of interned ids
+    if draw(st.booleans()):
+        return random_term(rng), random_term(rng), False
+
+    def skeleton(depth, leaves):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(leaves)
+        sym = rng.choice([F2, G1])
+        return App(sym, tuple(skeleton(depth - 1, leaves) for _ in range(sym.arity)))
+
+    hole, hole2 = App(HOLE), App(HOLE2)
+    c1 = App(F2, (skeleton(2, [hole, z, App(A0)]), skeleton(2, [hole2, hole, z, App(B0)])))
+    if HOLE2 not in Context(c1).holes:
+        c1 = App(F2, (c1, hole2))
+    if HOLE not in Context(c1).holes:
+        c1 = App(F2, (hole, c1))
+    if rng.random() < 0.5:
+        c2 = Context(App(G1, (hole,)))
+    else:  # f(s, []) or f([], s), s possibly a second hole
+        args = (skeleton(1, [hole, App(A0)]), hole)
+        c2 = Context(App(F2, args if rng.random() < 0.5 else args[::-1]))
+    tower = x
+    for _ in range(rng.randint(0, 2)):
+        tower = plug(c2, tower)
+    u1 = plug2(Context(c1), x, plug(c2, y))
+    v1 = plug2(Context(c1), tower, y)
+    moves = draw(st.integers(0, 2))
+    for _ in range(moves):
+        side = rng.randrange(2)
+        t = (u1, v1)[side]
+        pos, _ = rng.choice(list(subterms(t)))
+        t = replace_at(t, pos, random_term(rng, 2))
+        u1, v1 = (t, v1) if side == 0 else (u1, t)
+    return u1, v1, moves == 0
+
+
+@pytest.mark.parametrize(
+    "u1, v1, passes",
+    [
+        ("f(x,s(y))", "f(s(x),y)", True),
+        ("f(x,s(y))", "f(x,y)", True),  # n1 = 0: x is where the sides agree
+        ("f(x,s(y),y)", "f(s(x),y,y)", False),  # y also where they agree
+        ("f(x,s(y),x)", "f(s(x),y,x)", False),  # x both differs and agrees
+        ("f(x,s(y),x)", "f(s(x),y,s(s(x)))", False),  # x faces two terms
+        ("f(x,s(y),s(y))", "f(s(x),y,s(y))", False),
+        ("f(x,s(y),g(y))", "f(s(x),y,y)", False),  # two anchors
+        ("f(x,s(y,z))", "f(s(x),y)", False),  # the anchor holds z too
+        ("f(x,y)", "f(s(x),y)", False),  # no anchor
+        ("f(x,s(y))", "g(s(x),y)", False),  # a symbol clash
+        ("f(z,s(y))", "f(x,y)", False),  # a variable facing another
+    ],
+)
+def test_precheck_examples(u1, v1, passes):
+    assert _may_decompose(term(u1), term(v1)) is passes
+    if not passes:
+        assert unfiltered_decompositions(term(u1), term(v1)) == []
+
+
+@given(shaped_chains())
+@settings(max_examples=500, deadline=None)
+def test_precheck_false_means_no_decomposition(pair):
+    u1, v1, shaped = pair
+    decompositions = unfiltered_decompositions(u1, v1)
+    if not _may_decompose(u1, v1):
+        assert decompositions == []
+    if shaped:
+        assert decompositions
+
+
+@pytest.mark.parametrize("text", sorted(SWEEP_SYSTEMS))
+def test_precheck_false_means_no_decomposition_on_pools(text):
+    for u in unfold_trs(trs(text), 2):
+        r = u.rule
+        if not _may_decompose(r.lhs, r.rhs[0]):
+            assert unfiltered_decompositions(r.lhs, r.rhs[0]) == []
+
+
+@pytest.mark.parametrize("text, decomposable", [(PLUS, 97), (MINUS, 0)])
+def test_precheck_passes_exactly_the_decomposable_chains(text, decomposable):
+    pool = unfold_trs(trs(text), 3)
+    passed = [u.rule.id for u in pool if _may_decompose(u.rule.lhs, u.rule.rhs[0])]
+    full = [
+        u.rule.id for u in pool if unfiltered_decompositions(u.rule.lhs, u.rule.rhs[0])
+    ]
+    assert passed == full
+    assert len(full) == decomposable
 
 
 def test_witness_chain_keeps_one_witness_powers():
