@@ -7,6 +7,7 @@ command-line usage, 1 for I/O, parse or resource failures.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -92,6 +93,10 @@ def _config_from_args(args) -> AnalysisConfig:
             raise ValueError("--simulate must be non-negative")
         cfg.simulate_steps = args.simulate
     if args.timeout is not None:
+        # a falsy timeout means "no deadline" to the analysis, and nan
+        # compares false with every clock reading
+        if not (math.isfinite(args.timeout) and args.timeout > 0):
+            raise ValueError("--timeout must be a finite positive number of seconds")
         cfg.timeout = args.timeout
     cfg.raw = args.raw
     return cfg

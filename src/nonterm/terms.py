@@ -9,14 +9,17 @@ Terms share subterms freely (``substitution.apply`` returns unchanged
 subterms as they are), so a term is a DAG whose tree size may be far
 larger than its number of objects.  Each ``App`` caches its hash and its
 tree size on first use, which makes ``term_size`` and ``check_size``
-cost only the nodes not sized before.  Terms are not interned: ``Var``
+cost only the nodes not sized before.  ``Var`` and ``Symbol`` are
+immutable and compute their hash once, when built, so the many dict
+and set lookups of unification, renaming and variant keys cost no
+Python-level tuple per lookup.  Terms are not interned: ``Var``
 equality ignores display names, so a global table would merge ``f(x)``
 and ``f(u)`` from two parses and print the wrong names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import HoleMismatchError, InvalidPositionError, ResourceLimitError
@@ -24,17 +27,45 @@ from .errors import HoleMismatchError, InvalidPositionError, ResourceLimitError
 #: Hard cap on the node count of any constructed term.
 MAX_TERM_SIZE = 10**6
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+def _frozen(self, *args):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class Symbol:
-    name: str
-    arity: int
+    """A function symbol: a non-empty name and an arity.
 
-    def __post_init__(self):
-        if not self.name:
+    Immutable, with its hash ``hash((name, arity))`` computed once.
+    """
+
+    __slots__ = ("name", "arity", "_hash")
+
+    def __init__(self, name: str, arity: int):
+        if not name:
             raise ValueError("symbol name must be non-empty")
-        if self.arity < 0:
+        if arity < 0:
             raise ValueError("arity must be non-negative")
+        _set(self, "name", name)
+        _set(self, "arity", arity)
+        _set(self, "_hash", hash((name, arity)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Symbol:
+            return NotImplemented
+        return self.name == other.name and self.arity == other.arity
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, so that an unpickled symbol rehashes its name
+        return Symbol, (self.name, self.arity)
+
+    __setattr__ = __delattr__ = _frozen
 
     def __repr__(self):
         return f"{self.name}/{self.arity}"
@@ -81,21 +112,36 @@ class Signature:
         return iter(sorted(self._by_name.values(), key=lambda s: s.name))
 
 
-@dataclass(frozen=True)
 class Var:
     """A variable, identified by an interned integer id.
 
     The display name takes no part in equality or hashing, so variants
     that differ only in how variables are printed still compare different
     (ids differ) while a renamed copy of a variable keeps its identity.
+    Immutable, with its hash ``hash((id,))`` computed once.
     """
 
-    id: int
-    name: str = field(default="", compare=False)
+    __slots__ = ("id", "name", "_hash")
 
-    def __post_init__(self):
-        if not self.name:
-            object.__setattr__(self, "name", f"x{self.id}")
+    def __init__(self, id: int, name: str = ""):
+        _set(self, "id", id)
+        _set(self, "name", name or f"x{id}")
+        _set(self, "_hash", hash((id,)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.id == other.id
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Var, (self.id, self.name)
+
+    __setattr__ = __delattr__ = _frozen
 
     def __repr__(self):
         return self.name

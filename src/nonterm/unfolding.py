@@ -20,10 +20,16 @@ each call, depth d+1 starts from the pool, frontier and derivation
 counter that depth d left, instead of from the dependency pairs or the
 program.  A narrowing whose two sides carry different
 function symbols at a shared position is skipped before the rule is
-renamed apart, since no renaming can make them unify.  A rule is renamed
-apart from a parent pair at most once, however many positions of the
-pair it narrows: the renaming depends only on the rule and the pair's
-variables.
+renamed apart, since no renaming can make them unify.
+
+Each derivation is checked for variants before it is built: the pool
+computes the variant key of ``apply(theta, lhs) -> apply(theta, rhs)``
+from the uninstantiated pair and its unifier, and builds the instance,
+the rule and its provenance only when the key is new.  About half of
+all derivations are variants.  Renamings are memoised per ``Unfolding``:
+renaming a rule apart from a pair depends only on the rule and the
+largest variable id of the pair, so each such renamed rule is built once
+per unfolding, however many pairs and positions it narrows.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from typing import Callable, Optional
 
 from .errors import InvalidPositionError, ResourceLimitError
 from .rewriting import Mode, Program, Rule, rename_apart
-from .substitution import Substitution, apply, compose, mgu
+from .substitution import EMPTY_SUBST, Substitution, apply, compose, mgu
 from .terms import (
     App,
     Position,
@@ -162,26 +168,41 @@ def dependency_pairs(r: Program) -> list[UnfoldedRule]:
     return out
 
 
-def _dedup_key(rule: Rule) -> tuple:
-    """A flat variant key: the body length, then the symbols of the head
-    and body in preorder, each variable replaced by the number of its
-    first occurrence.  Two rules get equal keys exactly when their
-    ``canonical`` forms are equal."""
-    key = [len(rule.rhs)]
+def _variant_key(lhs: Term, body: tuple, theta: Substitution) -> tuple:
+    """The flat variant key of the rule ``apply(theta, lhs) -> apply(theta,
+    body)``, computed without building it: the body length, then the
+    symbols of the head and body in preorder, each variable replaced by
+    the number of its first occurrence.  Two rules get equal keys exactly
+    when their ``canonical`` forms are equal.
+
+    A bound variable is replaced by its image as the walk meets it;
+    ``theta`` is idempotent, so the image holds no bound variable."""
+    key = [len(body)]
+    push = key.append
     numbers: dict[Var, int] = {}
+    bound = theta._bindings.get
 
     def walk(t: Term) -> None:
-        if isinstance(t, Var):
-            key.append(numbers.setdefault(t, len(numbers)))
+        if t.__class__ is Var:
+            image = bound(t)
+            if image is None:
+                push(numbers.setdefault(t, len(numbers)))
+            else:
+                walk(image)
         else:
-            key.append(t.symbol)
+            push(t.symbol)
             for a in t.args:
                 walk(a)
 
-    walk(rule.lhs)
-    for t in rule.rhs:
+    walk(lhs)
+    for t in body:
         walk(t)
     return tuple(key)
+
+
+def _dedup_key(rule: Rule) -> tuple:
+    """The variant key of a built rule."""
+    return _variant_key(rule.lhs, rule.rhs, EMPTY_SUBST)
 
 
 class _Pool:
@@ -194,23 +215,46 @@ class _Pool:
         self._derived = 0
 
     def add(self, u: UnfoldedRule) -> Optional[UnfoldedRule]:
-        key = _dedup_key(u.rule)
-        if key in self._keys:
+        if not self._is_new(_dedup_key(u.rule)):
             return None
-        if len(self.items) >= self.cap:
-            raise ResourceLimitError(f"unfolding exceeded {self.cap} rules")
-        self._keys.add(key)
         self.items.append(u)
         return u
 
+    def _is_new(self, key: tuple) -> bool:
+        """Record ``key``; False if a variant had it already.  The key is
+        hashed once, since each hash calls ``Symbol.__hash__`` per symbol.
+        A key recorded just before the cap error stays recorded; that
+        error leaves the unfolding unusable anyway."""
+        keys = self._keys
+        known = len(keys)
+        keys.add(key)
+        if len(keys) == known:
+            return False
+        if len(self.items) >= self.cap:
+            raise ResourceLimitError(f"unfolding exceeded {self.cap} rules")
+        return True
+
     def derive(
-        self, prefix: str, lhs: Term, rhs: tuple, depth: int, provenance: ProvenanceStep
+        self,
+        prefix: str,
+        lhs: Term,
+        rhs: tuple,
+        theta: Substitution,
+        depth: int,
+        step: tuple,
     ) -> Optional[UnfoldedRule]:
-        """Name a derived rule ``<prefix><n>`` and add it; ``n`` counts
-        every derivation, including variants that are dropped."""
+        """Name the rule ``apply(theta, lhs) -> apply(theta, rhs)``
+        ``<prefix><n>`` and add it, with ``ProvenanceStep(*step)``; ``n``
+        counts every derivation, including variants that are dropped.  A
+        variant is dropped before the rule, its instance or its provenance
+        is built."""
         self._derived += 1
-        named = Rule(f"{prefix}{self._derived}", lhs, rhs)
-        return self.add(UnfoldedRule(named, depth, provenance))
+        if not self._is_new(_variant_key(lhs, rhs, theta)):
+            return None
+        named = Rule(f"{prefix}{self._derived}", apply(theta, lhs), apply(theta, rhs))
+        u = UnfoldedRule(named, depth, ProvenanceStep(*step))
+        self.items.append(u)
+        return u
 
 
 class Unfolding:
@@ -221,6 +265,11 @@ class Unfolding:
     calls on one program, at depths that do not decrease: each call then
     unfolds only the depths not done yet.  A call cut short by the rule
     cap leaves the instance unusable.
+
+    ``renamed`` memoises the narrowing rules renamed apart, for this
+    unfolding only: ``Var`` equality ignores display names, so a memo
+    shared between programs would print one program's variable names in
+    another's rules.
     """
 
     def __init__(self):
@@ -228,6 +277,7 @@ class Unfolding:
         self.pool: Optional[_Pool] = None
         self.depth = -1  # deepest depth unfolded
         self.frontier: list[UnfoldedRule] = []  # rules new at that depth
+        self.renamed: dict[tuple[Rule, int], Rule] = {}
 
     def deepen(
         self,
@@ -269,6 +319,7 @@ def _narrowings(
     kinds: tuple[str, ...],
     rules_at: Callable[[Position], list[Rule]],
     allow_var: bool,
+    renamed: Optional[dict[tuple[Rule, int], Rule]] = None,
 ):
     """Every narrowing of the pair ``host``, the one place a pair is
     narrowed.
@@ -278,14 +329,20 @@ def _narrowings(
     ``backward`` the left-hand side with the reversed rule), each
     position of that side in ``iter_positions`` order (a variable
     subterm only if ``allow_var``) and each rule of ``rules_at(pos)`` with
-    one right-hand side, in order: the rule, renamed apart from ``host``
-    at most once per call, is unified with the subterm there.  Yields
-    ``(kind, pos, rule, lhs, rhs, unifier)`` for each unifier found,
-    ``lhs -> rhs`` being the new (unnamed) pair.
+    one right-hand side, in order: the rule, renamed apart from ``host``,
+    is unified with the subterm there.  Yields ``(kind, pos, rule, lhs,
+    rhs, unifier)`` for each unifier found, the new (unnamed) pair being
+    ``apply(unifier, lhs) -> apply(unifier, rhs)``.
+
+    The renaming of a rule depends only on the rule and the largest
+    variable id of ``host``, so it is built once per such key, in
+    ``renamed`` if given, else once per call.
     """
     lhs, rhs = host.lhs, host.rhs[0]
     avoid = term_vars(lhs) | term_vars(rhs)
-    renamed: dict[Rule, Rule] = {}
+    top = max([v.id for v in avoid], default=-1)
+    if renamed is None:
+        renamed = {}
     for kind in kinds:
         forward = kind.endswith("forward")
         side, other = (rhs, lhs) if forward else (lhs, rhs)
@@ -297,16 +354,15 @@ def _narrowings(
                     sub, with_rule.lhs if forward else with_rule.rhs[0]
                 ):
                     continue
-                fresh = renamed.get(with_rule)
+                fresh = renamed.get((with_rule, top))
                 if fresh is None:
-                    fresh = renamed[with_rule] = rename_apart(with_rule, avoid)
+                    fresh = renamed[with_rule, top] = rename_apart(with_rule, avoid)
                 src, dst = fresh.lhs, fresh.rhs[0]
                 theta = mgu(sub, src if forward else dst)
                 if theta is None:
                     continue
-                new = apply(theta, replace_at(side, pos, dst if forward else src))
-                old = apply(theta, other)
-                pair = (old, new) if forward else (new, old)
+                new = replace_at(side, pos, dst if forward else src)
+                pair = (other, new) if forward else (new, other)
                 yield kind, pos, with_rule, *pair, theta
 
 
@@ -340,10 +396,10 @@ def unfold_trs(
         new = []
         for parent in state.frontier:
             for kind, pos, with_rule, lhs, rhs, theta in _narrowings(
-                parent.rule, ("forward", "backward"), rules_at, True
+                parent.rule, ("forward", "backward"), rules_at, True, state.renamed
             ):
-                step = ProvenanceStep(kind, (parent.rule.id, with_rule.id), pos, theta)
-                added = pool.derive("u", lhs, (rhs,), depth, step)
+                step = (kind, (parent.rule.id, with_rule.id), pos, theta)
+                added = pool.derive("u", lhs, (rhs,), theta, depth, step)
                 if added is not None:
                     new.append(added)
         return new
@@ -389,10 +445,10 @@ def overlap_closure(
                     (("oc-backward",), b.rule, a.rule),
                 ):
                     for kind, pos, _, lhs, rhs, theta in _narrowings(
-                        host, kinds, lambda pos: (with_rule,), False
+                        host, kinds, lambda pos: (with_rule,), False, state.renamed
                     ):
-                        step = ProvenanceStep(kind, (a.rule.id, b.rule.id), pos, theta)
-                        added = pool.derive("oc", lhs, (rhs,), depth, step)
+                        step = (kind, (a.rule.id, b.rule.id), pos, theta)
+                        added = pool.derive("oc", lhs, (rhs,), theta, depth, step)
                         if added is not None:
                             new.append(added)
         return new
@@ -483,8 +539,8 @@ def binary_unfold(
         lhs, rhs, unifier = out
         if binr is not None:
             used, dmax = used + (binr.rule.id,), max(dmax, binr.depth)
-        step = ProvenanceStep(kind, (rule.id,) + used, (i,), unifier)
-        state.pool.derive("b", lhs, rhs, dmax + 1, step)
+        step = (kind, (rule.id,) + used, (i,), unifier)
+        state.pool.derive("b", lhs, rhs, EMPTY_SUBST, dmax + 1, step)
 
     # Iteration j combines only rules of earlier iterations, so every rule
     # it emits has depth at most j.
@@ -554,8 +610,8 @@ def replay_provenance(
         host, with_rule = parents[::-1] if pv.kind == "oc-backward" else parents
         at = lambda pos: (with_rule,) if pos == pv.position else ()  # noqa: E731
         allow_var = not pv.kind.startswith("oc")
-        for _, _, _, lhs, rhs, _ in _narrowings(host, (pv.kind,), at, allow_var):
-            return Rule(u.rule.id, lhs, (rhs,))
+        for _, _, _, lhs, rhs, theta in _narrowings(host, (pv.kind,), at, allow_var):
+            return Rule(u.rule.id, apply(theta, lhs), (apply(theta, rhs),))
         return None
     if pv.kind.startswith("binunf"):
         rule, *used = parents

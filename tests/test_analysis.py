@@ -175,6 +175,20 @@ def test_cli_maybe_exit_zero(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "MAYBE"
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_cli_rejects_a_timeout_that_is_not_finite_and_positive(tmp_path, capsys, value):
+    # to the analysis 0 and nan would mean no deadline, -1 one already passed
+    f = write(
+        tmp_path,
+        "t.trs",
+        "(VAR x y)(RULES plus(zero,x) -> x plus(s(x),y) -> s(plus(x,y)))",
+    )
+    assert main([f, "--timeout", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --timeout must be a finite positive number" in captured.err
+
+
 def test_cli_parse_error(tmp_path, capsys):
     f = write(tmp_path, "bad.trs", "(RULES f( -> g)")
     assert main([f]) == 1

@@ -1,5 +1,6 @@
 """Properties of the term core: ``App`` equality, hash and size caches,
-and ``apply``'s sharing of the subterms a substitution leaves unchanged."""
+``apply``'s sharing of the subterms a substitution leaves unchanged, and
+the immutable leaf classes ``Var`` and ``Symbol``."""
 
 import copy
 import os
@@ -249,3 +250,90 @@ def test_term_size_counts_every_occurrence():
     t = App(f, (App(f, (x, a)), App(f, (x, a))))
     assert term_size(t) == 7
     assert term_size(t) == 7  # cached
+
+
+# ---------------------------------------------------------------------------
+# The leaf classes: Var and Symbol hash once, as the frozen dataclasses
+# they replaced did, and cannot be changed.
+
+names = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=4)
+
+
+@given(st.integers(-5, 10**6), names, st.integers(0, 5))
+def test_leaf_hashes_equal_the_dataclass_hashes(i, name, arity):
+    assert hash(Var(i, name)) == hash((i,))
+    assert hash(Var(i)) == hash((i,))
+    assert hash(Symbol(name, arity)) == hash((name, arity))
+
+
+@given(st.integers(0, 50), names, names)
+def test_var_equality_ignores_names(i, a, b):
+    assert Var(i, a) == Var(i, b) and not Var(i, a) != Var(i, b)
+    assert Var(i, a) != Var(i + 1, a) and not Var(i, a) == Var(i + 1, a)
+    assert len({Var(i, a), Var(i, b)}) == 1
+    assert Var(i, a).name == a and Var(i).name == f"x{i}"
+
+
+@given(names, st.integers(0, 3))
+def test_symbol_equality_is_by_name_and_arity(name, arity):
+    assert Symbol(name, arity) == Symbol(name, arity)
+    assert Symbol(name, arity) != Symbol(name, arity + 1)
+    assert Symbol(name, arity) != Symbol(name + "'", arity)
+
+
+@given(terms())
+@settings(max_examples=100, deadline=None)
+def test_leaves_are_never_equal_to_an_app_or_to_each_other(t):
+    sym = Symbol("a", 0)
+    for node in nodes(t):
+        if isinstance(node, App):
+            for leaf in (*GEN_VARS, node.symbol):
+                assert leaf != node and node != leaf
+                assert not leaf == node and not node == leaf
+    assert Var(0, "a") != sym and sym != Var(0, "a")
+    # another class gets NotImplemented, never an answer of its own
+    assert Var(0).__eq__(App(sym)) is NotImplemented
+    assert sym.__eq__(App(sym)) is NotImplemented
+    assert Var(0) != (0,) and sym != ("a", 0)
+
+
+@pytest.mark.parametrize(
+    "leaf, field",
+    [(Var(0, "x"), f) for f in ("id", "name", "_hash")]
+    + [(Symbol("f", 1), f) for f in ("name", "arity", "_hash")],
+)
+def test_assigning_to_a_leaf_raises(leaf, field):
+    before = (repr(leaf), hash(leaf))
+    with pytest.raises(AttributeError):
+        setattr(leaf, field, 7)
+    with pytest.raises(AttributeError):
+        delattr(leaf, field)
+    with pytest.raises(AttributeError):
+        leaf.other = 7
+    assert (repr(leaf), hash(leaf)) == before
+
+
+def test_invalid_symbols_raise():
+    with pytest.raises(ValueError):
+        Symbol("", 0)
+    with pytest.raises(ValueError):
+        Symbol("f", -1)
+
+
+def test_pickled_leaves_hash_like_fresh_ones_in_another_process():
+    # a Symbol's hash mixes in its name's str hash, which differs between
+    # processes: an unpickled Symbol must hash its name again
+    script = (
+        "import pickle, sys\n"
+        "from nonterm.terms import Symbol, Var\n"
+        "leaves = (Symbol('f', 1), Var(3, 'y'))\n"
+        "sys.stdout.buffer.write(pickle.dumps(leaves))\n"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="12345")
+    env["PYTHONPATH"] = str(Path(nonterm.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, check=True
+    ).stdout
+    sym, var = pickle.loads(out)
+    assert sym in {Symbol("f", 1)} and hash(sym) == hash(("f", 1))
+    assert var in {Var(3)} and var.name == "y" and hash(var) == hash((3,))

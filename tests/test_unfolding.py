@@ -8,7 +8,7 @@ from conftest import lp, random_term, term, trs
 from test_substitution import terms
 from nonterm.errors import ResourceLimitError
 from nonterm.rewriting import Mode, Rule, Semantics, rename_apart, run_word
-from nonterm.substitution import Substitution, mgu
+from nonterm.substitution import Substitution, apply, mgu
 from nonterm.terms import App, Symbol, Var, canonical, is_variant, render, term_vars
 from nonterm.unfolding import (
     MarkedSignature,
@@ -16,6 +16,7 @@ from nonterm.unfolding import (
     Unfolding,
     _clash,
     _dedup_key,
+    _variant_key,
     binary_unfold,
     defined_symbols,
     dependency_pairs,
@@ -407,3 +408,59 @@ def test_dedup_key_equal_exactly_when_canonical_equal(pair):
 def test_dedup_key_lp_rules(a, b):
     ra, rb = lp(a).rules[0], lp(b).rules[0]
     assert (_dedup_key(ra) == _dedup_key(rb)) == (_old_key(ra) == _old_key(rb))
+
+
+@st.composite
+def instantiated_rules(draw):
+    """Two (lhs, body, theta) triples, theta the mgu of two random terms
+    (or empty if they have none); half the time the second is the first
+    renamed, so that the two instances are variants."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def triple():
+        lhs = random_term(rng, 3)
+        body = tuple(random_term(rng, 2) for _ in range(rng.randint(0, 2)))
+        theta = mgu(random_term(rng, 2), random_term(rng, 2)) or Substitution()
+        return lhs, body, theta
+
+    a = triple()
+    if not draw(st.booleans()):
+        return a, triple()
+    ids = list(range(3))
+    rng.shuffle(ids)
+    gamma = Substitution({Var(i): Var(10 + ids[i]) for i in range(3)})
+    lhs, body, theta = a
+    renamed = {apply(gamma, v): apply(gamma, t) for v, t in theta.bindings.items()}
+    return a, (apply(gamma, lhs), apply(gamma, body), Substitution(renamed))
+
+
+def _instance(lhs, body, theta):
+    """The built rule as one goal: its head, then its body."""
+    return (apply(theta, lhs),) + apply(theta, body)
+
+
+@given(instantiated_rules())
+@settings(max_examples=500, deadline=None)
+def test_variant_key_is_the_key_of_the_built_instance(pair):
+    for lhs, body, theta in pair:
+        head, *built = _instance(lhs, body, theta)
+        key = _variant_key(lhs, body, theta)
+        assert key == _variant_key(head, tuple(built), Substitution())
+        assert key == _dedup_key(Rule("r", head, tuple(built)))
+    a, b = pair
+    same_key = _variant_key(*a) == _variant_key(*b)
+    assert same_key == (canonical(_instance(*a)) == canonical(_instance(*b)))
+
+
+def test_each_unfolding_prints_only_its_own_variable_names():
+    # the two parses are equal up to display names, which Var equality
+    # ignores: a renaming memo shared between them would print one
+    # parse's names in the other's pool
+    for name in ("x", "u"):
+        pool = unfold_trs(trs(f"f(s({name})) -> f({name})", variables=name), 3)
+        assert any(u.provenance.kind != "dp" for u in pool)
+        for u in pool:
+            shown = {v.name for v in u.rule.all_vars()}
+            for v, t in u.provenance.unifier.bindings.items():
+                shown |= {v.name} | {w.name for w in term_vars(t)}
+            assert shown and all(n.rstrip("0123456789") == name for n in shown), repr(u)
