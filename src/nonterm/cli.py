@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .analysis import AnalysisConfig, analyze, emit_certificate, unfold
 from .errors import NontermError, ParseError
-from .parsing import parse_lp, parse_trs, render_program
+from .parsing import parse_program, render_program
 from .rewriting import Mode
 from .unfolding import unfolded_program
 
@@ -108,7 +108,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = _config_from_args(args)
         mode = _infer_mode(args.file, args.format)
         text = Path(args.file).read_text()
-        program = (parse_trs if mode is Mode.TRS else parse_lp)(text)
+        program = parse_program(text, mode)
         if args.emit_unfolded:
             pool = unfold(program, cfg.unfold_depth, cfg.rule_cap)
             unfolded = unfolded_program(pool, mode)

@@ -14,6 +14,10 @@ infinite chain alternating the two words; ``witness_chain`` materializes
 its prefix with exact exponent bookkeeping.  ``find_recurrent_pair``
 skips every first chain that fails ``_may_decompose``, a walk over its
 two sides that rules out a decomposition without building a context.
+For a chain that passes, what the walk found fixes the decompositions:
+the variable that differs and the term facing it, and the anchor.  A
+partner is matched with one walk over each of its sides, and a tower
+layer is peeled with a walk over the context, building no term.
 Given a ``PairSweep``, it also skips the pairs of two candidates an
 earlier search over a shorter pool already swept with no hit
 (semi-naive evaluation), which keeps the first hit the same.
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from operator import is_
 from typing import Optional, Sequence, Union
 
-from .errors import InvalidPositionError, UnrollError
+from .errors import UnrollError
 from .rewriting import (
     Chain,
     Program,
@@ -53,9 +57,8 @@ from .terms import (
     hole_positions,
     plug,
     plug2,
-    render,
+    replace_all,
     replace_at,
-    subterm_at,
     subterms,
     term_vars,
 )
@@ -176,10 +179,10 @@ def _find_term_embedding(kind, source: Term, target: Term, full_context):
 def _find_goal_embedding(kind, source: Goal, target: Goal, full_context):
     n = len(target)
     if full_context:
+        # by start, then by length
         windows = [
             (i, j) for i in range(n + 1) for j in range(i, n + 1)
         ]
-        windows.sort(key=lambda w: (w[0], w[1] - w[0]))
     else:
         windows = [(0, n)]
     for i, j in windows:
@@ -249,14 +252,10 @@ def find_loop(
 
 
 def _strip_layer(t: Term, c2: Context) -> Optional[Term]:
-    """Inner term u with c2[u] = t, or None."""
-    hp = hole_positions(c2)[0]
-    try:
-        inner = subterm_at(t, hp)
-    except InvalidPositionError:
-        return None
-    if plug(c2, inner) == t:
-        return inner
+    """Inner term u with c2[u] = t, or None; builds no term."""
+    res: list[Term] = []
+    if _walk_template(c2.body, t, {}, {}, res, [], loose=False) and _all_equal(res):
+        return res[0]
     return None
 
 
@@ -269,14 +268,6 @@ def _peel_stages(t: Term, c2: Context, limit: int = 500) -> list[Term]:
             break
         stages.append(nxt)
     return stages
-
-
-def _replace_occurrences(t: Term, needle: Term, repl: Term) -> Term:
-    if t == needle:
-        return repl
-    if isinstance(t, Var):
-        return t
-    return App(t.symbol, tuple(_replace_occurrences(a, needle, repl) for a in t.args))
 
 
 def _ground_template(c: Term) -> bool:
@@ -334,16 +325,6 @@ def _walk_template(
     )
 
 
-def _match_against_context(
-    c1: Context, t: Term, var_map: dict[Var, Var]
-) -> Optional[tuple[list[Term], list[Term]]]:
-    res1: list[Term] = []
-    res2: list[Term] = []
-    if not _walk_template(c1.body, t, var_map, {}, res1, res2, loose=False):
-        return None
-    return res1, res2
-
-
 def _all_equal(items: list) -> bool:
     return all(x == items[0] for x in items[1:])
 
@@ -361,11 +342,11 @@ def match_recurrent_pattern(
 ) -> Optional[RecurrentPair]:
     """Decompose two one-word chains into a recurrent pair, if possible.
 
-    Enumeration is canonical: variable pairs ordered by interned id,
-    anchor subterms from the innermost outwards, tower exponents
-    ascending; the first decomposition satisfying all side conditions
-    wins.  The first chain's half of the decomposition is computed once
-    and reused while consecutive calls share that chain.
+    Enumeration is canonical: the first chain fixes y and the anchor,
+    and x where it differs, else x in order of interned id; tower
+    exponents ascending; the first decomposition satisfying all side
+    conditions wins.  The first chain's half of the decomposition is
+    computed once and reused while consecutive calls share that chain.
     """
     global _decomposed
     ends = (chain1.start, chain1.end, chain2.start, chain2.end)
@@ -382,32 +363,17 @@ def match_recurrent_pattern(
     return None
 
 
-def _anchor_candidates(u1: Term) -> dict[Var, list[Term]]:
-    """For each variable y, the subterms of u1 containing y and no other
-    variable, smallest first."""
-    by_var: dict[Var, list[Term]] = {}
-    for _, sub in subterms(u1):
-        if not isinstance(sub, App):
-            continue
-        vs = term_vars(sub)
-        if len(vs) == 1:
-            seen = by_var.setdefault(next(iter(vs)), [])
-            if sub not in seen:
-                seen.append(sub)
-    for seen in by_var.values():
-        seen.sort(key=lambda t: len(render(t)))
-    return by_var
-
-
-def _may_decompose(u1: Term, v1: Term) -> bool:
-    """False when no (x, y, c1, c2, n1) has u1 = c1[x, c2[y]] and
-    v1 = c1[c2^n1[x], y]; walks the two terms once and builds nothing.
+def _may_decompose(u1: Term, v1: Term) -> Optional[tuple]:
+    """None when no (x, y, c1, c2, n1) has u1 = c1[x, c2[y]] and
+    v1 = c1[c2^n1[x], y]; else ``(x, t, d, y)``, what one walk over the
+    two terms found where they differ.  Builds nothing.
 
     Where u1 and v1 differ, they differ below c1's holes: a topmost
-    differing position holds x in u1, facing the one term c2^n1[x] in v1
-    (n1 > 0), or the anchor d = c2[y] over y alone, facing y; d occurs at
-    least once.  Neither x (if it differs at all) nor y occurs where the
-    two terms agree, since every occurrence of either is a hole of c1.
+    differing position holds x in u1, facing the one term t = c2^n1[x] in
+    v1 (n1 > 0), or the anchor d = c2[y] over y alone, facing y; d occurs
+    at least once.  x and t are None when no variable differs (n1 = 0).
+    Neither x (if it differs at all) nor y occurs where the two terms
+    agree, since every occurrence of either is a hole of c1.
     """
     differ: set = set()
     agree: list = []
@@ -419,57 +385,52 @@ def _may_decompose(u1: Term, v1: Term) -> bool:
         elif isinstance(s, App) and isinstance(t, App) and s.symbol == t.symbol:
             stack.extend(zip(s.args, t.args))
         elif isinstance(s, Var) is isinstance(t, Var):
-            return False  # a variable facing another, or a symbol clash
+            return None  # a variable facing another, or a symbol clash
         else:
             differ.add((s, t))
             if len(differ) > 2:
-                return False
-    x = [s for s, _ in differ if isinstance(s, Var)]
-    d = [(s, t) for s, t in differ if isinstance(t, Var)]
-    if len(x) > 1 or len(d) != 1:
-        return False
-    d, y = d[0]
+                return None
+    xs = [(s, t) for s, t in differ if isinstance(s, Var)]
+    ds = [(s, t) for s, t in differ if isinstance(t, Var)]
+    if len(xs) > 1 or len(ds) != 1:
+        return None
+    (d, y), = ds
     if term_vars(d) != {y}:
-        return False
+        return None
+    # the variables of u1 are y, x if it differs, and those of ``shared``
     shared = term_vars(tuple(agree))
-    if x:
-        return x[0] != y and y not in shared and x[0] not in shared
-    return y not in shared and len(term_vars(u1)) > 1
+    if y in shared:
+        return None
+    if xs:
+        (x, t), = xs
+        return None if x == y or x in shared else (x, t, d, y)
+    return (None, None, d, y) if shared else None
 
 
 def _first_chain_decompositions(u1, v1) -> list[tuple]:
     """Every (x, y, c1, c2, n1) with u1 = c1[x, c2[y]] and
-    v1 = c1[c2^n1[x], y], in canonical order."""
-    if not _may_decompose(u1, v1):
+    v1 = c1[c2^n1[x], y], in canonical order, read off the precheck.
+
+    A differing x gives at most one: n1 is the number of c2 layers peeled
+    off the term facing x down to x.  Otherwise each other variable of u1
+    is an x with n1 = 0, in order of interned id.
+    """
+    found = _may_decompose(u1, v1)
+    if found is None:
         return []
-    anchors = _anchor_candidates(u1)
-    u1_vars = sorted(term_vars(u1), key=lambda v: v.id)
-    out = []
-    for x in u1_vars:
-        for y in u1_vars:
-            if x == y:
-                continue
-            for d in anchors.get(y, ()):
-                body = _replace_occurrences(u1, d, App(HOLE2))
-                body = _replace_occurrences(body, x, App(HOLE))
-                # d holds no variable but y, so x survives outside d and
-                # becomes the hole, and c2 is ground; y may occur outside d
-                rest = term_vars(body)
-                if y in rest:
-                    continue
-                c1 = Context(body)
-                c2 = Context(_replace_occurrences(d, y, App(HOLE)))
-                got = _match_against_context(c1, v1, {v: v for v in rest})
-                if got is None:
-                    continue
-                res1, res2 = got
-                if not (_all_equal(res1) and _all_equal(res2) and res2[0] == y):
-                    continue
-                stages = _peel_stages(res1[0], c2)
-                n1 = next((n for n, st in enumerate(stages) if st == x), None)
-                if n1 is not None:
-                    out.append((x, y, c1, c2, n1))
-    return out
+    x, t, d, y = found
+    c2 = Context(replace_all(d, {y: App(HOLE)}))
+    if x is None:
+        xs, n1 = sorted(term_vars(u1) - {y}, key=lambda v: v.id), 0
+    else:
+        xs = [x]
+        n1 = next((n for n, st in enumerate(_peel_stages(t, c2)) if st == x), None)
+        if n1 is None:
+            return []
+    return [
+        (x, y, Context(replace_all(u1, {d: App(HOLE2), x: App(HOLE)})), c2, n1)
+        for x in xs
+    ]
 
 
 def _match_partner(chain1: Chain, chain2: Chain, x, y, c1, c2, n1):
@@ -478,28 +439,28 @@ def _match_partner(chain1: Chain, chain2: Chain, x, y, c1, c2, n1):
     u2, v2 = chain2.start, chain2.end
     # u2 = c1[x', c2^n2[s]] with x' a variable and s ground, possibly
     # after instantiating some of the second chain's variables with
-    # ground content taken from the skeleton (loose passes)
+    # ground content taken from the skeleton.  Each side is walked once,
+    # loosely; a strict walk of the instantiated side would succeed
+    # unless the instantiation binds a variable that a skeleton variable
+    # was renamed to, and would find the instantiated residues.
     var_map: dict[Var, Var] = {}
     bindings: dict[Var, Term] = {}
-    if not _walk_template(c1.body, u2, var_map, bindings, [], [], loose=True):
+    res1: list[Term] = []
+    res2: list[Term] = []
+    r1: list[Term] = []
+    r2: list[Term] = []
+    if not _walk_template(c1.body, u2, var_map, bindings, res1, res2, loose=True):
         return None
-    if not _walk_template(c1.body, v2, var_map, bindings, [], [], loose=True):
+    if not _walk_template(c1.body, v2, var_map, bindings, r1, r2, loose=True):
+        return None
+    if any(v in bindings for v in var_map.values()):
         return None
     sigma = Substitution(bindings)
-    got = _match_against_context(c1, apply(sigma, u2), var_map)
-    if got is None:
-        return None
-    res1, res2 = got
-    if not (_all_equal(res1) and _all_equal(res2)):
+    res1, res2, r1, r2 = (apply(sigma, tuple(r)) for r in (res1, res2, r1, r2))
+    if not all(map(_all_equal, (res1, res2, r1, r2))):
         return None
     x2 = res1[0]
     if not isinstance(x2, Var) or term_vars(res2[0]):
-        return None
-    got2 = _match_against_context(c1, apply(sigma, v2), var_map)
-    if got2 is None:
-        return None
-    r1, r2 = got2
-    if not (_all_equal(r1) and _all_equal(r2)):
         return None
     stages4 = _peel_stages(r2[0], c2)
     n4 = next((n for n, st in enumerate(stages4) if st == x2), None)
@@ -608,18 +569,17 @@ def find_recurrent_pair(
     if resume is not None:
         resume.swept = ()
 
-    # Every component of a recurrent pair shares the root symbol of c1,
-    # and the first chain needs two distinct variables to instantiate.
+    # Every component of a recurrent pair shares the root symbol of c1.
+    # A first chain that passes the precheck has one root symbol on both
+    # sides and two distinct variables to instantiate.
     def root(t):
         return t.symbol if isinstance(t, App) else None
 
     new = chains[old:]  # the partners of an old first chain
     for i, c1 in enumerate(chains):
-        r = root(c1.start)
-        if r is None or root(c1.end) != r or len(term_vars(c1.start)) < 2:
-            continue
         if not _may_decompose(c1.start, c1.end):
             continue
+        r = c1.start.symbol
         for c2 in new if i < old else chains:
             if root(c2.start) != r or root(c2.end) != r:
                 continue

@@ -310,12 +310,16 @@ class Context:
 EMPTY_CONTEXT = Context(App(HOLE))
 
 
-def _replace_symbol(t: Term, sym: Symbol, u: Term) -> Term:
+def replace_all(t: Term, repl: dict[Term, Term]) -> Term:
+    """``t`` with every occurrence of a subterm that is a key of ``repl``
+    replaced by its value; a hole is the subterm ``App(HOLE)``.  The
+    values are not walked."""
+    out = repl.get(t)
+    if out is not None:
+        return out
     if isinstance(t, Var):
         return t
-    if t.symbol == sym:
-        return u
-    return App(t.symbol, tuple(_replace_symbol(a, sym, u) for a in t.args))
+    return App(t.symbol, tuple(replace_all(a, repl) for a in t.args))
 
 
 def plug(c: Context, t: Term) -> Term:
@@ -325,15 +329,14 @@ def plug(c: Context, t: Term) -> Term:
         raise HoleMismatchError("context has no hole")
     if HOLE2 in holes:
         raise HoleMismatchError("two-hole context requires plug2")
-    return check_size(_replace_symbol(c.body, HOLE, t))
+    return check_size(replace_all(c.body, {App(HOLE): t}))
 
 
 def plug2(c: Context, t: Term, t2: Term) -> Term:
     """Fill both holes of a two-hole context."""
     if not c.is_two_hole:
         raise HoleMismatchError("plug2 requires a two-hole context")
-    out = _replace_symbol(_replace_symbol(c.body, HOLE, t), HOLE2, t2)
-    return check_size(out)
+    return check_size(replace_all(c.body, {App(HOLE): t, App(HOLE2): t2}))
 
 
 def hole_positions(c: Context, sym: Symbol = HOLE) -> list[Position]:

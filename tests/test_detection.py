@@ -1,6 +1,6 @@
 import copy
 import random
-from unittest import mock
+from operator import is_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +18,13 @@ from nonterm.detection import (
     Budget,
     EmbeddingKind,
     PairSweep,
+    RecurrentPair,
+    _all_equal,
     _first_chain_decompositions,
+    _match_partner,
     _may_decompose,
+    _peel_stages,
+    _walk_template,
     find_embedding,
     find_loop,
     find_recurrent_pair,
@@ -37,9 +42,9 @@ from nonterm.rewriting import (
     rewrite_at,
     verify_chain,
 )
-from nonterm.errors import ResourceLimitError, UnrollError
+from nonterm.errors import InvalidPositionError, ResourceLimitError, UnrollError
 from nonterm.parsing import parse_trs
-from nonterm.substitution import Substitution, apply
+from nonterm.substitution import Substitution, apply, compose
 from nonterm.terms import (
     App,
     Context,
@@ -51,8 +56,12 @@ from nonterm.terms import (
     plug,
     plug2,
     render,
+    replace_all,
     replace_at,
+    subterm_at,
     subterms,
+    Symbol,
+    Var,
     term_vars,
 )
 from nonterm.unfolding import Unfolding, binary_unfold, unfold_trs, unfolded_program
@@ -549,23 +558,130 @@ SWEEP_SYSTEMS = {COUNTDOWN: 3, COUNTING: 3, PLUS: 3, MINUS: 3, PAPER_TRS: 2}
 
 
 def unfiltered_decompositions(u1, v1):
-    """_first_chain_decompositions with the precheck switched off."""
-    with mock.patch.object(detection, "_may_decompose", lambda u, v: True):
-        return _first_chain_decompositions(u1, v1)
+    """The enumeration the precheck's findings replaced, kept as an
+    oracle: every variable pair (x, y) of u1 in id order and every
+    anchor over y alone, smallest first, each checked by a strict walk
+    of v1, with no precheck."""
+    anchors = {}
+    for _, sub in subterms(u1):
+        vs = term_vars(sub)
+        if isinstance(sub, App) and len(vs) == 1:
+            seen = anchors.setdefault(next(iter(vs)), [])
+            if sub not in seen:
+                seen.append(sub)
+    for seen in anchors.values():
+        seen.sort(key=lambda t: len(render(t)))
+    u1_vars = sorted(term_vars(u1), key=lambda v: v.id)
+    out = []
+    for x in u1_vars:
+        for y in u1_vars:
+            for d in anchors.get(y, ()) if x != y else ():
+                body = replace_all(replace_all(u1, {d: App(HOLE2)}), {x: App(HOLE)})
+                rest = term_vars(body)
+                if y in rest:
+                    continue
+                c1, c2 = Context(body), Context(replace_all(d, {y: App(HOLE)}))
+                got = strict_residues(c1, v1, {v: v for v in rest})
+                if got is None:
+                    continue
+                res1, res2 = got
+                if not (_all_equal(res1) and _all_equal(res2) and res2[0] == y):
+                    continue
+                n1 = first_stage(reference_peel(res1[0], c2), x)
+                if n1 is not None:
+                    out.append((x, y, c1, c2, n1))
+    return out
+
+
+def strict_residues(c1, t, var_map):
+    res1, res2 = [], []
+    if not _walk_template(c1.body, t, var_map, {}, res1, res2, loose=False):
+        return None
+    return res1, res2
+
+
+def reference_peel(t, c2):
+    """_peel_stages with each layer peeled by plugging c2 and comparing."""
+    stages = [t]
+    while len(stages) <= 500:
+        try:
+            inner = subterm_at(stages[-1], hole_positions(c2)[0])
+        except InvalidPositionError:
+            break
+        if plug(c2, inner) != stages[-1]:
+            break
+        stages.append(inner)
+    return stages
+
+
+def first_stage(stages, target):
+    return next((n for n, st in enumerate(stages) if st == target), None)
+
+
+def reference_match_partner(chain1, chain2, x, y, c1, c2, n1):
+    """_match_partner as four walks, kept as an oracle: both sides
+    loosely, then each instantiated side strictly."""
+    u2, v2 = chain2.start, chain2.end
+    var_map, bindings = {}, {}
+    if not _walk_template(c1.body, u2, var_map, bindings, [], [], loose=True):
+        return None
+    if not _walk_template(c1.body, v2, var_map, bindings, [], [], loose=True):
+        return None
+    sigma = Substitution(bindings)
+    got = strict_residues(c1, apply(sigma, u2), var_map)
+    if got is None or not (_all_equal(got[0]) and _all_equal(got[1])):
+        return None
+    x2, s_tower = got[0][0], got[1][0]
+    if not isinstance(x2, Var) or term_vars(s_tower):
+        return None
+    got = strict_residues(c1, apply(sigma, v2), var_map)
+    if got is None or not (_all_equal(got[0]) and _all_equal(got[1])):
+        return None
+    n4 = first_stage(reference_peel(got[1][0], c2), x2)
+    if n4 is None:
+        return None
+    stages3 = reference_peel(got[0][0], c2)
+    for n2, s in enumerate(reference_peel(s_tower, c2)[: n4 + 1]):
+        for n3, base in enumerate(stages3):
+            if base not in (x2, s):
+                continue
+            ren = {x2: x}
+            ren.update((uv, cv) for cv, uv in var_map.items() if uv != cv)
+            chain2r = chain2.instantiate(compose(sigma, Substitution(ren)))
+            semantics = chain1.steps[0].semantics
+            t_is_s = base != x2
+            return RecurrentPair(
+                chain1, chain2r, c1, c2, n1, n2, n3, n4, s, t_is_s, x, y, semantics
+            )
+    return None
+
+
+def reference_matches(rules):
+    """(first, second, decompositions of the first, recurrent pair) for
+    every root-compatible pair in canonical order, from the oracles
+    above; a first chain with no decomposition has no pair to yield."""
+    chains = [one_step_chain(r) for r in rules if r.trs_usable]
+    for c1 in chains:
+        decompositions = unfiltered_decompositions(c1.start, c1.end)
+        if not decompositions:
+            continue
+        r = c1.start.symbol
+        for c2 in chains:
+            if all(isinstance(t, App) and t.symbol == r for t in (c2.start, c2.end)):
+                yield c1, c2, decompositions, reference_match(c1, c2, decompositions)
+
+
+def reference_match(chain1, chain2, decompositions):
+    hits = (reference_match_partner(chain1, chain2, *dec) for dec in decompositions)
+    return next((rp for rp in hits if rp is not None), None)
 
 
 def unfiltered_first_hit(rules):
     """The search before the precheck and the resume, kept as an oracle:
     every root-compatible pair in canonical order, each decomposed in
     full."""
-    try:
-        with mock.patch.object(detection, "_may_decompose", lambda u, v: True):
-            pairs = root_compatible_pairs(rules)
-            hits = (match_recurrent_pattern(c1, c2) for c1, c2 in pairs)
-            return next((rp for rp in hits if rp is not None), None)
-    finally:
-        # drop the unfiltered decomposition the one-slot memo kept
-        detection._decomposed = (None, None, [])
+    hits = (rp for _, _, _, rp in reference_matches(rules))
+    return next((rp for rp in hits if rp is not None), None)
 
 
 def unfolded_pools(text, depth):
@@ -708,7 +824,7 @@ def shaped_chains(draw):
     ],
 )
 def test_precheck_examples(u1, v1, passes):
-    assert _may_decompose(term(u1), term(v1)) is passes
+    assert (_may_decompose(term(u1), term(v1)) is not None) is passes
     if not passes:
         assert unfiltered_decompositions(term(u1), term(v1)) == []
 
@@ -720,6 +836,9 @@ def test_precheck_false_means_no_decomposition(pair):
     decompositions = unfiltered_decompositions(u1, v1)
     if not _may_decompose(u1, v1):
         assert decompositions == []
+    else:  # so find_recurrent_pair needs no filter of its own
+        roots = {t.symbol if isinstance(t, App) else None for t in (u1, v1)}
+        assert None not in roots and len(roots) == 1 and len(term_vars(u1)) >= 2
     if shaped:
         assert decompositions
 
@@ -741,6 +860,57 @@ def test_precheck_passes_exactly_the_decomposable_chains(text, decomposable):
     ]
     assert passed == full
     assert len(full) == decomposable
+
+
+@given(shaped_chains())
+@settings(max_examples=500, deadline=None)
+def test_decompositions_match_the_reference_enumeration(pair):
+    u1, v1, _ = pair
+    assert _first_chain_decompositions(u1, v1) == unfiltered_decompositions(u1, v1)
+
+
+@pytest.mark.parametrize("text", sorted(SWEEP_SYSTEMS))
+def test_partner_matching_matches_the_four_walk_reference(text):
+    cand = unfolded_pools(text, 2)[2]
+    for r in cand.rules:
+        got = _first_chain_decompositions(r.lhs, r.rhs[0])
+        assert got == unfiltered_decompositions(r.lhs, r.rhs[0])
+    for c1, c2, decompositions, want in reference_matches(cand.rules):
+        for dec in decompositions:
+            assert _match_partner(c1, c2, *dec) == reference_match_partner(c1, c2, *dec)
+        assert match_recurrent_pattern(c1, c2) == want
+
+
+def chain_of(lhs, rhs):
+    u, v = term(lhs), term(rhs)
+    return Chain(u, [Step(u, "r", (), Substitution(), v, Semantics.TRS)])
+
+
+def test_partner_binding_a_renamed_variable_is_rejected():
+    # c1 = f([],[]',z,0) maps z to the second chain's w; the second
+    # side then binds w to the 0 facing it, so z no longer meets a
+    # variable once the second chain is instantiated
+    first = chain_of("f(x,s(y),z,0)", "f(s(x),y,z,0)")
+    assert len(_first_chain_decompositions(first.start, first.end)) == 1
+    for rhs, hit in (("f(s(0),x,w,w)", False), ("f(s(0),x,w,0)", True)):
+        partner = chain_of("f(x,0,w,0)", rhs)
+        rp = match_recurrent_pattern(first, partner)
+        assert (rp is not None) is hit
+        want = reference_match(first, partner, unfiltered_decompositions(first.start, first.end))
+        assert rp == want
+
+
+def test_peeling_a_shared_tower_builds_no_term():
+    # 26 objects but 3 * 2**25 - 2 tree nodes: plugging a layer back in
+    # to compare would go over the term size cap
+    g, zero = Symbol("g", 3), App(Symbol("0", 0))
+    c2 = Context(App(g, (App(HOLE), zero, App(HOLE))))
+    towers = [zero]
+    for _ in range(25):
+        towers.append(App(g, (towers[-1], zero, towers[-1])))
+    stages = _peel_stages(towers[-1], c2)
+    same = len(stages) == 26 and all(map(is_, stages, reversed(towers)))
+    assert same
 
 
 def test_witness_chain_keeps_one_witness_powers():

@@ -83,8 +83,10 @@ def test_two_hole_context():
     f = Symbol("f", 2)
     c = Context(App(f, (App(HOLE), App(HOLE2))))
     assert c.is_two_hole
-    out = plug2(c, term("a"), term("b"))
+    a, b = term("a"), term("b")
+    out = plug2(c, a, b)
     assert render(out) == "f(a,b)"
+    assert out.args[0] is a and out.args[1] is b  # the plugged terms are not walked
     with pytest.raises(HoleMismatchError):
         plug(c, term("a"))
     with pytest.raises(HoleMismatchError):
