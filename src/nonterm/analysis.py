@@ -47,7 +47,6 @@ from .substitution import Substitution
 from .terms import GoalContext, ROOT, render, render_position
 from .unfolding import (
     DEFAULT_DEPTH,
-    DEFAULT_RULE_CAP,
     Unfolding,
     binary_unfold,
     dependency_pairs,
@@ -67,7 +66,6 @@ class AnalysisConfig:
     max_word_len: Optional[int] = None  # raw only; default 3
     simulate_steps: int = 5
     timeout: Optional[float] = 10.0  # seconds per technique
-    rule_cap: int = DEFAULT_RULE_CAP
     raw: bool = False
 
     def word_len(self) -> int:
@@ -107,18 +105,13 @@ def _rule_loop_witness(r, kind: EmbeddingKind) -> Optional[LoopWitness]:
     return LoopWitness(emb, Semantics.LP_NARROW, Chain(start, [step]))
 
 
-def unfold(
-    program: Program,
-    depth: int,
-    cap: int = DEFAULT_RULE_CAP,
-    resume: Optional[Unfolding] = None,
-) -> list:
+def unfold(program: Program, depth: int, resume: Optional[Unfolding] = None) -> list:
     """The derived-rule pool of ``program`` at ``depth``: dependency-pair
     unfolding for a TRS, binary unfolding for a logic program.  With
     ``resume``, the unfolding continues from where it last stopped."""
     if program.mode is Mode.TRS:
-        return unfold_trs(program, depth, cap, resume)
-    return binary_unfold(program, depth, cap, resume)
+        return unfold_trs(program, depth, resume=resume)
+    return binary_unfold(program, depth, resume=resume)
 
 
 def _pools(program: Program, cfg: AnalysisConfig, stats: dict):
@@ -137,7 +130,7 @@ def _pools(program: Program, cfg: AnalysisConfig, stats: dict):
         stats["unfolding"] = "binary"
     resume = Unfolding()
     for depth in range(cfg.unfold_depth + 1):
-        pool = unfold(program, depth, cfg.rule_cap, resume)
+        pool = unfold(program, depth, resume)
         stats["unfold_depth"] = depth
         stats["unfolded_rules"] = len(pool)
         yield unfolded_program(pool, program.mode)
@@ -149,15 +142,7 @@ def _loop_witnesses(cand: Program, cfg: AnalysisConfig, budget: Budget):
     kind = EmbeddingKind.INS if cand.mode is Mode.TRS else EmbeddingKind.MG
     if cfg.raw:
         semantics = Semantics.TRS if cand.mode is Mode.TRS else Semantics.LP_NARROW
-        lw = find_loop(
-            cand,
-            cand.rules,
-            cfg.word_len(),
-            kind,
-            semantics,
-            full_context=True,
-            budget=budget,
-        )
+        lw = find_loop(cand, cand.rules, cfg.word_len(), kind, semantics, budget=budget)
         if lw is not None:
             yield lw
         return
@@ -207,6 +192,8 @@ def analyze(program: Program, cfg: Optional[AnalysisConfig] = None) -> Verdict:
     for tech in cfg.techniques:
         if tech not in _WITNESSES:
             raise ValueError(f"unknown technique {tech!r}")
+    if len(set(cfg.techniques)) < len(cfg.techniques):
+        raise ValueError(f"repeated technique in {cfg.techniques!r}")
     budgets = {t: Budget(timeout=cfg.timeout) for t in cfg.techniques}
     # the recurrent-pair search of each depth skips the pairs the depth
     # before swept with no hit
@@ -275,14 +262,15 @@ def _witness_dict(v: Verdict) -> Optional[dict]:
 def _prefix_dicts(v: Verdict) -> list[dict]:
     if v.simulated_prefix is None:
         return []
+    states = [render(x) for x in v.simulated_prefix.states()]
     return [
         {
-            "source": render(st.source),
+            "source": source,
             "rule": st.rule_id,
             "position": render_position(st.position),
-            "target": render(st.target),
+            "target": target,
         }
-        for st in v.simulated_prefix.steps
+        for st, source, target in zip(v.simulated_prefix.steps, states, states[1:])
     ]
 
 
@@ -313,35 +301,29 @@ def certificate_dict(v: Verdict) -> dict:
 
 
 def emit_certificate(v: Verdict, as_json: bool = False) -> str:
-    """Render a verdict; the first line of the text form is the answer."""
+    """Render ``certificate_dict(v)``; the first line of the text form is
+    the answer."""
+    cert = certificate_dict(v)
     if as_json:
-        return json.dumps(certificate_dict(v), indent=2, sort_keys=False) + "\n"
-    lines = [v.answer]
-    if v.technique:
-        lines.append(f"technique: {v.technique}")
-    w = _witness_dict(v)
-    if w:
-        for key, val in w.items():
-            if val is None:
-                continue
-            shown = " ".join(val) if isinstance(val, list) and key.startswith("word") else val
-            lines.append(f"{key}: {shown}")
-    rules = _used_rules(v)
-    if rules:
+        return json.dumps(cert, indent=2, sort_keys=False) + "\n"
+    lines = [cert["answer"]]
+    if cert["technique"]:
+        lines.append(f"technique: {cert['technique']}")
+    for key, val in (cert["witness"] or {}).items():
+        if val is None:
+            continue
+        shown = " ".join(val) if isinstance(val, list) and key.startswith("word") else val
+        lines.append(f"{key}: {shown}")
+    if cert["rules"]:
         lines.append("rules:")
-        for rid in rules:
-            lines.append(f"  {rules[rid]}")
-    steps = v.simulated_prefix.steps if v.simulated_prefix is not None else []
-    if steps:
+        lines.extend(f"  {rule}" for rule in cert["rules"].values())
+    prefix = cert["simulated_prefix"]
+    if prefix:
         lines.append("simulated prefix:")
-        lines.append(f"  {render(steps[0].source)}")
-        for st in steps:
-            pos = render_position(st.position)
-            lines.append(f"  =[{st.rule_id}@{pos}]=> {render(st.target)}")
-    keys = _CERT_STATS_NO if v.answer == "NO" else _CERT_STATS
-    for key in keys:
-        if key in v.stats:
-            lines.append(f"stat {key}: {v.stats[key]}")
+        lines.append(f"  {prefix[0]['source']}")
+        for st in prefix:
+            lines.append(f"  =[{st['rule']}@{st['position']}]=> {st['target']}")
+    lines.extend(f"stat {key}: {val}" for key, val in cert["stats"].items())
     return "\n".join(lines) + "\n"
 
 

@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--depth", type=int, default=None, help="max unfolding depth")
     ap.add_argument(
-        "--max-word", type=int, default=None, help="max rule-word length"
+        "--max-word", type=int, default=None, help="max rule-word length (with --raw)"
     )
     ap.add_argument(
         "--simulate", type=int, default=None, help="simulated prefix length"
@@ -77,7 +77,8 @@ def _infer_mode(path: str, fmt: Optional[str]) -> Mode:
 def _config_from_args(args) -> AnalysisConfig:
     cfg = AnalysisConfig()
     techniques = tuple(t for t in args.technique.split(",") if t)
-    if not techniques or any(t not in ("loop", "recpair") for t in techniques):
+    unknown = any(t not in ("loop", "recpair") for t in techniques)
+    if not techniques or unknown or len(set(techniques)) < len(techniques):
         raise ValueError(f"bad --technique value {args.technique!r}")
     cfg.techniques = techniques
     if args.depth is not None:
@@ -85,6 +86,8 @@ def _config_from_args(args) -> AnalysisConfig:
             raise ValueError("--depth must be non-negative")
         cfg.unfold_depth = args.depth
     if args.max_word is not None:
+        if not args.raw:
+            raise ValueError("--max-word needs --raw")
         if args.max_word < 1:
             raise ValueError("--max-word must be at least 1")
         cfg.max_word_len = args.max_word
@@ -110,7 +113,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         text = Path(args.file).read_text()
         program = parse_program(text, mode)
         if args.emit_unfolded:
-            pool = unfold(program, cfg.unfold_depth, cfg.rule_cap)
+            pool = unfold(program, cfg.unfold_depth)
             unfolded = unfolded_program(pool, mode)
             Path(args.emit_unfolded).write_text(render_program(unfolded))
         verdict = analyze(program, cfg)

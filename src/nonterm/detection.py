@@ -208,10 +208,10 @@ def find_loop(
     max_word_len: int,
     kind: EmbeddingKind,
     semantics: Semantics,
-    full_context: bool = True,
     budget: Optional[Budget] = None,
 ) -> Optional[LoopWitness]:
-    """Iterative-deepening word search for a loop witness.
+    """Iterative-deepening word search for a loop witness, with full
+    contexts.
 
     Starts from the left-hand side of each candidate rule (wrapped as a
     singleton goal under the narrowing semantics) and explores all rule
@@ -232,7 +232,7 @@ def find_loop(
                     return None
                 for step in successors(program, chain.end, semantics):
                     extended = Chain(start, chain.steps + [step])
-                    emb = find_embedding(kind, start, step.target, full_context)
+                    emb = find_embedding(kind, start, step.target)
                     if emb is not None:
                         return LoopWitness(emb, semantics, extended)
                     key = canonical(step.target)
@@ -259,10 +259,11 @@ def _strip_layer(t: Term, c2: Context) -> Optional[Term]:
     return None
 
 
-def _peel_stages(t: Term, c2: Context, limit: int = 500) -> list[Term]:
-    """stages[n] is the remainder of ``t`` after peeling n layers of c2."""
+def _peel_stages(t: Term, c2: Context) -> list[Term]:
+    """stages[n] is the remainder of ``t`` after peeling n layers of c2,
+    for n up to 500."""
     stages = [t]
-    while len(stages) <= limit:
+    while len(stages) <= 500:
         nxt = _strip_layer(stages[-1], c2)
         if nxt is None:
             break

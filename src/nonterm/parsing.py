@@ -229,7 +229,9 @@ def parse_program(text: str, mode: Mode) -> Program:
 
 
 def render_program(p: Program) -> str:
-    """Textual form of a program, re-parseable in the matching dialect."""
+    """Textual form of a program in its dialect.  A logic program parses
+    again; an unfolded rewrite system does not, since its marked symbols
+    such as ``f#`` are reserved to the parser."""
     if p.mode is Mode.TRS:
         names = sorted(
             {v.name for r in p.rules for v in r.all_vars()}

@@ -49,15 +49,6 @@ class Substitution:
     def get(self, v: Var) -> Term:
         return self._bindings.get(v, v)
 
-    def is_identity(self) -> bool:
-        return not self._bindings
-
-    def is_renaming(self) -> bool:
-        targets = list(self._bindings.values())
-        return all(isinstance(t, Var) for t in targets) and len(set(targets)) == len(
-            targets
-        )
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Substitution) and self._bindings == other._bindings
 
@@ -201,8 +192,3 @@ def renaming_apart(vs: Iterable[Var], avoid: Iterable[Var]) -> Substitution:
         out[v] = Var(next_id, f"{v.name.rstrip('0123456789_')}{next_id}")
         next_id += 1
     return Substitution(out)
-
-
-def more_general(s: Union[Term, Goal], t: Union[Term, Goal]) -> bool:
-    """True iff ``t`` is an instance of ``s``."""
-    return match(s, t) is not None

@@ -101,10 +101,6 @@ class Signature:
     def get(self, name: str) -> Optional[Symbol]:
         return self._by_name.get(name)
 
-    @property
-    def symbols(self) -> frozenset[Symbol]:
-        return frozenset(self._by_name.values())
-
     def __contains__(self, sym: Symbol) -> bool:
         return self._by_name.get(sym.name) == sym
 
@@ -216,9 +212,9 @@ def term_size(t: Term) -> int:
     return t._size
 
 
-def check_size(t: Term, limit: int = MAX_TERM_SIZE) -> Term:
-    if term_size(t) > limit:
-        raise ResourceLimitError(f"term exceeds {limit} nodes")
+def check_size(t: Term) -> Term:
+    if term_size(t) > MAX_TERM_SIZE:
+        raise ResourceLimitError(f"term exceeds {MAX_TERM_SIZE} nodes")
     return t
 
 
@@ -306,10 +302,6 @@ class Context:
         return render_term(self.body)
 
 
-#: The trivial context consisting of the hole alone.
-EMPTY_CONTEXT = Context(App(HOLE))
-
-
 def replace_all(t: Term, repl: dict[Term, Term]) -> Term:
     """``t`` with every occurrence of a subterm that is a key of ``repl``
     replaced by its value; a hole is the subterm ``App(HOLE)``.  The
@@ -349,9 +341,6 @@ class GoalContext:
 
     prefix: Goal = ()
     suffix: Goal = ()
-
-    def plug(self, g: Goal) -> Goal:
-        return self.prefix + g + self.suffix
 
     def __repr__(self):
         parts = [render_term(t) for t in self.prefix]

@@ -600,22 +600,36 @@ def replay_provenance(
     if pv.kind == "base":
         return parents[0]
     if pv.kind == "dp":
-        marks = MarkedSignature(defined_symbols(base))
+        defined = defined_symbols(base)
         try:
             sub = subterm_at(parents[0].rhs[0], pv.position)
         except InvalidPositionError:
             return None
+        if not (isinstance(sub, App) and sub.symbol in defined):
+            return None
+        marks = MarkedSignature(defined)
         return Rule(u.rule.id, mark_root(parents[0].lhs, marks), (mark_root(sub, marks),))
     if pv.kind in ("forward", "backward", "oc-forward", "oc-backward"):
+        if len(parents) != 2:
+            return None
         host, with_rule = parents[::-1] if pv.kind == "oc-backward" else parents
         at = lambda pos: (with_rule,) if pos == pv.position else ()  # noqa: E731
         allow_var = not pv.kind.startswith("oc")
         for _, _, _, lhs, rhs, theta in _narrowings(host, (pv.kind,), at, allow_var):
             return Rule(u.rule.id, apply(theta, lhs), (apply(theta, rhs),))
         return None
-    if pv.kind.startswith("binunf"):
+    if pv.kind in ("binunf-A", "binunf-B", "binunf-C"):
         rule, *used = parents
-        binr = used.pop() if pv.kind == "binunf-B" else None
+        binr = used.pop() if pv.kind == "binunf-B" and used else None
+        # the units erase the body atoms before the one at the position;
+        # binunf-C erases the whole body
+        n = len(rule.rhs)
+        if pv.kind == "binunf-C":
+            fits = len(used) == n and pv.position == (n,)
+        else:
+            fits = len(used) < n and pv.position == (len(used) + 1,)
+        if not fits or (pv.kind == "binunf-B" and binr is None):
+            return None
         theta = Substitution()
         for j, unit in enumerate(used):
             theta = _erase(rule, theta, j, unit)

@@ -99,6 +99,8 @@ def test_analyze_raw_search():
 def test_analyze_unknown_technique():
     with pytest.raises(ValueError):
         analyze(trs(EX_TRS), AnalysisConfig(techniques=("magic",)))
+    with pytest.raises(ValueError, match="repeated technique"):
+        analyze(trs(EX_TRS), AnalysisConfig(techniques=("loop", "loop")))
 
 
 def test_simulated_prefix_length_floor():
@@ -208,6 +210,18 @@ def test_cli_unknown_extension(tmp_path, capsys):
 def test_cli_bad_technique(tmp_path):
     f = write(tmp_path, "ex.pl", EX_LP)
     assert main([f, "--technique", "sorcery"]) == 1
+    # rejected before the unfolded pool is written
+    out = tmp_path / "unfolded.pl"
+    assert main([f, "--technique", "loop,loop", "--emit-unfolded", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_cli_max_word_needs_raw(tmp_path, capsys):
+    f = write(tmp_path, "ex.pl", EX_LP)
+    assert main([f, "--max-word", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --max-word needs --raw" in captured.err
 
 
 def test_cli_emit_unfolded(tmp_path, capsys):
@@ -286,8 +300,7 @@ def test_tracer_hooks_raw_driver(monkeypatch):
     assert analyze(lp(EX_LP), AnalysisConfig(raw=True)).answer == "NO"
     assert not trs_unfolds and not lp_unfolds
     assert len(loops) == 2
-    for args, kwargs in loops:
-        assert args[2] == 3 and kwargs["full_context"] is True
+    assert all(args[2] == 3 for args, _ in loops)
 
 
 @pytest.mark.parametrize(

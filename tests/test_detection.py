@@ -83,7 +83,7 @@ def test_embedding_ins_reflexive():
     emb = find_embedding(EmbeddingKind.INS, t, t)
     assert emb is not None
     assert emb.context.body == App(HOLE)
-    assert emb.binder.is_identity()
+    assert len(emb.binder) == 0
 
 
 def test_embedding_ins_instance_below_root():

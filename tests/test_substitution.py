@@ -10,7 +10,6 @@ from nonterm.substitution import (
     compose,
     match,
     mgu,
-    more_general,
     renaming_apart,
 )
 from nonterm.terms import App, Var, canonical, render, term_vars
@@ -27,7 +26,7 @@ def subst(**kw):
 
 def test_identity_bindings_dropped():
     x = term("x")
-    assert Substitution({x: x}).is_identity()
+    assert len(Substitution({x: x})) == 0
 
 
 def test_apply_term_goal_and_repr():
@@ -97,12 +96,7 @@ def test_renaming_apart_deterministic():
     assert gamma1 == gamma2
     image = {gamma1.get(v) for v in vs}
     assert not image & (vs | avoid)
-    assert gamma1.is_renaming()
-
-
-def test_more_general():
-    assert more_general(term("f(x,y)"), term("f(a,g(b))"))
-    assert not more_general(term("f(a,y)"), term("f(b,b)"))
+    assert len(image) == len(vs) and all(isinstance(v, Var) for v in image)
 
 
 @st.composite

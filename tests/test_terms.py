@@ -5,8 +5,6 @@ from nonterm.errors import HoleMismatchError, InvalidPositionError
 from nonterm.terms import (
     App,
     Context,
-    EMPTY_CONTEXT,
-    GoalContext,
     HOLE,
     HOLE2,
     ROOT,
@@ -76,7 +74,7 @@ def test_plug_and_power():
     c = Context(App(s, (App(HOLE),)))
     zero = term("a")
     assert render(plug(c, zero)) == "s(a)"
-    assert render(plug(EMPTY_CONTEXT, zero)) == "a"
+    assert render(plug(Context(App(HOLE)), zero)) == "a"
 
 
 def test_two_hole_context():
@@ -90,7 +88,7 @@ def test_two_hole_context():
     with pytest.raises(HoleMismatchError):
         plug(c, term("a"))
     with pytest.raises(HoleMismatchError):
-        plug2(EMPTY_CONTEXT, term("a"), term("b"))
+        plug2(Context(App(HOLE)), term("a"), term("b"))
 
 
 def test_hole_positions():
@@ -98,12 +96,6 @@ def test_hole_positions():
     c = Context(App(f, (App(HOLE), App(HOLE2))))
     assert hole_positions(c) == [(1,)]
     assert hole_positions(c, HOLE2) == [(2,)]
-
-
-def test_goal_context_plug():
-    gc = GoalContext((term("a"),), (term("b"),))
-    g = gc.plug((term("g(x)"),))
-    assert render(g) == "<a,g(x),b>"
 
 
 def test_canonical_variants():

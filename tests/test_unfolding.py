@@ -131,12 +131,30 @@ def test_unfold_provenance_replays():
 
 
 def test_replay_rejects_a_wrong_position():
-    p = trs(OC_BACKWARD)
-    for pool, kind in ((overlap_closure(p, 1), "oc-backward"), (unfold_trs(p, 0), "dp")):
+    one_clause = "p(f(X)) :- p(X)."
+    cases = [
+        # a position outside the term
+        (trs, OC_BACKWARD, overlap_closure, "oc-backward", {"position": (7,)}),
+        (trs, OC_BACKWARD, unfold_trs, "dp", {"position": (7,)}),
+        # a dependency pair's right side at a constructor or a variable
+        (trs, EX_TRS, unfold_trs, "dp", {"position": ()}),
+        (trs, EX_TRS, unfold_trs, "dp", {"position": (2,)}),
+        # a narrowing with one parent
+        (trs, EX_TRS, unfold_trs, "forward", {"parents": ("dp1",)}),
+        # an atom past the body, with or without a unit erasing the body,
+        # position 0, and binunf-B with no binary rule
+        (lp, one_clause, binary_unfold, "binunf-A", {"position": (2,)}),
+        (lp, one_clause, binary_unfold, "binunf-A", {"parents": ("c1", "c1"), "position": (2,)}),
+        (lp, one_clause, binary_unfold, "binunf-A", {"position": (0,)}),
+        (lp, one_clause, binary_unfold, "binunf-A", {"kind": "binunf-B"}),
+    ]
+    for parse, text, unfolder, kind, change in cases:
+        p = parse(text)
+        pool = unfolder(p, 1)
         by_id = {u.rule.id: u for u in pool}
         u = next(u for u in pool if u.provenance.kind == kind)
-        moved = UnfoldedRule(u.rule, u.depth, replace(u.provenance, position=(7,)))
-        assert replay_provenance(moved, p, by_id) is None
+        moved = UnfoldedRule(u.rule, u.depth, replace(u.provenance, **change))
+        assert replay_provenance(moved, p, by_id) is None, (text, kind, change)
 
 
 def test_binary_unfold_example():
