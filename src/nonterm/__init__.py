@@ -37,13 +37,9 @@ from .rewriting import (
     Rule,
     Semantics,
     Step,
-    lp_successors,
-    restricted_successors,
     run_word,
     successors,
-    trs_successors,
     verify_chain,
-    verify_step,
 )
 from .substitution import Substitution, apply, compose, match, mgu
 from .terms import (

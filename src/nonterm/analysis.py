@@ -43,7 +43,6 @@ from .rewriting import (
     rewrite_at,
     verify_chain,
 )
-from .substitution import Substitution
 from .terms import GoalContext, ROOT, render, render_position
 from .unfolding import (
     DEFAULT_DEPTH,
@@ -95,14 +94,14 @@ def _rule_loop_witness(r, kind: EmbeddingKind) -> Optional[LoopWitness]:
         if emb is None:
             return None
         # built by hand: rewrite_at would first match the rule against itself
-        step = Step(r.lhs, r.id, ROOT, Substitution(), r.rhs[0], Semantics.TRS)
-        return LoopWitness(emb, Semantics.TRS, Chain(r.lhs, [step]))
+        step = Step(r.id, ROOT, r.rhs[0])
+        return LoopWitness(emb, Chain(r.lhs, [step], Semantics.TRS))
     start = (r.lhs,)
     step = rewrite_at(r, start, (1,), Semantics.LP_NARROW)
     emb = find_embedding(EmbeddingKind.MG, start, step.target, full_context=False)
     if emb is None:
         return None
-    return LoopWitness(emb, Semantics.LP_NARROW, Chain(start, [step]))
+    return LoopWitness(emb, Chain(start, [step], Semantics.LP_NARROW))
 
 
 def unfold(program: Program, depth: int, resume: Optional[Unfolding] = None) -> list:
@@ -139,13 +138,12 @@ def _pools(program: Program, cfg: AnalysisConfig, stats: dict):
 def _loop_witnesses(cand: Program, cfg: AnalysisConfig, budget: Budget):
     """Loop candidates: one full-context word search on the input rules,
     or a context-free self-loop check of every unfolded rule."""
-    kind = EmbeddingKind.INS if cand.mode is Mode.TRS else EmbeddingKind.MG
     if cfg.raw:
-        semantics = Semantics.TRS if cand.mode is Mode.TRS else Semantics.LP_NARROW
-        lw = find_loop(cand, cand.rules, cfg.word_len(), kind, semantics, budget=budget)
+        lw = find_loop(cand, cfg.word_len(), budget=budget)
         if lw is not None:
             yield lw
         return
+    kind = EmbeddingKind.INS if cand.mode is Mode.TRS else EmbeddingKind.MG
     for r in cand.rules:
         if not budget.tick():
             return
@@ -159,10 +157,9 @@ def _recpair_witnesses(
 ):
     """The first recurrent pair of ``cand``; over one-rule words the search
     resumes from the pool of the depth before."""
-    semantics = Semantics.TRS if cand.mode is Mode.TRS else Semantics.LP_RESTRICTED
     words = cfg.word_len()
     resume = resume if words == 1 else None
-    rp = find_recurrent_pair(cand, cand.rules, words, semantics, budget, resume=resume)
+    rp = find_recurrent_pair(cand, words, budget, resume=resume)
     if rp is not None:
         yield rp
 

@@ -34,6 +34,7 @@ from typing import Optional, Sequence, Union
 from .errors import UnrollError
 from .rewriting import (
     Chain,
+    Mode,
     Program,
     Rule,
     Semantics,
@@ -79,7 +80,6 @@ class Embedding:
 @dataclass
 class LoopWitness:
     embedding: Embedding
-    semantics: Semantics
     chain: Chain
 
     @property
@@ -109,7 +109,6 @@ class RecurrentPair:
     t_is_s: bool  # the regrown base: the ground term (True) or x (False)
     x: Var
     y: Var
-    semantics: Semantics
 
     @property
     def word1(self) -> tuple[str, ...]:
@@ -203,27 +202,24 @@ def _find_goal_embedding(kind, source: Goal, target: Goal, full_context):
 
 
 def find_loop(
-    program: Program,
-    candidates: Sequence[Rule],
-    max_word_len: int,
-    kind: EmbeddingKind,
-    semantics: Semantics,
-    budget: Optional[Budget] = None,
+    program: Program, max_word_len: int, budget: Optional[Budget] = None
 ) -> Optional[LoopWitness]:
     """Iterative-deepening word search for a loop witness, with full
-    contexts.
+    contexts: an instance embedding under term rewriting, a more general
+    goal under narrowing for a logic program.
 
-    Starts from the left-hand side of each candidate rule (wrapped as a
-    singleton goal under the narrowing semantics) and explores all rule
-    words of length at most ``max_word_len``.
+    Starts from the left-hand side of each rule (wrapped as a singleton
+    goal under narrowing) and explores all rule words of length at most
+    ``max_word_len``.
     """
     budget = budget or Budget()
-    for cand in candidates:
-        if semantics is Semantics.LP_NARROW:
-            start: Union[Term, Goal] = (cand.lhs,)
-        else:
-            start = cand.lhs
-        frontier: list[Chain] = [Chain(start, [])]
+    if program.mode is Mode.TRS:
+        kind, semantics = EmbeddingKind.INS, Semantics.TRS
+    else:
+        kind, semantics = EmbeddingKind.MG, Semantics.LP_NARROW
+    for cand in program.rules:
+        start = cand.lhs if semantics is Semantics.TRS else (cand.lhs,)
+        frontier: list[Chain] = [Chain(start, [], semantics)]
         for _ in range(max_word_len):
             nxt: list[Chain] = []
             seen = set()
@@ -231,10 +227,10 @@ def find_loop(
                 if not budget.tick():
                     return None
                 for step in successors(program, chain.end, semantics):
-                    extended = Chain(start, chain.steps + [step])
+                    extended = Chain(start, chain.steps + [step], semantics)
                     emb = find_embedding(kind, start, step.target)
                     if emb is not None:
-                        return LoopWitness(emb, semantics, extended)
+                        return LoopWitness(emb, extended)
                     key = canonical(step.target)
                     key = key if isinstance(key, tuple) else (key,)
                     if key in seen:
@@ -486,21 +482,7 @@ def _match_partner(chain1: Chain, chain2: Chain, x, y, c1, c2, n1):
                 if uv != cv:
                     ren[uv] = cv
             chain2r = chain2.instantiate(compose(sigma, Substitution(ren)))
-            return RecurrentPair(
-                chain1,
-                chain2r,
-                c1,
-                c2,
-                n1,
-                n2,
-                n3,
-                n4,
-                s,
-                t_is_s,
-                x,
-                y,
-                chain1.steps[0].semantics if chain1.steps else Semantics.TRS,
-            )
+            return RecurrentPair(chain1, chain2r, c1, c2, n1, n2, n3, n4, s, t_is_s, x, y)
     return None
 
 
@@ -511,12 +493,7 @@ def _one_step_chains(candidates: Sequence[Rule], semantics: Semantics) -> list[C
             continue
         if not r.trs_usable:
             continue
-        out.append(
-            Chain(
-                r.lhs,
-                [Step(r.lhs, r.id, ROOT, Substitution(), r.rhs[0], semantics)],
-            )
-        )
+        out.append(Chain(r.lhs, [Step(r.id, ROOT, r.rhs[0])], semantics))
     return out
 
 
@@ -538,27 +515,26 @@ class PairSweep:
 
 def find_recurrent_pair(
     program: Program,
-    candidates: Sequence[Rule],
     max_word_len: int,
-    semantics: Semantics,
     budget: Optional[Budget] = None,
     resume: Optional[PairSweep] = None,
 ) -> Optional[RecurrentPair]:
-    """First recurrent pair among candidate chains, in canonical order.
+    """First recurrent pair among the chains of the program's rules, in
+    canonical order.
 
-    Requires a substitution-closed semantics (term rewriting or the
-    restricted narrowing relation).  A first chain that fails
+    Chains use a substitution-closed relation: term rewriting, or the
+    restricted relation for a logic program.  A first chain that fails
     ``_may_decompose`` is skipped with no ``match_recurrent_pattern``
     call and no budget tick.  With ``resume`` (one-rule words only), the
     pairs of two candidates it has swept before are skipped too;
     ``match_recurrent_pattern`` depends only on its two chains, so the
     first hit is the one a full search would return.
     """
-    if semantics not in (Semantics.TRS, Semantics.LP_RESTRICTED):
-        raise ValueError("recurrent pairs need a substitution-closed semantics")
     if resume is not None and max_word_len > 1:
         raise ValueError("only a search over one-rule words can resume")
     budget = budget or Budget()
+    candidates = program.rules
+    semantics = Semantics.TRS if program.mode is Mode.TRS else Semantics.LP_RESTRICTED
     swept = resume.swept if resume is not None else ()
     if len(swept) > len(candidates) or not all(map(is_, swept, candidates)):
         swept = ()  # not a prefix of these candidates: search in full
@@ -566,7 +542,7 @@ def find_recurrent_pair(
     old = len(chains)
     chains += _one_step_chains(candidates[len(swept):], semantics)
     if max_word_len > 1:
-        chains = chains + _extended_chains(program, chains, max_word_len, semantics, budget)
+        chains = chains + _extended_chains(program, chains, max_word_len, budget)
     if resume is not None:
         resume.swept = ()
 
@@ -594,7 +570,7 @@ def find_recurrent_pair(
     return None
 
 
-def _extended_chains(program, seeds, max_word_len, semantics, budget):
+def _extended_chains(program, seeds, max_word_len, budget):
     out = []
     frontier = list(seeds)
     for _ in range(max_word_len - 1):
@@ -602,8 +578,8 @@ def _extended_chains(program, seeds, max_word_len, semantics, budget):
         for chain in frontier:
             if not budget.tick():
                 return out
-            for step in successors(program, chain.end, semantics):
-                ext = Chain(chain.start, chain.steps + [step])
+            for step in successors(program, chain.end, chain.semantics):
+                ext = Chain(chain.start, chain.steps + [step], chain.semantics)
                 nxt.append(ext)
                 out.append(ext)
         frontier = nxt
@@ -643,19 +619,13 @@ def witness_chain(rp: RecurrentPair, m: int, n0: int, k: int) -> Chain:
         return plug2(rp.c1, _tower(rp.c2, mm, rp.s), _tower(rp.c2, nn, rp.s))
 
     cur_m, cur_n = m, n0
-    cur = c1_at(cur_m, cur_n)
-    prefix = Chain(cur, [])
+    prefix = Chain(c1_at(cur_m, cur_n), [], rp.chain1.semantics)
 
     def replay(chain: Chain, sigma: Substitution) -> None:
-        """Append ``chain`` instantiated by ``sigma``: each step's source
-        is the term the step before ended in."""
-        nonlocal cur
+        """Append the steps of ``chain`` with targets instantiated by
+        ``sigma``."""
         for st in chain.steps:
-            target = apply(sigma, st.target)
-            prefix.steps.append(
-                Step(cur, st.rule_id, st.position, st.binder, target, st.semantics)
-            )
-            cur = target
+            prefix.steps.append(Step(st.rule_id, st.position, apply(sigma, st.target)))
 
     for _ in range(k):
         while cur_n > rp.n2:
@@ -706,7 +676,7 @@ def infinite_chain_prefix(
     for _ in range(k - 1):
         moves = [(rid, shift(p)) for rid, p in moves]
         for rid, p in moves:
-            found = (rewrite_at(r, cur, p, lw.semantics) for r in by_id[rid])
+            found = (rewrite_at(r, cur, p, lw.chain.semantics) for r in by_id[rid])
             step = next((st for st in found if st is not None), None)
             if step is None:
                 raise UnrollError(f"rule {rid} does not re-apply in the loop")
@@ -714,4 +684,4 @@ def infinite_chain_prefix(
             if not isinstance(cur, tuple):
                 check_size(cur)
             steps.append(step)
-    return Chain(lw.chain.start, steps)
+    return Chain(lw.chain.start, steps, lw.chain.semantics)

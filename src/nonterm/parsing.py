@@ -5,8 +5,8 @@ Two input dialects are supported:
 * a rule-system format: ``(VAR x y) (RULES lhs -> rhs ...)`` with
   function application written ``f(t1,...,tn)``;
 * Prolog-style clauses: ``h :- b1, ..., bn.`` where identifiers starting
-  with an uppercase letter or underscore are variables and facts are
-  clauses with an empty body.
+  with an uppercase letter or underscore are variables, each ``_`` is a
+  variable of its own, and facts are clauses with an empty body.
 
 Arities are inferred from use and must be consistent across the file.
 Symbol names may not contain the marker suffix ``#`` and may not be one
@@ -22,7 +22,7 @@ from typing import Optional
 
 from .errors import ParseError
 from .rewriting import Mode, Program, Rule
-from .terms import App, Signature, Symbol, Term, Var, render_goal, render_term
+from .terms import App, Signature, Symbol, Term, Var, render_term
 
 _RESERVED_NAMES = {"[]", "[]'"}
 
@@ -101,16 +101,24 @@ class _Cursor:
 
 
 class _TermReader:
-    """Reads terms, interning variables and inferring symbol arities."""
+    """Reads terms, interning variables and inferring symbol arities.
+    With ``anonymous``, every ``_`` is a fresh variable."""
 
-    def __init__(self, signature: Signature, is_var, var_ids: dict[str, int]):
+    def __init__(
+        self, signature: Signature, is_var, var_ids: dict[str, int], anonymous: bool = False
+    ):
         self.signature = signature
         self.is_var = is_var
         self.var_ids = var_ids
+        self.anonymous = anonymous
+        self.fresh = 0  # anonymous variables read so far
 
     def variable(self, name: str) -> Var:
+        if self.anonymous and name == "_":
+            self.fresh += 1
+            return Var(len(self.var_ids) + self.fresh - 1, name)
         if name not in self.var_ids:
-            self.var_ids[name] = len(self.var_ids)
+            self.var_ids[name] = len(self.var_ids) + self.fresh
         return Var(self.var_ids[name], name)
 
     def term(self, cur: _Cursor) -> Term:
@@ -192,7 +200,7 @@ def parse_lp(text: str) -> Program:
 
     while cur.peek() is not None:
         var_ids: dict[str, int] = {}  # variables are clause-local
-        reader = _TermReader(signature, _is_prolog_var, var_ids)
+        reader = _TermReader(signature, _is_prolog_var, var_ids, anonymous=True)
         head = reader.term(cur)
         if isinstance(head, Var):
             t = cur.peek()

@@ -98,24 +98,24 @@ class Program:
 
 @dataclass(frozen=True)
 class Step:
-    source: Union[Term, Goal]
+    """One rewrite step: the rule, where it applies, and what it yields;
+    its source is the state before it in its chain."""
+
     rule_id: str
     position: Position
-    binder: Substitution
     target: Union[Term, Goal]
-    semantics: Semantics
 
     def __repr__(self):
-        return (
-            f"{render(self.source)} =[{self.rule_id}@"
-            f"{render_position(self.position)}]=> {render(self.target)}"
-        )
+        return f"=[{self.rule_id}@{render_position(self.position)}]=> {render(self.target)}"
 
 
 @dataclass
 class Chain:
+    """A start state and one step per rewrite, all under one semantics."""
+
     start: Union[Term, Goal]
     steps: list[Step]
+    semantics: Semantics
 
     @property
     def end(self) -> Union[Term, Goal]:
@@ -124,28 +124,10 @@ class Chain:
     def states(self) -> list[Union[Term, Goal]]:
         return [self.start] + [s.target for s in self.steps]
 
-    def consecutive(self) -> bool:
-        cur = self.start
-        for s in self.steps:
-            if s.source != cur:
-                return False
-            cur = s.target
-        return True
-
     def instantiate(self, theta: Substitution) -> "Chain":
         """Pointwise instance of the chain (valid for the stable semantics)."""
-        steps = [
-            Step(
-                apply(theta, s.source),
-                s.rule_id,
-                s.position,
-                s.binder,
-                apply(theta, s.target),
-                s.semantics,
-            )
-            for s in self.steps
-        ]
-        return Chain(apply(theta, self.start), steps)
+        steps = [Step(s.rule_id, s.position, apply(theta, s.target)) for s in self.steps]
+        return Chain(apply(theta, self.start), steps, self.semantics)
 
 
 def rewrite_at(
@@ -166,7 +148,7 @@ def rewrite_at(
         if theta is None:
             return None
         target = apply(theta, source[: i - 1] + fresh.rhs + source[i:])
-        return Step(source, rule.id, position, theta, target, semantics)
+        return Step(rule.id, position, target)
     if semantics is Semantics.LP_RESTRICTED:
         if position or not rule.restricted_usable:
             return None
@@ -179,38 +161,21 @@ def rewrite_at(
     if theta is None:
         return None
     target = replace_at(source, position, apply(theta, rule.rhs[0]))
-    return Step(source, rule.id, position, theta, target, semantics)
+    return Step(rule.id, position, target)
 
 
-def _steps(p: Program, a: Union[Term, Goal], spots, semantics: Semantics) -> list[Step]:
-    """Every step of ``a``, rule order first, then position order."""
+def successors(p: Program, a: Union[Term, Goal], semantics: Semantics) -> list[Step]:
+    """Every step of ``a``, rule order first, then position order: at
+    every position of a term, at every atom of a goal, or at the root
+    only under the restricted relation."""
+    if semantics is Semantics.TRS:
+        spots = list(iter_positions(a))
+    elif semantics is Semantics.LP_NARROW:
+        spots = [(i,) for i in range(1, len(a) + 1)]
+    else:
+        spots = [ROOT]
     steps = (rewrite_at(r, a, pos, semantics) for r in p.rules for pos in spots)
     return [st for st in steps if st is not None]
-
-
-def trs_successors(p: Program, s: Term) -> list[Step]:
-    """All one-step term-rewriting successors of ``s``."""
-    return _steps(p, s, list(iter_positions(s)), Semantics.TRS)
-
-
-def lp_successors(p: Program, g: Goal) -> list[Step]:
-    """All one-step narrowing successors of goal ``g``."""
-    return _steps(p, g, [(i,) for i in range(1, len(g) + 1)], Semantics.LP_NARROW)
-
-
-def restricted_successors(p: Program, s: Term) -> list[Step]:
-    """Root-only instance-based steps for rules with no extra rhs variables."""
-    return _steps(p, s, [ROOT], Semantics.LP_RESTRICTED)
-
-
-def successors(
-    p: Program, a: Union[Term, Goal], semantics: Semantics
-) -> list[Step]:
-    if semantics is Semantics.TRS:
-        return trs_successors(p, a)
-    if semantics is Semantics.LP_NARROW:
-        return lp_successors(p, a)
-    return restricted_successors(p, a)
 
 
 #: Default cap on intermediate result sets in run_word.
@@ -250,25 +215,16 @@ def run_word(
     return current
 
 
-def _replays(step: Step, rules: Iterable[Rule]) -> bool:
-    """True iff one of ``rules`` rewrites ``step.source`` at ``step.position``
-    to ``step.target``."""
-    for r in rules:
-        got = rewrite_at(r, step.source, step.position, step.semantics)
-        if got is not None and got.target == step.target:
-            return True
-    return False
-
-
-def verify_step(p: Program, step: Step) -> bool:
-    return _replays(step, (r for r in p.rules if r.id == step.rule_id))
-
-
 def verify_chain(p: Program, c: Chain) -> bool:
-    """Re-execute every step of ``c``; True iff all of them reproduce."""
-    if not c.consecutive():
-        return False
+    """Replay every step of ``c`` from the state before it, under the
+    chain's semantics; True iff a rule with the step's id rewrites that
+    state at the step's position to the step's target."""
     by_id: dict[str, list[Rule]] = {}
     for r in p.rules:
         by_id.setdefault(r.id, []).append(r)
-    return all(_replays(s, by_id.get(s.rule_id, ())) for s in c.steps)
+    for source, st in zip(c.states(), c.steps):
+        rules = by_id.get(st.rule_id, ())
+        got = (rewrite_at(r, source, st.position, c.semantics) for r in rules)
+        if not any(g is not None and g.target == st.target for g in got):
+            return False
+    return True

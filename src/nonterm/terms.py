@@ -197,10 +197,6 @@ Position = tuple[int, ...]
 ROOT: Position = ()
 
 
-def app(symbol: Symbol, *args: Term) -> App:
-    return App(symbol, tuple(args))
-
-
 def term_size(t: Term) -> int:
     """Node count of ``t`` as a tree; shared subterms count once per
     occurrence.  Cached on each ``App``, so a term built around sized

@@ -24,19 +24,17 @@ from nonterm.detection import (
 )
 from nonterm.parsing import parse_lp, parse_trs
 from nonterm.rewriting import (
+    Chain,
     Mode,
     Program,
     Rule,
     Semantics,
     Step,
-    lp_successors,
-    restricted_successors,
     run_word,
-    trs_successors,
+    successors,
     verify_chain,
-    verify_step,
 )
-from nonterm.substitution import EMPTY_SUBST, Substitution, apply, match, mgu
+from nonterm.substitution import Substitution, apply, match, mgu
 from nonterm.terms import (
     App,
     Context,
@@ -164,7 +162,7 @@ def test_criterion_02_golden_lp_loop():
 def test_criterion_03_golden_recurrent_pairs():
     t0 = time.monotonic()
     p1 = parse_trs(COUNTING_TRS)
-    rp1 = find_recurrent_pair(p1, p1.rules, 1, Semantics.TRS)
+    rp1 = find_recurrent_pair(p1, 1)
     ok1 = (
         rp1 is not None
         and render(rp1.c1.body) == "f([],[]')"
@@ -174,7 +172,7 @@ def test_criterion_03_golden_recurrent_pairs():
         and rp1.t_is_s
     )
     p2 = parse_trs(SWAPPING_TRS)
-    rp2 = find_recurrent_pair(p2, p2.rules, 1, Semantics.TRS)
+    rp2 = find_recurrent_pair(p2, 1)
     ok2 = (
         rp2 is not None
         and render(rp2.c1.body) == "f(c,[]',[])"
@@ -194,7 +192,7 @@ def test_criterion_03_golden_recurrent_pairs():
 def test_criterion_04_witness_chain_fidelity():
     t0 = time.monotonic()
     p = parse_trs(COUNTING_TRS)
-    rp = find_recurrent_pair(p, p.rules, 1, Semantics.TRS)
+    rp = find_recurrent_pair(p, 1)
     chain = witness_chain(rp, 1, 0, 3)
     got = [render(t) for t in chain.states()][:6]
     want = [
@@ -217,7 +215,7 @@ def test_criterion_04_witness_chain_fidelity():
 def test_criterion_05_loop_unrolling_fidelity():
     t0 = time.monotonic()
     p = parse_trs(LOOPING_TRS)
-    lw = find_loop(p, p.rules, 3, EmbeddingKind.INS, Semantics.TRS)
+    lw = find_loop(p, 3)
     chain = infinite_chain_prefix(p, lw, 2)
     states = chain.states()
     a3_ok = is_variant(states[3], term("g(f(f(x)),x)"))
@@ -293,24 +291,18 @@ def test_criterion_06_stability():
         r = rand_rule(rng, rhs_from_lhs=True)
         p = Program([r], Mode.TRS)
         s = term_with_redex(rng, r.lhs)
-        steps = trs_successors(p, s)
+        steps = successors(p, s, Semantics.TRS)
         assert steps, "generator must plant a redex"
         step = rng.choice(steps)
         theta = rand_ground_subst(rng, term_vars(s) | term_vars(step.target))
-        lifted = Step(
-            apply(theta, s),
-            r.id,
-            step.position,
-            EMPTY_SUBST,
-            apply(theta, step.target),
-            Semantics.TRS,
-        )
-        assert verify_step(p, lifted), f"TRS stability violated for {r}"
+        lifted = Step(r.id, step.position, apply(theta, step.target))
+        chain = Chain(apply(theta, s), [lifted], Semantics.TRS)
+        assert verify_chain(p, chain), f"TRS stability violated for {r}"
         trs_checked += 1
         g_theta = rand_ground_subst(rng, r.all_vars())
         lp = Program([r], Mode.LP)
         targets = [
-            st.target for st in lp_successors(lp, (apply(g_theta, r.lhs),))
+            st.target for st in successors(lp, (apply(g_theta, r.lhs),), Semantics.LP_NARROW)
         ]
         assert (apply(g_theta, r.rhs[0]),) in targets, (
             f"narrowing stability violated for {r}"
@@ -349,7 +341,7 @@ def test_criterion_07_compatibility():
         r = rand_rule(rng, rhs_from_lhs=True)
         p = Program([r], Mode.TRS)
         a = term_with_redex(rng, r.lhs)
-        steps = trs_successors(p, a)
+        steps = successors(p, a, Semantics.TRS)
         a1 = rng.choice(steps).target
         # a' = c[a sigma] is in ins(a)
         sigma = rand_ground_subst(rng, term_vars(a))
@@ -359,7 +351,7 @@ def test_criterion_07_compatibility():
         a_pr = replace_at(wrap, hole_at, apply(sigma, a))
         found = any(
             find_embedding(EmbeddingKind.INS, a1, st.target) is not None
-            for st in trs_successors(p, a_pr)
+            for st in successors(p, a_pr, Semantics.TRS)
         )
         assert found, f"ins-compatibility violated for {r}"
         ins_checked += 1
@@ -370,7 +362,7 @@ def test_criterion_07_compatibility():
         p = Program([r], Mode.LP)
         sigma = rand_ground_subst(rng, term_vars(r.lhs))
         a = (apply(sigma, r.lhs), rand_term(rng, 2))
-        steps = [st for st in lp_successors(p, a) if st.position == (1,)]
+        steps = [st for st in successors(p, a, Semantics.LP_NARROW) if st.position == (1,)]
         assert steps
         a1 = steps[0].target
         # a' embeds a goal more general than a
@@ -378,7 +370,7 @@ def test_criterion_07_compatibility():
         a_pr = (rand_term(rng, 1),) + b
         found = any(
             find_embedding(EmbeddingKind.MG, a1, st.target) is not None
-            for st in lp_successors(p, a_pr)
+            for st in successors(p, a_pr, Semantics.LP_NARROW)
         )
         assert found, f"mg-compatibility violated for {r}"
         mg_checked += 1
@@ -399,10 +391,7 @@ def test_criterion_07_compatibility():
 def random_chain(rng, p, start, semantics, max_len=3):
     word, cur = [], start
     for _ in range(rng.randrange(1, max_len + 1)):
-        if semantics is Semantics.TRS:
-            steps = trs_successors(p, cur)
-        else:
-            steps = restricted_successors(p, cur)
+        steps = successors(p, cur, semantics)
         if not steps:
             break
         st = rng.choice(steps)
@@ -448,8 +437,8 @@ def test_criterion_08_closure():
     p = Program([r], Mode.LP)
     s = term("f(zero,y)")
     theta = Substitution({term("x"): term("zero"), term("y"): term("zero")})
-    before = lp_successors(p, (s,))
-    after = lp_successors(p, (apply(theta, s),))
+    before = successors(p, (s,), Semantics.LP_NARROW)
+    after = successors(p, (apply(theta, s),), Semantics.LP_NARROW)
     negative_ok = bool(before) and not after
     elapsed = time.monotonic() - t0
     ok = (

@@ -72,6 +72,14 @@ def test_witness_chain_builds_each_tower_around_the_one_below():
             assert subterm_at(tower, hp) is towers[(body, n - 1)]
 
 
+def test_analyze_anonymous_variables_are_distinct():
+    # read as p(X, X), the body atom p(_, _) would not resolve with p(a, b)
+    anonymous = analyze(lp("p(a, b).  q(Z) :- p(_, _), q(Z)."))
+    named = analyze(lp("p(a, b).  q(Z) :- p(X, Y), q(Z)."))
+    assert anonymous.answer == named.answer == "NO"
+    assert emit_certificate(anonymous) == emit_certificate(named)
+
+
 def test_analyze_terminating_maybe():
     cfg = AnalysisConfig(unfold_depth=2, timeout=5)
     v = analyze(trs(TERMINATING), cfg)
@@ -289,7 +297,7 @@ def test_tracer_hooks_unfolded_driver(monkeypatch):
     assert [args[0].id for args, _ in checks] == pooled
     # one recurrent-pair search per depth, always over single rules
     assert len(pairs) == 3
-    assert all(args[2] == 1 for args, _ in pairs)
+    assert all(args[1] == 1 for args, _ in pairs)
 
 
 def test_tracer_hooks_raw_driver(monkeypatch):
@@ -300,7 +308,7 @@ def test_tracer_hooks_raw_driver(monkeypatch):
     assert analyze(lp(EX_LP), AnalysisConfig(raw=True)).answer == "NO"
     assert not trs_unfolds and not lp_unfolds
     assert len(loops) == 2
-    assert all(args[2] == 3 for args, _ in loops)
+    assert all(args[1] == 3 for args, _ in loops)
 
 
 @pytest.mark.parametrize(

@@ -68,10 +68,7 @@ from nonterm.unfolding import Unfolding, binary_unfold, unfold_trs, unfolded_pro
 
 
 def one_step_chain(rule, semantics=Semantics.TRS):
-    return Chain(
-        rule.lhs,
-        [Step(rule.lhs, rule.id, (), Substitution(), rule.rhs[0], semantics)],
-    )
+    return Chain(rule.lhs, [Step(rule.id, (), rule.rhs[0])], semantics)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +149,7 @@ def test_embedding_type_mismatch():
 
 def test_find_loop_trs_word3():
     p = trs("f(x) -> g(h(x,one),x)  one -> zero  h(x,zero) -> f(f(x))")
-    lw = find_loop(p, p.rules, 3, EmbeddingKind.INS, Semantics.TRS)
+    lw = find_loop(p, 3)
     assert lw is not None
     assert lw.word == ("r1", "r2", "r3")
     assert verify_chain(p, lw.chain)
@@ -160,22 +157,19 @@ def test_find_loop_trs_word3():
 
 def test_find_loop_respects_word_bound():
     p = trs("f(x) -> g(h(x,one),x)  one -> zero  h(x,zero) -> f(f(x))")
-    assert find_loop(p, p.rules, 2, EmbeddingKind.INS, Semantics.TRS) is None
+    assert find_loop(p, 2) is None
 
 
 def test_find_loop_budget_degrades():
     p = trs("f(x) -> g(h(x,one),x)  one -> zero  h(x,zero) -> f(f(x))")
     budget = Budget(node_cap=1)
-    assert (
-        find_loop(p, p.rules, 3, EmbeddingKind.INS, Semantics.TRS, budget=budget)
-        is None
-    )
+    assert find_loop(p, 3, budget=budget) is None
     assert budget.exhausted
 
 
 def test_loop_unrolling_matches_by_hand():
     p = trs("f(x) -> g(h(x,one),x)  one -> zero  h(x,zero) -> f(f(x))")
-    lw = find_loop(p, p.rules, 3, EmbeddingKind.INS, Semantics.TRS)
+    lw = find_loop(p, 3)
     chain = infinite_chain_prefix(p, lw, 2)
     states = chain.states()
     assert is_variant(states[3], term("g(f(f(x)),x)"))
@@ -185,7 +179,7 @@ def test_loop_unrolling_matches_by_hand():
 
 def test_find_loop_lp_narrowing():
     p = lp("p(f(X,zero)) :- p(X), q(X).")
-    lw = find_loop(p, p.rules, 1, EmbeddingKind.MG, Semantics.LP_NARROW)
+    lw = find_loop(p, 1)
     assert lw is not None
     chain = infinite_chain_prefix(p, lw, 3)
     assert verify_chain(p, chain)
@@ -195,7 +189,7 @@ def test_find_loop_lp_narrowing():
 
 def test_loop_with_nontrivial_context_unrolls():
     p = trs("f(x) -> g(f(h(x)))")
-    lw = find_loop(p, p.rules, 1, EmbeddingKind.INS, Semantics.TRS)
+    lw = find_loop(p, 1)
     assert lw is not None
     assert render(lw.embedding.context.body) == "g([])"
     chain = infinite_chain_prefix(p, lw, 3)
@@ -219,24 +213,17 @@ def _unroll_ins(lw, k):
         if trivial:
             return inst
         steps = [
-            Step(
-                plug(ctx, st.source),
-                st.rule_id,
-                hole_prefix + st.position,
-                st.binder,
-                plug(ctx, st.target),
-                Semantics.TRS,
-            )
+            Step(st.rule_id, hole_prefix + st.position, plug(ctx, st.target))
             for st in inst.steps
         ]
-        return Chain(plug(ctx, inst.start), steps)
+        return Chain(plug(ctx, inst.start), steps, Semantics.TRS)
 
     segment = lw.chain
     all_steps = list(segment.steps)
     for _ in range(k - 1):
         segment = wrap(segment)
         all_steps.extend(segment.steps)
-    return Chain(lw.chain.start, all_steps)
+    return Chain(lw.chain.start, all_steps, Semantics.TRS)
 
 
 def _unroll_mg(program, lw, k):
@@ -257,7 +244,7 @@ def _unroll_mg(program, lw, k):
                 raise RuntimeError("loop unrolling failed to re-apply a step")
             all_steps.append(found)
             cur = found.target
-    return Chain(lw.chain.start, all_steps)
+    return Chain(lw.chain.start, all_steps, Semantics.LP_NARROW)
 
 
 GOLDEN_TRS = "f(x) -> g(h(x,one),x)  one -> zero  h(x,zero) -> f(f(x))"
@@ -273,7 +260,7 @@ def loop_witness_cases():
     cases = []
     for text in (GOLDEN_TRS, NESTED_TRS):
         p = trs(text)
-        cases.append((p, find_loop(p, p.rules, 3, EmbeddingKind.INS, Semantics.TRS)))
+        cases.append((p, find_loop(p, 3)))
         cand = unfolded_program(unfold_trs(p, 2), p.mode)
         for r in cand.rules:
             lw = _rule_loop_witness(r, EmbeddingKind.INS)
@@ -281,7 +268,7 @@ def loop_witness_cases():
                 cases.append((cand, lw))
     for text in (GOLDEN_LP, APP_LP, REV_LP):
         p = lp(text)
-        cases.append((p, find_loop(p, p.rules, 1, EmbeddingKind.MG, Semantics.LP_NARROW)))
+        cases.append((p, find_loop(p, 1)))
         cand = unfolded_program(binary_unfold(p, 2), p.mode)
         for r in cand.rules:
             lw = _rule_loop_witness(r, EmbeddingKind.MG)
@@ -306,10 +293,11 @@ def test_unrolling_agrees_with_the_replaced_unrollers():
                 want = _unroll_ins(lw, k)
             else:
                 want = _unroll_mg(program, lw, k)
-            assert [(repr(st), st.source, st.target) for st in got.steps] == [
-                (repr(st), st.source, st.target) for st in want.steps
+            assert got.states() == want.states()
+            assert [(repr(st), st.rule_id, st.position) for st in got.steps] == [
+                (repr(st), st.rule_id, st.position) for st in want.steps
             ]
-            assert got.start == want.start
+            assert got.semantics is want.semantics
             assert verify_chain(program, got)
     assert kinds == {"term", "term, context", "goal", "goal, suffix"}
 
@@ -318,7 +306,7 @@ def test_loop_whose_word_does_not_replay_is_rejected():
     # g(z) -> k(z,y) leaves y unbound, so one round later k(s(y),y) no
     # longer matches k(x,x)
     p = parse_trs("(VAR y z x)(RULES f(y) -> g(y) g(z) -> k(z,y) k(x,x) -> f(s(x)))")
-    lw = find_loop(p, p.rules, 3, EmbeddingKind.INS, Semantics.TRS)
+    lw = find_loop(p, 3)
     assert lw.word == ("r1", "r2", "r3")
     assert infinite_chain_prefix(p, lw, 1).steps == lw.chain.steps
     with pytest.raises(UnrollError):
@@ -347,7 +335,7 @@ def test_unrolling_tries_every_rule_of_a_step_id():
         ],
         Mode.TRS,
     )
-    lw = find_loop(p, p.rules, 1, EmbeddingKind.INS, Semantics.TRS)
+    lw = find_loop(p, 1)
     chain = infinite_chain_prefix(p, lw, 3)
     assert render(chain.end) == "g(g(g(f(s(s(s(x)))))))"
     assert verify_chain(p, chain)
@@ -357,7 +345,7 @@ def test_unrolling_keeps_the_term_size_cap():
     # each round quadruples the term; the replay shares subterms, so only
     # the size check stops it
     p = trs("f(x) -> f(g(x,x,x,x))")
-    lw = find_loop(p, p.rules, 1, EmbeddingKind.INS, Semantics.TRS)
+    lw = find_loop(p, 1)
     with pytest.raises(ResourceLimitError):
         infinite_chain_prefix(p, lw, 30)
 
@@ -373,7 +361,7 @@ def zantema_rules():
 
 def test_recurrent_pair_decomposition():
     p = zantema_rules()
-    rp = find_recurrent_pair(p, p.rules, 1, Semantics.TRS)
+    rp = find_recurrent_pair(p, 1)
     assert rp is not None
     assert render(rp.c1.body) == "f([],[]')"
     assert render(rp.c2.body) == "s([])"
@@ -414,7 +402,7 @@ def test_first_chain_decomposition_keeps_y_out_of_c1():
 
 def test_witness_chain_exponent_bookkeeping():
     p = zantema_rules()
-    rp = find_recurrent_pair(p, p.rules, 1, Semantics.TRS)
+    rp = find_recurrent_pair(p, 1)
     chain = witness_chain(rp, 1, 0, 3)
     got = [render(t) for t in chain.states()]
     assert got[:6] == [
@@ -430,21 +418,13 @@ def test_witness_chain_exponent_bookkeeping():
 
 def test_witness_chain_rejects_bad_start():
     p = trs("f(x,s(y)) -> f(s(x),y)  f(x,s(zero)) -> f(s(x),s(s(zero)))")
-    rp = find_recurrent_pair(p, p.rules, 1, Semantics.TRS)
+    rp = find_recurrent_pair(p, 1)
     if rp is not None and rp.n2 > 0:
         with pytest.raises(ValueError):
             witness_chain(rp, 0, rp.n2 - 1, 1)
     with pytest.raises(ValueError):
-        rp2 = find_recurrent_pair(
-            zantema_rules(), zantema_rules().rules, 1, Semantics.TRS
-        )
+        rp2 = find_recurrent_pair(zantema_rules(), 1)
         witness_chain(rp2, 0, 0, 0)
-
-
-def test_recurrent_pair_requires_stable_semantics():
-    p = lp("p(f(X,zero)) :- p(X), q(X).")
-    with pytest.raises(ValueError):
-        find_recurrent_pair(p, p.rules, 1, Semantics.LP_NARROW)
 
 
 def test_recurrent_pair_restricted_filters_extra_vars():
@@ -456,12 +436,12 @@ def test_recurrent_pair_restricted_filters_extra_vars():
         ],
         Mode.LP,
     )
-    assert find_recurrent_pair(p, p.rules, 1, Semantics.LP_RESTRICTED) is None
+    assert find_recurrent_pair(p, 1) is None
 
 
 def test_recurrent_pair_none_on_terminating():
     p = trs("plus(zero,x) -> x  plus(s(x),y) -> s(plus(x,y))")
-    assert find_recurrent_pair(p, p.rules, 1, Semantics.TRS) is None
+    assert find_recurrent_pair(p, 1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +483,7 @@ def test_recurrent_pair_reuse_agrees_with_fresh_decomposition(text):
     fresh = [match_recurrent_pattern(copy.deepcopy(c1), c2) for c1, c2 in pairs]
     assert reused == fresh
     first = next((rp for rp in fresh if rp is not None), None)
-    assert find_recurrent_pair(cand, cand.rules, 1, Semantics.TRS) == first
+    assert find_recurrent_pair(cand, 1) == first
     assert (first is None) == (text == COUNTDOWN)
 
 
@@ -511,7 +491,7 @@ def test_recurrent_pair_reuse_tells_apart_chains_with_one_start():
     u = term("f(x,s(y))")
     partner = one_step_chain(zantema_rules().rules[1])
     for n1, rhs in ((1, "f(s(x),y)"), (2, "f(s(s(x)),y)")):
-        chain = Chain(u, [Step(u, "r", (), Substitution(), term(rhs), Semantics.TRS)])
+        chain = Chain(u, [Step("r", (), term(rhs))], Semantics.TRS)
         assert match_recurrent_pattern(chain, partner).n1 == n1
 
 
@@ -540,7 +520,7 @@ def test_recurrent_pair_budget_ticks_once_per_pair(monkeypatch):
 
     monkeypatch.setattr(detection, "match_recurrent_pattern", counting)
     budget = Budget()
-    assert find_recurrent_pair(cand, cand.rules, 1, Semantics.TRS, budget) is None
+    assert find_recurrent_pair(cand, 1, budget) is None
     pairs = list(root_compatible_pairs(cand.rules))
     # a first chain that fails the precheck costs no call and no tick
     expected = [(c1, c2) for c1, c2 in pairs if _may_decompose(c1.start, c1.end)]
@@ -648,11 +628,8 @@ def reference_match_partner(chain1, chain2, x, y, c1, c2, n1):
             ren = {x2: x}
             ren.update((uv, cv) for cv, uv in var_map.items() if uv != cv)
             chain2r = chain2.instantiate(compose(sigma, Substitution(ren)))
-            semantics = chain1.steps[0].semantics
             t_is_s = base != x2
-            return RecurrentPair(
-                chain1, chain2r, c1, c2, n1, n2, n3, n4, s, t_is_s, x, y, semantics
-            )
+            return RecurrentPair(chain1, chain2r, c1, c2, n1, n2, n3, n4, s, t_is_s, x, y)
     return None
 
 
@@ -697,7 +674,7 @@ def test_recurrent_pair_search_matches_the_unfiltered_sweep(text):
     for cand in unfolded_pools(text, SWEEP_SYSTEMS[text]):
         want = unfiltered_first_hit(cand.rules)
         budget = Budget(node_cap=10**9)
-        got = find_recurrent_pair(cand, cand.rules, 1, Semantics.TRS, budget, resume=resume)
+        got = find_recurrent_pair(cand, 1, budget, resume=resume)
         assert got == want
         assert list(resume.swept) == ([] if want is not None else cand.rules)
 
@@ -714,9 +691,9 @@ def test_resumed_search_pairs_only_new_chains(text, monkeypatch):
     monkeypatch.setattr(detection, "match_recurrent_pattern", counting)
     old, new = unfolded_pools(text, 2)[1:]
     resume = PairSweep()
-    assert find_recurrent_pair(old, old.rules, 1, Semantics.TRS, resume=resume) is None
+    assert find_recurrent_pair(old, 1, resume=resume) is None
     calls.clear()
-    assert find_recurrent_pair(new, new.rules, 1, Semantics.TRS, resume=resume) is None
+    assert find_recurrent_pair(new, 1, resume=resume) is None
     old_ids = {r.id for r in old.rules}
     assert calls
     assert not [pair for pair in calls if set(pair) <= old_ids]
@@ -732,14 +709,14 @@ def test_resumed_search_pairs_only_new_chains(text, monkeypatch):
 def test_resume_is_ignored_for_another_pool():
     resume = PairSweep()
     plus, minus = unfolded_pools(PLUS, 2)[2], unfolded_pools(MINUS, 2)[2]
-    assert find_recurrent_pair(plus, plus.rules, 1, Semantics.TRS, resume=resume) is None
+    assert find_recurrent_pair(plus, 1, resume=resume) is None
     counting = unfolded_pools(COUNTING, 2)[2]
     # the swept rules are not a prefix of these candidates: a full search
-    got = find_recurrent_pair(counting, counting.rules, 1, Semantics.TRS, resume=resume)
+    got = find_recurrent_pair(counting, 1, resume=resume)
     assert got == unfiltered_first_hit(counting.rules) is not None
-    assert find_recurrent_pair(minus, minus.rules, 1, Semantics.TRS, resume=resume) is None
+    assert find_recurrent_pair(minus, 1, resume=resume) is None
     with pytest.raises(ValueError):
-        find_recurrent_pair(minus, minus.rules, 2, Semantics.TRS, resume=resume)
+        find_recurrent_pair(minus, 2, resume=resume)
 
 
 def test_rejected_hit_makes_the_next_depth_search_in_full(monkeypatch):
@@ -748,10 +725,10 @@ def test_rejected_hit_makes_the_next_depth_search_in_full(monkeypatch):
     searches = []
     search = analysis.find_recurrent_pair
 
-    def recording(program, candidates, *args, resume=None, **kwargs):
+    def recording(program, *args, resume=None, **kwargs):
         swept = len(resume.swept)
-        rp = search(program, candidates, *args, resume=resume, **kwargs)
-        searches.append((list(candidates), swept, rp))
+        rp = search(program, *args, resume=resume, **kwargs)
+        searches.append((list(program.rules), swept, rp))
         return rp
 
     monkeypatch.setattr(analysis, "find_recurrent_pair", recording)
@@ -883,7 +860,7 @@ def test_partner_matching_matches_the_four_walk_reference(text):
 
 def chain_of(lhs, rhs):
     u, v = term(lhs), term(rhs)
-    return Chain(u, [Step(u, "r", (), Substitution(), v, Semantics.TRS)])
+    return Chain(u, [Step("r", (), v)], Semantics.TRS)
 
 
 def test_partner_binding_a_renamed_variable_is_rejected():
@@ -914,7 +891,7 @@ def test_peeling_a_shared_tower_builds_no_term():
 
 
 def test_witness_chain_keeps_one_witness_powers():
-    counting = find_recurrent_pair(zantema_rules(), zantema_rules().rules, 1, Semantics.TRS)
+    counting = find_recurrent_pair(zantema_rules(), 1)
     p = trs("f(c,a(x),y) -> f(c,x,a(y))  f(c,a(x),y) -> f(x,y,a(a(c)))")
     theta = Substitution({term("x"): term("c", "")})
     swapping = match_recurrent_pattern(
@@ -945,11 +922,11 @@ def instantiating_witness_chain(rp, m, n0, k):
         steps.extend(rp.chain2.instantiate(Substitution({rp.x: tower(cur_m)})).steps)
         m_prime = 0 if rp.t_is_s else cur_m
         cur_m, cur_n = m_prime + rp.n3, cur_m + rp.n4
-    return Chain(start, steps)
+    return Chain(start, steps, rp.chain1.semantics)
 
 
 def recurrent_pair_witnesses():
-    counting = find_recurrent_pair(zantema_rules(), zantema_rules().rules, 1, Semantics.TRS)
+    counting = find_recurrent_pair(zantema_rules(), 1)
     p = trs("f(c,a(x),y) -> f(c,x,a(y))  f(c,a(x),y) -> f(x,y,a(a(c)))")
     theta = Substitution({term("x"): term("c", "")})
     swapping = match_recurrent_pattern(
@@ -977,10 +954,11 @@ def test_witness_chain_matches_the_instantiating_construction(name):
             same = got.start == want.start and render(got.start) == render(want.start)
             assert same, f"start of k={k} from ({m}, {n0})"
             assert len(got.steps) == len(want.steps)
+            assert got.semantics is want.semantics
+            # with equal starts, equal targets make equal states
             for i, (a, b) in enumerate(zip(got.steps, want.steps)):
                 same = (
-                    (a.source, a.target, a.rule_id, a.position, a.binder, a.semantics)
-                    == (b.source, b.target, b.rule_id, b.position, b.binder, b.semantics)
+                    (a.target, a.rule_id, a.position) == (b.target, b.rule_id, b.position)
                     and repr(a) == repr(b)
                 )
                 assert same, f"step {i} of k={k} from ({m}, {n0})"

@@ -81,6 +81,22 @@ def test_parse_lp_variables_clause_local():
     assert p.rules[0].rhs[0].args[0] == v1
 
 
+def test_parse_lp_each_underscore_is_a_fresh_variable():
+    p = parse_lp("q(Z) :- p(_, _, _Y, _Y), q(Z).")
+    atom = p.rules[0].rhs[0]
+    a, b, c, d = atom.args
+    assert len({a, b, c}) == 3 and c == d
+    assert render(atom) == "p(_,_,_Y,_Y)"
+    # ids count every variable of the clause, each _ included
+    assert sorted(v.id for v in p.rules[0].all_vars()) == [0, 1, 2, 3]
+
+
+def test_parse_trs_underscore_is_a_declared_name():
+    p = parse_trs("(VAR _)(RULES f(_,_) -> _)")
+    lhs = p.rules[0].lhs
+    assert lhs.args[0] == lhs.args[1] == p.rules[0].rhs[0]
+
+
 def test_parse_lp_head_variable_rejected():
     with pytest.raises(ParseError):
         parse_lp("X :- p(X).")

@@ -11,19 +11,27 @@ from nonterm.rewriting import (
     Rule,
     Semantics,
     Step,
-    lp_successors,
-    restricted_successors,
     run_word,
     successors,
-    trs_successors,
     verify_chain,
-    verify_step,
 )
 from nonterm.substitution import Substitution, apply
 from nonterm.terms import ROOT, is_variant, iter_positions, render
 
 
 EX_TRS = "f(x) -> g(h(x,one),x)  one -> zero  h(x,zero) -> f(f(x))"
+
+
+def trs_successors(p, s):
+    return successors(p, s, Semantics.TRS)
+
+
+def lp_successors(p, g):
+    return successors(p, g, Semantics.LP_NARROW)
+
+
+def restricted_successors(p, s):
+    return successors(p, s, Semantics.LP_RESTRICTED)
 
 
 def test_trs_successors_all_positions():
@@ -115,34 +123,30 @@ def test_verify_chain_roundtrip():
     t = term("f(x)")
     s1 = trs_successors(p, t)[0]
     s2 = [s for s in trs_successors(p, s1.target) if s.rule_id == "r2"][0]
-    chain = Chain(t, [s1, s2])
-    assert chain.consecutive()
-    assert verify_chain(p, chain)
+    assert verify_chain(p, Chain(t, [s1, s2], Semantics.TRS))
 
 
 def test_verify_chain_rejects_tampering():
     p = trs(EX_TRS)
     t = term("f(x)")
     s1 = trs_successors(p, t)[0]
-    bad = Chain(t, [s1.__class__(
-        s1.source, s1.rule_id, s1.position, s1.binder, term("zero"), s1.semantics
-    )])
+    bad = Chain(t, [Step(s1.rule_id, s1.position, term("zero"))], Semantics.TRS)
     assert not verify_chain(p, bad)
-    assert not verify_step(p, bad.steps[0])
 
 
 def test_verify_chain_rejects_gaps():
+    # s2 is a step of f(one), not of the term s1 ends in
     p = trs(EX_TRS)
     s1 = trs_successors(p, term("f(x)"))[0]
     s2 = trs_successors(p, term("f(one)"))[0]
-    assert not verify_chain(p, Chain(term("f(x)"), [s1, s2]))
+    assert not verify_chain(p, Chain(term("f(x)"), [s1, s2], Semantics.TRS))
 
 
 def test_chain_instantiate_stays_valid():
     # stability: instances of TRS steps are still steps
     p = trs(EX_TRS)
     t = term("f(x)")
-    chain = Chain(t, [trs_successors(p, t)[0]])
+    chain = Chain(t, [trs_successors(p, t)[0]], Semantics.TRS)
     theta = Substitution({term("x"): term("f(zero)")})
     inst = chain.instantiate(theta)
     assert inst.start == apply(theta, t)
@@ -157,15 +161,18 @@ def test_successors_dispatch():
 
 
 # ---------------------------------------------------------------------------
-# verify_step against the enumerate-and-filter verifier it replaced
+# One-step verify_chain against the enumerate-and-filter verifier it replaced
 
 
-def oracle_verify_step(p, step):
-    """List every successor of the source and keep the claimed one."""
-    return any(
-        (c.rule_id, c.position, c.target) == (step.rule_id, step.position, step.target)
-        for c in successors(p, step.source, step.semantics)
-    )
+def one_step(source, rule_id, position, target, semantics):
+    return Chain(source, [Step(rule_id, position, target)], semantics)
+
+
+def oracle_verify_step(p, chain):
+    """List every successor of the one step's source and keep the
+    claimed one."""
+    (step,) = chain.steps
+    return step in successors(p, chain.start, chain.semantics)
 
 
 RESTRICTED = Program(
@@ -205,7 +212,8 @@ def test_verify_step_agrees_with_oracle(p, semantics, sources):
         steps = successors(p, source, semantics)
         assert steps
         for st in steps:
-            assert verify_step(p, st) and oracle_verify_step(p, st)
+            chain = Chain(source, [st], semantics)
+            assert verify_chain(p, chain) and oracle_verify_step(p, chain)
             mutants = [
                 dataclasses.replace(st, position=pos)
                 for pos in _wrong_positions(source) + outside
@@ -215,43 +223,43 @@ def test_verify_step_agrees_with_oracle(p, semantics, sources):
                 dataclasses.replace(st, rule_id="nope"),
                 dataclasses.replace(st, target=source),
             ]
+            mutants = [Chain(source, [m], semantics) for m in mutants]
             for m in mutants:
-                assert verify_step(p, m) == oracle_verify_step(p, m), m
+                assert verify_chain(p, m) == oracle_verify_step(p, m), m
             # no program here rewrites one source to one target twice
             for m in mutants[-2:]:
-                assert not verify_step(p, m) and not oracle_verify_step(p, m), m
+                assert not verify_chain(p, m) and not oracle_verify_step(p, m), m
 
 
 @pytest.mark.parametrize(
     "p, step",
     [
         # wrong position: one -> zero happens below the root
-        (trs(EX_TRS), Step(term("f(one)"), "r2", ROOT, None, term("f(zero)"), Semantics.TRS)),
+        (trs(EX_TRS), one_step(term("f(one)"), "r2", ROOT, term("f(zero)"), Semantics.TRS)),
         # position outside the term
-        (trs(EX_TRS), Step(term("f(one)"), "r2", (2,), None, term("f(zero)"), Semantics.TRS)),
-        (trs(EX_TRS), Step(term("one"), "r2", (1, 1), None, term("zero"), Semantics.TRS)),
-        (lp("q(a)."), Step((term("q(a)"),), "r1", (2,), None, (), Semantics.LP_NARROW)),
-        (lp("q(a)."), Step((term("q(a)"),), "r1", ROOT, None, (), Semantics.LP_NARROW)),
+        (trs(EX_TRS), one_step(term("f(one)"), "r2", (2,), term("f(zero)"), Semantics.TRS)),
+        (trs(EX_TRS), one_step(term("one"), "r2", (1, 1), term("zero"), Semantics.TRS)),
+        (lp("q(a)."), one_step((term("q(a)"),), "r1", (2,), (), Semantics.LP_NARROW)),
+        (lp("q(a)."), one_step((term("q(a)"),), "r1", ROOT, (), Semantics.LP_NARROW)),
         # wrong rule id
-        (trs(EX_TRS), Step(term("f(one)"), "r1", (1,), None, term("f(zero)"), Semantics.TRS)),
+        (trs(EX_TRS), one_step(term("f(one)"), "r1", (1,), term("f(zero)"), Semantics.TRS)),
         # wrong target
-        (trs(EX_TRS), Step(term("f(one)"), "r2", (1,), None, term("f(one)"), Semantics.TRS)),
+        (trs(EX_TRS), one_step(term("f(one)"), "r2", (1,), term("f(one)"), Semantics.TRS)),
         # restricted steps happen at the root only
         (
             RESTRICTED,
-            Step(term("g(f(a,s(b)))"), "r1", (1,), None, term("g(f(s(a),b))"), Semantics.LP_RESTRICTED),
+            one_step(term("g(f(a,s(b)))"), "r1", (1,), term("g(f(s(a),b))"), Semantics.LP_RESTRICTED),
         ),
         # a rule with a two-atom body is no rewrite rule
         (
             Program([Rule("r1", term("f(x)"), (term("g(x)"), term("g(x)")))], Mode.TRS),
-            Step(term("f(a)"), "r1", ROOT, None, term("g(a)"), Semantics.TRS),
+            one_step(term("f(a)"), "r1", ROOT, term("g(a)"), Semantics.TRS),
         ),
     ],
 )
 def test_verify_step_rejects_like_oracle(p, step):
     assert not oracle_verify_step(p, step)
-    assert not verify_step(p, step)
-    assert not verify_chain(p, Chain(step.source, [step]))
+    assert not verify_chain(p, step)
 
 
 def test_verify_step_tries_every_rule_with_the_id():
@@ -260,7 +268,6 @@ def test_verify_step_tries_every_rule_with_the_id():
         [Rule("r1", term("f(a)"), (term("b"),)), Rule("r1", term("f(x)"), (term("c"),))],
         Mode.TRS,
     )
-    step = Step(term("f(x)"), "r1", ROOT, Substitution(), term("c"), Semantics.TRS)
+    step = one_step(term("f(x)"), "r1", ROOT, term("c"), Semantics.TRS)
     assert oracle_verify_step(p, step)
-    assert verify_step(p, step)
-    assert verify_chain(p, Chain(step.source, [step]))
+    assert verify_chain(p, step)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import lp, random_term, term, trs
 from test_substitution import terms
 from nonterm.errors import ResourceLimitError
-from nonterm.rewriting import Mode, Rule, Semantics, rename_apart, run_word
+from nonterm.rewriting import Mode, Rule, Semantics, rename_apart, run_word, successors
 from nonterm.substitution import Substitution, apply, mgu
 from nonterm.terms import App, Symbol, Var, canonical, is_variant, render, term_vars
 from nonterm.unfolding import (
@@ -217,9 +217,7 @@ def test_binary_unfold_soundness_via_narrowing():
         for _ in range(u.depth + 1):
             nxt = []
             for g in goals:
-                from nonterm.rewriting import lp_successors
-
-                for st in lp_successors(p, g):
+                for st in successors(p, g, Semantics.LP_NARROW):
                     if st.target and is_variant(st.target[0], u.rule.rhs[0]):
                         reached = True
                     nxt.append(st.target)
