@@ -33,7 +33,7 @@ from .detection import (
     infinite_chain_prefix,
     witness_chain,
 )
-from .errors import ResourceLimitError, UnrollError
+from .errors import DeadlineError, ResourceLimitError, UnrollError
 from .rewriting import (
     Chain,
     Mode,
@@ -43,7 +43,7 @@ from .rewriting import (
     rewrite_at,
     verify_chain,
 )
-from .terms import GoalContext, ROOT, render, render_position
+from .terms import ROOT, render_position, renderer
 from .unfolding import (
     DEFAULT_DEPTH,
     Unfolding,
@@ -113,11 +113,14 @@ def unfold(program: Program, depth: int, resume: Optional[Unfolding] = None) -> 
     return binary_unfold(program, depth, resume=resume)
 
 
-def _pools(program: Program, cfg: AnalysisConfig, stats: dict):
+def _pools(
+    program: Program, cfg: AnalysisConfig, stats: dict, deadline: Optional[float]
+):
     """Yield the programs to search: the input itself under ``raw``,
     otherwise the unfolded pool of each depth in turn, so cheap witnesses
     are found before the pool grows large.  Each depth resumes the
-    unfolding of the one before."""
+    unfolding of the one before; unfolding raises ``DeadlineError`` once
+    ``deadline`` (a ``time.monotonic()`` reading, or None) has passed."""
     if cfg.raw:
         stats["unfolding"] = "none"
         yield program
@@ -128,6 +131,7 @@ def _pools(program: Program, cfg: AnalysisConfig, stats: dict):
     else:
         stats["unfolding"] = "binary"
     resume = Unfolding()
+    resume.deadline = deadline
     for depth in range(cfg.unfold_depth + 1):
         pool = unfold(program, depth, resume)
         stats["unfold_depth"] = depth
@@ -183,6 +187,15 @@ def _verified(tech: str, cand: Program, witness, cfg, stats) -> Optional[Verdict
     return Verdict("NO", tech, witness, prefix, cand, stats)
 
 
+def _mark_timed_out(budgets: dict[str, Budget], stats: dict) -> bool:
+    """Mark exhausted each budget whose deadline has passed, though its
+    search may never have ticked; True when every budget is exhausted."""
+    for tech, budget in budgets.items():
+        if not budget.exhausted and not budget.tick(0):
+            stats.setdefault("exhausted", []).append(tech)
+    return all(b.exhausted for b in budgets.values())
+
+
 def analyze(program: Program, cfg: Optional[AnalysisConfig] = None) -> Verdict:
     cfg = cfg or AnalysisConfig()
     stats: dict = {"mode": program.mode.value, "input_rules": len(program.rules)}
@@ -192,12 +205,16 @@ def analyze(program: Program, cfg: Optional[AnalysisConfig] = None) -> Verdict:
     if len(set(cfg.techniques)) < len(cfg.techniques):
         raise ValueError(f"repeated technique in {cfg.techniques!r}")
     budgets = {t: Budget(timeout=cfg.timeout) for t in cfg.techniques}
+    # unfolding stops once every search it feeds is past its deadline
+    deadline = None
+    if cfg.timeout:
+        deadline = max((b.deadline for b in budgets.values()), default=None)
     # the recurrent-pair search of each depth skips the pairs the depth
     # before swept with no hit
     searches = dict(_WITNESSES)
     searches[TECHNIQUE_RECPAIR] = partial(_recpair_witnesses, resume=PairSweep())
     try:
-        for cand in _pools(program, cfg, stats):
+        for cand in _pools(program, cfg, stats, deadline):
             for tech in cfg.techniques:
                 budget = budgets[tech]
                 if budget.exhausted:
@@ -209,12 +226,10 @@ def analyze(program: Program, cfg: Optional[AnalysisConfig] = None) -> Verdict:
                     stats.setdefault("exhausted", []).append(tech)
                 if v is not None:
                     return v
-            # a search that never ticked (no candidates) still has a deadline
-            for tech, budget in budgets.items():
-                if not budget.exhausted and not budget.tick(0):
-                    stats.setdefault("exhausted", []).append(tech)
-            if all(b.exhausted for b in budgets.values()):
+            if _mark_timed_out(budgets, stats):
                 break
+    except DeadlineError:
+        _mark_timed_out(budgets, stats)
     except ResourceLimitError as exc:
         stats["resource_limit"] = str(exc)
     return Verdict("MAYBE", stats=stats)
@@ -224,42 +239,41 @@ def analyze(program: Program, cfg: Optional[AnalysisConfig] = None) -> Verdict:
 # Certificates
 
 
-def _witness_dict(v: Verdict) -> Optional[dict]:
+def _witness_dict(v: Verdict, show) -> Optional[dict]:
     w = v.witness
     if w is None:
         return None
     if isinstance(w, LoopWitness):
-        ctx = w.embedding.context
         return {
             "kind": "loop",
             "word": list(w.word),
-            "start": render(w.start),
-            "start_unmarked": render(unmark_root(w.start))
+            "start": show(w.start),
+            "start_unmarked": show(unmark_root(w.start))
             if not isinstance(w.start, tuple)
             else None,
-            "end": render(w.end),
+            "end": show(w.end),
             "embedding": w.embedding.kind.value,
-            "context": repr(ctx) if isinstance(ctx, GoalContext) else render(ctx.body),
-            "binder": repr(w.embedding.binder),
+            "context": show(w.embedding.context.body),
+            "binder": w.embedding.binder.text(show),
         }
     return {
         "kind": "recurrent-pair",
         "word1": list(w.word1),
         "word2": list(w.word2),
-        "c1": render(w.c1.body),
-        "c2": render(w.c2.body),
+        "c1": show(w.c1.body),
+        "c2": show(w.c2.body),
         "exponents": [w.n1, w.n2, w.n3, w.n4],
-        "base": render(w.s),
-        "regrown_base": render(w.s) if w.t_is_s else w.x.name,
+        "base": show(w.s),
+        "regrown_base": show(w.s) if w.t_is_s else w.x.name,
         "x": w.x.name,
         "y": w.y.name,
     }
 
 
-def _prefix_dicts(v: Verdict) -> list[dict]:
+def _prefix_dicts(v: Verdict, show) -> list[dict]:
     if v.simulated_prefix is None:
         return []
-    states = [render(x) for x in v.simulated_prefix.states()]
+    states = [show(x) for x in v.simulated_prefix.states()]
     return [
         {
             "source": source,
@@ -271,11 +285,11 @@ def _prefix_dicts(v: Verdict) -> list[dict]:
     ]
 
 
-def _used_rules(v: Verdict) -> dict:
+def _used_rules(v: Verdict, show) -> dict:
     if v.used_program is None or v.simulated_prefix is None:
         return {}
     ids = sorted({st.rule_id for st in v.simulated_prefix.steps})
-    return {rid: repr(v.used_program.rule(rid)) for rid in ids}
+    return {rid: v.used_program.rule(rid).text(show) for rid in ids}
 
 
 # Stats that are a pure function of input and configuration; wall-clock
@@ -286,13 +300,17 @@ _CERT_STATS_NO = _CERT_STATS + ("unfold_depth", "unfolded_rules")
 
 
 def certificate_dict(v: Verdict) -> dict:
+    """The certificate of ``v``.  Every term in it is rendered by one
+    ``renderer``, so a subterm object the witness, the rules and the
+    prefix states share is rendered once per certificate."""
     keys = _CERT_STATS_NO if v.answer == "NO" else _CERT_STATS
+    show = renderer()
     return {
         "answer": v.answer,
         "technique": v.technique,
-        "witness": _witness_dict(v),
-        "rules": _used_rules(v),
-        "simulated_prefix": _prefix_dicts(v),
+        "witness": _witness_dict(v, show),
+        "rules": _used_rules(v, show),
+        "simulated_prefix": _prefix_dicts(v, show),
         "stats": {k: v.stats[k] for k in keys if k in v.stats},
     }
 

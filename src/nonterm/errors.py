@@ -17,6 +17,10 @@ class ResourceLimitError(NontermError):
     """A configured size / count / time budget was exceeded."""
 
 
+class DeadlineError(NontermError):
+    """Unfolding ran past the deadline of every search it feeds."""
+
+
 class UnrollError(NontermError):
     """A loop witness's rule word did not re-apply inside its embedding."""
 

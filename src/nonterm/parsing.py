@@ -22,7 +22,7 @@ from typing import Optional
 
 from .errors import ParseError
 from .rewriting import Mode, Program, Rule
-from .terms import App, Signature, Symbol, Term, Var, render_term
+from .terms import App, Signature, Symbol, Term, Var, renderer
 
 _RESERVED_NAMES = {"[]", "[]'"}
 
@@ -240,20 +240,21 @@ def render_program(p: Program) -> str:
     """Textual form of a program in its dialect.  A logic program parses
     again; an unfolded rewrite system does not, since its marked symbols
     such as ``f#`` are reserved to the parser."""
+    show = renderer()
     if p.mode is Mode.TRS:
         names = sorted(
             {v.name for r in p.rules for v in r.all_vars()}
         )
         lines = ["(VAR " + " ".join(names) + ")", "(RULES"]
         for r in p.rules:
-            lines.append(f"  {render_term(r.lhs)} -> {render_term(r.rhs[0])}")
+            lines.append(f"  {show(r.lhs)} -> {show(r.rhs[0])}")
         lines.append(")")
         return "\n".join(lines) + "\n"
     lines = []
     for r in p.rules:
-        head = render_term(r.lhs)
+        head = show(r.lhs)
         if r.rhs:
-            lines.append(head + " :- " + ", ".join(render_term(t) for t in r.rhs) + ".")
+            lines.append(head + " :- " + ", ".join(map(show, r.rhs)) + ".")
         else:
             lines.append(head + ".")
     return "\n".join(lines) + "\n"

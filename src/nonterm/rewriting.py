@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import InvalidPositionError, ResourceLimitError
 from .substitution import Substitution, apply, match, mgu, renaming_apart
@@ -32,6 +32,7 @@ from .terms import (
     canonical,
     render,
     render_position,
+    renderer,
     replace_at,
     subterm_at,
     iter_positions,
@@ -70,9 +71,12 @@ class Rule:
     def rename(self, theta: Substitution) -> "Rule":
         return Rule(self.id, apply(theta, self.lhs), apply(theta, self.rhs))
 
+    def text(self, show: Callable[[Union[Term, Goal]], str]) -> str:
+        """The rule's ``repr``, its terms rendered by ``show``."""
+        return f"{self.id}: {show(self.lhs)} -> {show(self.rhs)}"
+
     def __repr__(self):
-        body = ",".join(render(t) for t in self.rhs)
-        return f"{self.id}: {render(self.lhs)} -> <{body}>"
+        return self.text(renderer())
 
 
 def rename_apart(r: Rule, avoid: Iterable) -> Rule:

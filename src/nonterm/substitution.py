@@ -14,7 +14,7 @@ allocate only the nodes on the paths to bound variables.
 from __future__ import annotations
 
 from operator import is_not
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .terms import (
     App,
@@ -22,7 +22,7 @@ from .terms import (
     Goal,
     Term,
     Var,
-    render_term,
+    renderer,
 )
 
 
@@ -58,10 +58,13 @@ class Substitution:
     def __len__(self):
         return len(self._bindings)
 
-    def __repr__(self):
+    def text(self, show: Callable[[Term], str]) -> str:
+        """The substitution's ``repr``, its terms rendered by ``show``."""
         items = sorted(self._bindings.items(), key=lambda kv: kv[0].name)
-        inner = ", ".join(f"{v.name} -> {render_term(t)}" for v, t in items)
-        return "{" + inner + "}"
+        return "{" + ", ".join(f"{v.name} -> {show(t)}" for v, t in items) + "}"
+
+    def __repr__(self):
+        return self.text(renderer())
 
 
 EMPTY_SUBST = Substitution()
@@ -182,13 +185,17 @@ def renaming_apart(vs: Iterable[Var], avoid: Iterable[Var]) -> Substitution:
     """A renaming of ``vs`` whose image avoids ``avoid``.
 
     Fresh ids are allocated deterministically just above every id in
-    sight, so the result is a pure function of its inputs.
+    sight, so the result is a pure function of its inputs.  A fresh
+    variable is named by its id after the stem of the old name, which
+    drops trailing digits and underscores; a name with no stem, such as
+    ``_``, gets the stem ``_``, so the fresh name still reads as a
+    variable.
     """
     vs = sorted(set(vs), key=lambda v: v.id)
     avoid_ids = {v.id for v in avoid} | {v.id for v in vs}
     next_id = max(avoid_ids, default=-1) + 1
     out = {}
     for v in vs:
-        out[v] = Var(next_id, f"{v.name.rstrip('0123456789_')}{next_id}")
+        out[v] = Var(next_id, f"{v.name.rstrip('0123456789_') or '_'}{next_id}")
         next_id += 1
     return Substitution(out)

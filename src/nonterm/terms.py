@@ -15,12 +15,17 @@ and set lookups of unification, renaming and variant keys cost no
 Python-level tuple per lookup.  Terms are not interned: ``Var``
 equality ignores display names, so a global table would merge ``f(x)``
 and ``f(u)`` from two parses and print the wrong names.
+
+Rendering walks each distinct object once per call: ``renderer`` looks
+a subterm met before up by identity, so a shared tower renders in time
+linear in its objects.  No string is kept on a node; the memo goes with
+the call (or, for a certificate, with the one renderer it uses).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import HoleMismatchError, InvalidPositionError, ResourceLimitError
 
@@ -338,30 +343,58 @@ class GoalContext:
     prefix: Goal = ()
     suffix: Goal = ()
 
+    @property
+    def body(self) -> Goal:
+        """The goal with the hole atom ``[]`` between prefix and suffix."""
+        return (*self.prefix, App(HOLE), *self.suffix)
+
     def __repr__(self):
-        parts = [render_term(t) for t in self.prefix]
-        parts.append("[]")
-        parts.extend(render_term(t) for t in self.suffix)
-        return "<" + ",".join(parts) + ">"
+        return render_goal(self.body)
 
 
 # ---------------------------------------------------------------------------
 # Rendering
 
-def render_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if not t.args:
-        return t.symbol.name
-    return t.symbol.name + "(" + ",".join(render_term(a) for a in t.args) + ")"
+def renderer() -> Callable[[Union[Term, Goal]], str]:
+    """A function that renders terms and goals, walking each distinct
+    ``App`` object once over all its calls: a subterm met again, in the
+    same term or in a later one, is looked up by identity.  A shared DAG
+    renders in time linear in its objects, not in its tree size.
 
+    The memo lives as long as the returned function, and no string is
+    kept on a node.  It is keyed by ``id``, not by value (``Var``
+    equality ignores display names), and holds each keyed term, so no id
+    is reused while the function lives.  Variables and constants are not
+    memoised."""
+    memo: dict[int, tuple[App, str]] = {}
 
-def render_goal(g: Goal) -> str:
-    return "<" + ",".join(render_term(t) for t in g) + ">"
+    def term(t: Term) -> str:
+        if t.__class__ is Var:
+            return t.name
+        args = t.args
+        if not args:
+            return t.symbol.name
+        hit = memo.get(id(t))
+        if hit is not None:
+            return hit[1]
+        text = t.symbol.name + "(" + ",".join(map(term, args)) + ")"
+        memo[id(t)] = (t, text)
+        return text
+
+    def show(x: Union[Term, Goal]) -> str:
+        if isinstance(x, tuple):
+            return "<" + ",".join(map(term, x)) + ">"
+        return term(x)
+
+    return show
 
 
 def render(x: Union[Term, Goal]) -> str:
-    return render_goal(x) if isinstance(x, tuple) else render_term(x)
+    """``x`` as text, each distinct subterm object rendered once."""
+    return renderer()(x)
+
+
+render_term = render_goal = render
 
 
 def render_position(p: Position) -> str:

@@ -34,10 +34,11 @@ per unfolding, however many pairs and positions it narrows.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import InvalidPositionError, ResourceLimitError
+from .errors import DeadlineError, InvalidPositionError, ResourceLimitError
 from .rewriting import Mode, Program, Rule, rename_apart
 from .substitution import EMPTY_SUBST, Substitution, apply, compose, mgu
 from .terms import (
@@ -264,12 +265,18 @@ class Unfolding:
     Pass the same instance to successive ``unfold_trs``/``binary_unfold``
     calls on one program, at depths that do not decrease: each call then
     unfolds only the depths not done yet.  A call cut short by the rule
-    cap leaves the instance unusable.
+    cap or by the deadline leaves the instance unusable.
 
     ``renamed`` memoises the narrowing rules renamed apart, for this
     unfolding only: ``Var`` equality ignores display names, so a memo
     shared between programs would print one program's variable names in
     another's rules.
+
+    ``deadline``, when set, is the ``time.monotonic()`` reading past which
+    the unfolding raises ``DeadlineError``.  Dependency-pair unfolding
+    checks it once per frontier rule, binary unfolding once per clause,
+    both from depth 1 on: depth 0 takes time linear in the program, and
+    always ends.
     """
 
     def __init__(self):
@@ -278,6 +285,11 @@ class Unfolding:
         self.depth = -1  # deepest depth unfolded
         self.frontier: list[UnfoldedRule] = []  # rules new at that depth
         self.renamed: dict[tuple[Rule, int], Rule] = {}
+        self.deadline: Optional[float] = None
+
+    def check_deadline(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise DeadlineError("unfolding passed its deadline")
 
     def deepen(
         self,
@@ -294,7 +306,7 @@ class Unfolding:
         elif self.program is not program:
             raise ValueError("an Unfolding resumes the program it started with")
         if self.depth is None:
-            raise ValueError("an unfolding cut short by the rule cap cannot resume")
+            raise ValueError("an unfolding cut short cannot resume")
         if max_depth < self.depth:
             raise ValueError(f"already unfolded to depth {self.depth} > {max_depth}")
         self.pool.cap = cap
@@ -395,6 +407,7 @@ def unfold_trs(
             return [u for u in dps if pool.add(u) is not None]
         new = []
         for parent in state.frontier:
+            state.check_deadline()
             for kind, pos, with_rule, lhs, rhs, theta in _narrowings(
                 parent.rule, ("forward", "backward"), rules_at, True, state.renamed
             ):
@@ -550,6 +563,8 @@ def binary_unfold(
         binaries = [u for u in pool.items if len(u.rule.rhs) == 1]
         before = len(pool.items)
         for rule in p.rules:
+            if iteration:
+                state.check_deadline()
             n = len(rule.rhs)
             for theta, used, dmax in erase_prefix(rule, n, units):
                 emit("binunf-C", rule, theta, n, used, dmax)

@@ -1,5 +1,6 @@
 import inspect
 import json
+import time
 
 import pytest
 
@@ -309,6 +310,18 @@ def test_tracer_hooks_raw_driver(monkeypatch):
     assert not trs_unfolds and not lp_unfolds
     assert len(loops) == 2
     assert all(args[1] == 3 for args, _ in loops)
+
+
+def test_timeout_bounds_unfolding():
+    # without 1 -> 0, depth 3 of this system's unfolding alone runs for
+    # many seconds before it reaches the rule cap
+    text = PAPER_TRS.replace("  1 -> 0", "")
+    start = time.monotonic()
+    v = analyze(trs(text), AnalysisConfig(timeout=2))
+    assert time.monotonic() - start < 6
+    assert v.answer == "MAYBE"
+    assert v.stats["exhausted"] == ["loop", "recpair"]
+    assert "resource_limit" not in v.stats
 
 
 @pytest.mark.parametrize(

@@ -135,3 +135,8 @@ def test_match_implies_unifiable(s, t):
 @settings(max_examples=100, deadline=None)
 def test_empty_subst_is_identity(t):
     assert apply(EMPTY_SUBST, t) == t
+
+
+def test_renaming_an_anonymous_variable_keeps_a_variable_name():
+    gamma = renaming_apart([Var(0, "_"), Var(1, "X_2"), Var(2, "12")], [])
+    assert [gamma.get(Var(i)).name for i in range(3)] == ["_3", "X4", "_5"]

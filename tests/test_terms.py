@@ -1,6 +1,9 @@
-import pytest
+import random
 
-from conftest import term
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import A0, B0, F2, G1, GEN_VARS, random_term, term
 from nonterm.errors import HoleMismatchError, InvalidPositionError
 from nonterm.terms import (
     App,
@@ -19,6 +22,7 @@ from nonterm.terms import (
     plug2,
     render,
     render_position,
+    renderer,
     replace_at,
     subterm_at,
     term_size,
@@ -109,3 +113,65 @@ def test_canonical_variants():
 def test_render_position():
     assert render_position(ROOT) == "eps"
     assert render_position((1, 2, 1)) == "1.2.1"
+
+
+def naive_render(x):
+    """The tree walk the renderer must agree with: every occurrence of a
+    subterm rendered anew."""
+    if isinstance(x, tuple):
+        return "<" + ",".join(map(naive_render, x)) + ">"
+    if isinstance(x, Var):
+        return x.name
+    if not x.args:
+        return x.symbol.name
+    return x.symbol.name + "(" + ",".join(map(naive_render, x.args)) + ")"
+
+
+@st.composite
+def shared_terms(draw):
+    """A term or a goal built bottom up from the objects built before it,
+    so subterm objects recur; the leaves include two equal variables with
+    different names."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    built = [*GEN_VARS, Var(0, "u"), App(A0), App(B0), random_term(rng, 2)]
+    for _ in range(rng.randint(0, 12)):
+        sym = rng.choice([F2, G1])
+        built.append(App(sym, tuple(rng.choice(built) for _ in range(sym.arity))))
+    if draw(st.booleans()):
+        return built[-1]
+    return tuple(rng.choice(built) for _ in range(rng.randint(0, 3)))
+
+
+@given(st.lists(shared_terms(), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_render_matches_the_tree_walk(xs):
+    want = [naive_render(x) for x in xs]
+    assert [render(x) for x in xs] == want
+    show = renderer()  # one memo over all of them
+    assert [show(x) for x in xs] == want
+
+
+def test_render_keys_by_identity_not_value():
+    x, y = Var(0, "x"), Var(0, "y")
+    assert x == y
+    assert render(App(F2, (x, y))) == "f(x,y)"
+    gx, gy = App(G1, (x,)), App(G1, (y,))
+    assert gx == gy
+    assert render(App(F2, (gx, gy))) == "f(g(x),g(y))"
+
+
+def test_one_renderer_over_many_temporaries():
+    # each term dies before the next is built, so CPython hands its id to
+    # the next one; a memo that did not hold its keys would answer stale
+    show = renderer()
+    for i in range(2000):
+        assert show(App(G1, (App(G1, (Var(i, f"v{i}"),)),))) == f"g(g(v{i}))"
+
+
+def test_render_shared_tower():
+    g = Symbol("g", 2)
+    t, want = App(A0), "a"
+    for _ in range(20):
+        t, want = App(g, (t, t)), f"g({want},{want})"
+    assert term_size(t) == 2**21 - 1
+    assert render(t) == want

@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import lp, random_term, term, trs
 from test_substitution import terms
-from nonterm.errors import ResourceLimitError
+from nonterm.errors import DeadlineError, ResourceLimitError
+from nonterm.parsing import render_program
 from nonterm.rewriting import Mode, Rule, Semantics, rename_apart, run_word, successors
 from nonterm.substitution import Substitution, apply, mgu
 from nonterm.terms import App, Symbol, Var, canonical, is_variant, render, term_vars
@@ -357,6 +359,18 @@ def test_resumed_unfolding_rule_cap():
         unfold_trs(p, 4, resume=state)
 
 
+@pytest.mark.parametrize("parse, unfolder, text", RESUME_CASES)
+def test_unfolding_stops_at_its_deadline(parse, unfolder, text):
+    p = parse(text)
+    state = Unfolding()
+    unfolder(p, 0, resume=state)
+    state.deadline = time.monotonic() - 1
+    with pytest.raises(DeadlineError):
+        unfolder(p, 1, resume=state)
+    with pytest.raises(ValueError):
+        unfolder(p, 1, resume=state)
+
+
 def test_resumed_unfolding_rejects_misuse():
     p = trs(EX_TRS)
     state = Unfolding()
@@ -480,3 +494,16 @@ def test_each_unfolding_prints_only_its_own_variable_names():
             for v, t in u.provenance.unifier.bindings.items():
                 shown |= {v.name} | {w.name for w in term_vars(t)}
             assert shown and all(n.rstrip("0123456789") == name for n in shown), repr(u)
+
+
+# Anonymous variables and no numeric constant: a unit rule renamed apart
+# must not turn ``_`` into a name that parses as a constant.
+ANON_LP = "a(X, X).\nb(Z) :- a(_, Z), c(Z).\nc(W) :- b(W).\nd(_) :- e(_, _).\ne(U, U)."
+
+
+def test_rendered_pool_with_anonymous_variables_parses_back():
+    pool = unfolded_program(binary_unfold(lp(ANON_LP), 2), Mode.LP)
+    again = lp(render_program(pool))
+    assert len(again.rules) == len(pool.rules)
+    for rule, back in zip(pool.rules, again.rules):
+        assert is_variant((rule.lhs, *rule.rhs), (back.lhs, *back.rhs)), (rule, back)
