@@ -17,6 +17,7 @@ configuration are byte-identical across runs.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Union
@@ -64,7 +65,7 @@ class AnalysisConfig:
     unfold_depth: int = DEFAULT_DEPTH
     max_word_len: Optional[int] = None  # raw only; default 3
     simulate_steps: int = 5
-    timeout: Optional[float] = 10.0  # seconds per technique
+    timeout: Optional[float] = 10.0  # seconds for the whole analysis
     raw: bool = False
 
     def word_len(self) -> int:
@@ -204,11 +205,9 @@ def analyze(program: Program, cfg: Optional[AnalysisConfig] = None) -> Verdict:
             raise ValueError(f"unknown technique {tech!r}")
     if len(set(cfg.techniques)) < len(cfg.techniques):
         raise ValueError(f"repeated technique in {cfg.techniques!r}")
-    budgets = {t: Budget(timeout=cfg.timeout) for t in cfg.techniques}
-    # unfolding stops once every search it feeds is past its deadline
-    deadline = None
-    if cfg.timeout:
-        deadline = max((b.deadline for b in budgets.values()), default=None)
+    # one deadline bounds every search and the unfolding
+    deadline = time.monotonic() + cfg.timeout if cfg.timeout else None
+    budgets = {t: Budget(deadline) for t in cfg.techniques}
     # the recurrent-pair search of each depth skips the pairs the depth
     # before swept with no hit
     searches = dict(_WITNESSES)

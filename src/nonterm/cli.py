@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="search the input rules directly, without unfolding",
     )
     ap.add_argument(
-        "--timeout", type=float, default=None, help="seconds per technique"
+        "--timeout", type=float, default=None, help="seconds for the whole analysis"
     )
     ap.add_argument("--json", action="store_true", help="emit a JSON certificate")
     ap.add_argument(

@@ -121,10 +121,11 @@ class RecurrentPair:
 
 class Budget:
     """Wall-clock and node budget for a search; never produces wrong NOs,
-    only degrades to "nothing found"."""
+    only degrades to "nothing found".  ``deadline`` is a
+    ``time.monotonic()`` reading, or None for no time limit."""
 
-    def __init__(self, timeout: Optional[float] = None, node_cap: int = 200_000):
-        self.deadline = time.monotonic() + timeout if timeout else None
+    def __init__(self, deadline: Optional[float] = None, node_cap: int = 200_000):
+        self.deadline = deadline
         self.node_cap = node_cap
         self.nodes = 0
         self.exhausted = False
@@ -487,14 +488,12 @@ def _match_partner(chain1: Chain, chain2: Chain, x, y, c1, c2, n1):
 
 
 def _one_step_chains(candidates: Sequence[Rule], semantics: Semantics) -> list[Chain]:
-    out = []
-    for r in candidates:
-        if semantics is Semantics.LP_RESTRICTED and not r.restricted_usable:
-            continue
-        if not r.trs_usable:
-            continue
-        out.append(Chain(r.lhs, [Step(r.id, ROOT, r.rhs[0])], semantics))
-    return out
+    restricted = semantics is Semantics.LP_RESTRICTED
+    return [
+        Chain(r.lhs, [Step(r.id, ROOT, r.rhs[0])], semantics)
+        for r in candidates
+        if (r.restricted_usable if restricted else r.trs_usable)
+    ]
 
 
 class PairSweep:

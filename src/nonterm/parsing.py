@@ -17,12 +17,13 @@ forged from the outside.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ParseError
 from .rewriting import Mode, Program, Rule
-from .terms import App, Signature, Symbol, Term, Var, renderer
+from .terms import App, Signature, Symbol, Term, Var, renderer, replace_all, subterms
 
 _RESERVED_NAMES = {"[]", "[]'"}
 
@@ -236,10 +237,33 @@ def parse_program(text: str, mode: Mode) -> Program:
     return parse_trs(text) if mode is Mode.TRS else parse_lp(text)
 
 
+def _anonymous_apart(rule: Rule) -> Rule:
+    """``rule`` with each ``_`` variable that occurs in it more than once
+    named ``_<id>`` (with ``_`` appended until no other variable of the
+    rule has that name), since each ``_`` parses as a fresh variable."""
+    occurs = Counter(
+        v for t in (rule.lhs, *rule.rhs) for _, v in subterms(t) if v.__class__ is Var
+    )
+    taken = {v.name for v in occurs}
+    names: dict[Term, Term] = {}
+    for v, n in occurs.items():
+        if v.name == "_" and n > 1:
+            name = f"_{v.id}"
+            while name in taken:
+                name += "_"
+            taken.add(name)
+            names[v] = Var(v.id, name)
+    if not names:
+        return rule
+    body = tuple(replace_all(t, names) for t in rule.rhs)
+    return Rule(rule.id, replace_all(rule.lhs, names), body)
+
+
 def render_program(p: Program) -> str:
     """Textual form of a program in its dialect.  A logic program parses
-    again; an unfolded rewrite system does not, since its marked symbols
-    such as ``f#`` are reserved to the parser."""
+    again, each rule into a variant of itself; an unfolded rewrite system
+    does not, since its marked symbols such as ``f#`` are reserved to the
+    parser."""
     show = renderer()
     if p.mode is Mode.TRS:
         names = sorted(
@@ -251,7 +275,7 @@ def render_program(p: Program) -> str:
         lines.append(")")
         return "\n".join(lines) + "\n"
     lines = []
-    for r in p.rules:
+    for r in map(_anonymous_apart, p.rules):
         head = show(r.lhs)
         if r.rhs:
             lines.append(head + " :- " + ", ".join(map(show, r.rhs)) + ".")

@@ -25,7 +25,7 @@ the call (or, for a certificate, with the one renderer it uses).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterator, Union
 
 from .errors import HoleMismatchError, InvalidPositionError, ResourceLimitError
 
@@ -86,10 +86,8 @@ _HOLE_SYMBOLS = (HOLE, HOLE2)
 class Signature:
     """A finite set of function symbols with unique names."""
 
-    def __init__(self, symbols: Iterable[Symbol] = ()):
+    def __init__(self):
         self._by_name: dict[str, Symbol] = {}
-        for sym in symbols:
-            self.add(sym)
 
     def add(self, sym: Symbol) -> Symbol:
         if sym in _HOLE_SYMBOLS:
@@ -102,15 +100,6 @@ class Signature:
             )
         self._by_name[sym.name] = sym
         return sym
-
-    def get(self, name: str) -> Optional[Symbol]:
-        return self._by_name.get(name)
-
-    def __contains__(self, sym: Symbol) -> bool:
-        return self._by_name.get(sym.name) == sym
-
-    def __iter__(self) -> Iterator[Symbol]:
-        return iter(sorted(self._by_name.values(), key=lambda s: s.name))
 
 
 class Var:
@@ -191,7 +180,7 @@ class App:
         size = term_size(self)
         if size > MAX_TERM_SIZE:
             return f"<{self.symbol.name}(...): term of {size} nodes>"
-        return render_term(self)
+        return render(self)
 
 
 Term = Union[Var, App]
@@ -300,7 +289,7 @@ class Context:
         return self.holes == frozenset(_HOLE_SYMBOLS)
 
     def __repr__(self):
-        return render_term(self.body)
+        return render(self.body)
 
 
 def replace_all(t: Term, repl: dict[Term, Term]) -> Term:
@@ -349,7 +338,7 @@ class GoalContext:
         return (*self.prefix, App(HOLE), *self.suffix)
 
     def __repr__(self):
-        return render_goal(self.body)
+        return render(self.body)
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +381,6 @@ def renderer() -> Callable[[Union[Term, Goal]], str]:
 def render(x: Union[Term, Goal]) -> str:
     """``x`` as text, each distinct subterm object rendered once."""
     return renderer()(x)
-
-
-render_term = render_goal = render
 
 
 def render_position(p: Position) -> str:

@@ -14,22 +14,21 @@ pair, ``_erase`` and ``_binunf`` take the binary-unfolding steps, and
 ``replay_provenance`` re-derives a rule from its parents through those
 same steps, so a replay reconstructs the rule up to variable renaming.
 
-All three run on ``Unfolding.deepen``.  Dependency-pair and binary
-unfolding also resume depth by depth: given the same ``Unfolding`` at
-each call, depth d+1 starts from the pool, frontier and derivation
-counter that depth d left, instead of from the dependency pairs or the
-program.  A narrowing whose two sides carry different
-function symbols at a shared position is skipped before the rule is
-renamed apart, since no renaming can make them unify.
+All three keep their whole state in one ``Unfolding``: the pool, its
+variant keys, the derivation counter, the frontier and the renamed
+rules.  Given the same ``Unfolding`` at each call, dependency-pair and
+binary unfolding resume depth by depth from where the last call
+stopped.  A narrowing whose two sides carry different function symbols
+at a shared position is skipped before the rule is renamed apart, since
+no renaming can make them unify.
 
-Each derivation is checked for variants before it is built: the pool
-computes the variant key of ``apply(theta, lhs) -> apply(theta, rhs)``
-from the uninstantiated pair and its unifier, and builds the instance,
-the rule and its provenance only when the key is new.  About half of
-all derivations are variants.  Renamings are memoised per ``Unfolding``:
-renaming a rule apart from a pair depends only on the rule and the
-largest variable id of the pair, so each such renamed rule is built once
-per unfolding, however many pairs and positions it narrows.
+Each derivation is checked for variants before it is built:
+``Unfolding.derive`` computes the variant key of ``apply(theta, lhs) ->
+apply(theta, rhs)`` from the uninstantiated pair and its unifier, and
+builds the instance, the rule and its provenance only when the key is
+new.  About half of all derivations are variants.  Renaming a rule apart
+from a pair depends only on the rule and the largest variable id of the
+pair, so each such renamed rule is built once per unfolding.
 """
 
 from __future__ import annotations
@@ -100,72 +99,49 @@ class UnfoldedRule:
         return f"{self.rule!r}  [depth {self.depth}, {self.provenance!r}]"
 
 
-class MarkedSignature:
-    """Injective association of defined symbols with fresh marked copies."""
-
-    def __init__(self, defined):
-        self._marked = {f: Symbol(f.name + MARK_SUFFIX, f.arity) for f in defined}
-
-    def mark(self, sym: Symbol) -> Symbol:
-        return self._marked[sym]
-
-    @staticmethod
-    def is_marked(sym: Symbol) -> bool:
-        return sym.name.endswith(MARK_SUFFIX)
-
-    @staticmethod
-    def unmark(sym: Symbol) -> Symbol:
-        if not MarkedSignature.is_marked(sym):
-            return sym
-        return Symbol(sym.name[: -len(MARK_SUFFIX)], sym.arity)
-
-
 def defined_symbols(r: Program) -> set[Symbol]:
     """Root symbols of left-hand sides."""
-    out = set()
-    for rule in r.rules:
-        if isinstance(rule.lhs, App):
-            out.add(rule.lhs.symbol)
-    return out
-
-
-def mark_root(t: Term, marks: MarkedSignature) -> Term:
-    if not isinstance(t, App):
-        raise ValueError("cannot mark a variable")
-    return App(marks.mark(t.symbol), t.args)
+    return {rule.lhs.symbol for rule in r.rules if isinstance(rule.lhs, App)}
 
 
 def unmark_root(t: Term) -> Term:
-    if isinstance(t, App) and MarkedSignature.is_marked(t.symbol):
-        return App(MarkedSignature.unmark(t.symbol), t.args)
+    if isinstance(t, App) and t.symbol.name.endswith(MARK_SUFFIX):
+        return App(Symbol(t.symbol.name[: -len(MARK_SUFFIX)], t.symbol.arity), t.args)
     return t
+
+
+def _marks(r: Program) -> dict[Symbol, Symbol]:
+    """Each defined symbol of ``r`` with its marked copy, one object per
+    symbol, so marked roots compare by identity in ``mgu`` and ``_clash``."""
+    return {f: Symbol(f.name + MARK_SUFFIX, f.arity) for f in defined_symbols(r)}
+
+
+def _dependency_pair(
+    rule_id: str, rule: Rule, sub: Term, marks: dict[Symbol, Symbol]
+) -> Optional[Rule]:
+    """The pair ``rule_id: l# -> s#`` of ``rule`` (``l -> r``) and a subterm
+    ``s`` of ``r``; None unless ``l`` and ``s`` are rooted in symbols that
+    ``marks`` marks."""
+    lhs = rule.lhs
+    if not (isinstance(lhs, App) and isinstance(sub, App)):
+        return None
+    root, mark = marks.get(lhs.symbol), marks.get(sub.symbol)
+    if root is None or mark is None:
+        return None
+    return Rule(rule_id, App(root, lhs.args), (App(mark, sub.args),))
 
 
 def dependency_pairs(r: Program) -> list[UnfoldedRule]:
     """Marked-root pairs extracted from defined-symbol subterms of rhs."""
-    defined = defined_symbols(r)
-    marks = MarkedSignature(defined)
+    marks = _marks(r)
     out = []
-    n = 0
     for rule in r.rules:
-        if not isinstance(rule.lhs, App):
-            continue
         for t in rule.rhs:
             for pos, sub in subterms(t):
-                if isinstance(sub, App) and sub.symbol in defined:
-                    n += 1
-                    pair = Rule(
-                        f"dp{n}",
-                        mark_root(rule.lhs, marks),
-                        (mark_root(sub, marks),),
-                    )
-                    out.append(
-                        UnfoldedRule(
-                            pair,
-                            0,
-                            ProvenanceStep("dp", (rule.id,), pos, Substitution()),
-                        )
-                    )
+                pair = _dependency_pair(f"dp{len(out) + 1}", rule, sub, marks)
+                if pair is not None:
+                    step = ProvenanceStep("dp", (rule.id,), pos, Substitution())
+                    out.append(UnfoldedRule(pair, 0, step))
     return out
 
 
@@ -206,61 +182,11 @@ def _dedup_key(rule: Rule) -> tuple:
     return _variant_key(rule.lhs, rule.rhs, EMPTY_SUBST)
 
 
-class _Pool:
-    """Accumulates unfolded rules with variant deduplication and a cap."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.items: list[UnfoldedRule] = []
-        self._keys: set = set()
-        self._derived = 0
-
-    def add(self, u: UnfoldedRule) -> Optional[UnfoldedRule]:
-        if not self._is_new(_dedup_key(u.rule)):
-            return None
-        self.items.append(u)
-        return u
-
-    def _is_new(self, key: tuple) -> bool:
-        """Record ``key``; False if a variant had it already.  The key is
-        hashed once, since each hash calls ``Symbol.__hash__`` per symbol.
-        A key recorded just before the cap error stays recorded; that
-        error leaves the unfolding unusable anyway."""
-        keys = self._keys
-        known = len(keys)
-        keys.add(key)
-        if len(keys) == known:
-            return False
-        if len(self.items) >= self.cap:
-            raise ResourceLimitError(f"unfolding exceeded {self.cap} rules")
-        return True
-
-    def derive(
-        self,
-        prefix: str,
-        lhs: Term,
-        rhs: tuple,
-        theta: Substitution,
-        depth: int,
-        step: tuple,
-    ) -> Optional[UnfoldedRule]:
-        """Name the rule ``apply(theta, lhs) -> apply(theta, rhs)``
-        ``<prefix><n>`` and add it, with ``ProvenanceStep(*step)``; ``n``
-        counts every derivation, including variants that are dropped.  A
-        variant is dropped before the rule, its instance or its provenance
-        is built."""
-        self._derived += 1
-        if not self._is_new(_variant_key(lhs, rhs, theta)):
-            return None
-        named = Rule(f"{prefix}{self._derived}", apply(theta, lhs), apply(theta, rhs))
-        u = UnfoldedRule(named, depth, ProvenanceStep(*step))
-        self.items.append(u)
-        return u
-
-
 class Unfolding:
-    """Where one program's dependency-pair or binary unfolding (or one
-    overlap closure) stopped.
+    """One program's dependency-pair or binary unfolding (or one overlap
+    closure): the pool of derived rules and where the unfolding stopped.
+    ``pool`` holds no two variants and at most ``cap`` rules; only ``add``
+    and ``derive`` extend it.
 
     Pass the same instance to successive ``unfold_trs``/``binary_unfold``
     calls on one program, at depths that do not decrease: each call then
@@ -281,15 +207,60 @@ class Unfolding:
 
     def __init__(self):
         self.program: Optional[Program] = None
-        self.pool: Optional[_Pool] = None
+        self.pool: list[UnfoldedRule] = []
+        self.cap = DEFAULT_RULE_CAP
         self.depth = -1  # deepest depth unfolded
         self.frontier: list[UnfoldedRule] = []  # rules new at that depth
         self.renamed: dict[tuple[Rule, int], Rule] = {}
         self.deadline: Optional[float] = None
+        self._keys: set = set()  # variant keys of the pool
+        self._derived = 0
 
     def check_deadline(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise DeadlineError("unfolding passed its deadline")
+
+    def add(self, u: UnfoldedRule) -> Optional[UnfoldedRule]:
+        if not self._is_new(_dedup_key(u.rule)):
+            return None
+        self.pool.append(u)
+        return u
+
+    def _is_new(self, key: tuple) -> bool:
+        """Record ``key``; False if a variant had it already.  The key is
+        hashed once, since each hash calls ``Symbol.__hash__`` per symbol.
+        A key recorded just before the cap error stays recorded; that
+        error leaves the unfolding unusable anyway."""
+        keys = self._keys
+        known = len(keys)
+        keys.add(key)
+        if len(keys) == known:
+            return False
+        if len(self.pool) >= self.cap:
+            raise ResourceLimitError(f"unfolding exceeded {self.cap} rules")
+        return True
+
+    def derive(
+        self,
+        prefix: str,
+        lhs: Term,
+        rhs: tuple,
+        theta: Substitution,
+        depth: int,
+        step: tuple,
+    ) -> Optional[UnfoldedRule]:
+        """Name the rule ``apply(theta, lhs) -> apply(theta, rhs)``
+        ``<prefix><n>`` and pool it, with ``ProvenanceStep(*step)``; ``n``
+        counts every derivation, including variants that are dropped.  A
+        variant is dropped before the rule, its instance or its provenance
+        is built."""
+        self._derived += 1
+        if not self._is_new(_variant_key(lhs, rhs, theta)):
+            return None
+        named = Rule(f"{prefix}{self._derived}", apply(theta, lhs), apply(theta, rhs))
+        u = UnfoldedRule(named, depth, ProvenanceStep(*step))
+        self.pool.append(u)
+        return u
 
     def deepen(
         self,
@@ -302,19 +273,19 @@ class Unfolding:
         to ``max_depth``, stopping once a depth adds no rule; return the
         pool as a new list."""
         if self.program is None:
-            self.program, self.pool = program, _Pool(cap)
+            self.program = program
         elif self.program is not program:
             raise ValueError("an Unfolding resumes the program it started with")
         if self.depth is None:
             raise ValueError("an unfolding cut short cannot resume")
         if max_depth < self.depth:
             raise ValueError(f"already unfolded to depth {self.depth} > {max_depth}")
-        self.pool.cap = cap
+        self.cap = cap
         while self.depth < max_depth and (self.depth < 0 or self.frontier):
             depth, self.depth = self.depth + 1, None
             self.frontier = layer(depth)
             self.depth = depth
-        return list(self.pool.items)
+        return list(self.pool)
 
 
 def _clash(s: Term, t: Term) -> bool:
@@ -402,9 +373,8 @@ def unfold_trs(
         return dp_rules if pos == ROOT else r.rules
 
     def layer(depth: int) -> list[UnfoldedRule]:
-        pool = state.pool
         if depth == 0:
-            return [u for u in dps if pool.add(u) is not None]
+            return [u for u in dps if state.add(u) is not None]
         new = []
         for parent in state.frontier:
             state.check_deadline()
@@ -412,7 +382,7 @@ def unfold_trs(
                 parent.rule, ("forward", "backward"), rules_at, True, state.renamed
             ):
                 step = (kind, (parent.rule.id, with_rule.id), pos, theta)
-                added = pool.derive("u", lhs, (rhs,), theta, depth, step)
+                added = state.derive("u", lhs, (rhs,), theta, depth, step)
                 if added is not None:
                     new.append(added)
         return new
@@ -434,7 +404,6 @@ def overlap_closure(
     state = Unfolding()
 
     def layer(depth: int) -> list[UnfoldedRule]:
-        pool = state.pool
         if depth == 0:
             base = [
                 UnfoldedRule(
@@ -443,9 +412,9 @@ def overlap_closure(
                 for rule in r.rules
                 if rule.trs_usable
             ]
-            return [u for u in base if pool.add(u) is not None]
+            return [u for u in base if state.add(u) is not None]
         new = []
-        known = list(pool.items)
+        known = list(state.pool)
         # overlap every known pair in which at least one member is new at
         # the previous depth: forward narrows a's rhs with b, backward
         # narrows b's lhs with the reversal of a
@@ -461,7 +430,7 @@ def overlap_closure(
                         host, kinds, lambda pos: (with_rule,), False, state.renamed
                     ):
                         step = (kind, (a.rule.id, b.rule.id), pos, theta)
-                        added = pool.derive("oc", lhs, (rhs,), theta, depth, step)
+                        added = state.derive("oc", lhs, (rhs,), theta, depth, step)
                         if added is not None:
                             new.append(added)
         return new
@@ -553,15 +522,15 @@ def binary_unfold(
         if binr is not None:
             used, dmax = used + (binr.rule.id,), max(dmax, binr.depth)
         step = (kind, (rule.id,) + used, (i,), unifier)
-        state.pool.derive("b", lhs, rhs, EMPTY_SUBST, dmax + 1, step)
+        state.derive("b", lhs, rhs, EMPTY_SUBST, dmax + 1, step)
 
     # Iteration j combines only rules of earlier iterations, so every rule
     # it emits has depth at most j.
     def layer(iteration: int) -> list[UnfoldedRule]:
         pool = state.pool
-        units = [u for u in pool.items if len(u.rule.rhs) == 0]
-        binaries = [u for u in pool.items if len(u.rule.rhs) == 1]
-        before = len(pool.items)
+        units = [u for u in pool if len(u.rule.rhs) == 0]
+        binaries = [u for u in pool if len(u.rule.rhs) == 1]
+        before = len(pool)
         for rule in p.rules:
             if iteration:
                 state.check_deadline()
@@ -573,15 +542,14 @@ def binary_unfold(
                     emit("binunf-A", rule, theta, i, used, dmax)
                     for binr in binaries:
                         emit("binunf-B", rule, theta, i, used, dmax, binr)
-        return pool.items[before:]
+        return pool[before:]
 
     return state.deepen(p, max_depth, cap, layer)
 
 
 def unfolded_program(rules: list[UnfoldedRule], mode: Mode) -> Program:
     """Wrap unfolded rules as a runnable program."""
-    plain = [u.rule if isinstance(u, UnfoldedRule) else u for u in rules]
-    return Program(plain, mode)
+    return Program([u.rule for u in rules], mode)
 
 
 # ---------------------------------------------------------------------------
@@ -615,15 +583,11 @@ def replay_provenance(
     if pv.kind == "base":
         return parents[0]
     if pv.kind == "dp":
-        defined = defined_symbols(base)
         try:
             sub = subterm_at(parents[0].rhs[0], pv.position)
         except InvalidPositionError:
             return None
-        if not (isinstance(sub, App) and sub.symbol in defined):
-            return None
-        marks = MarkedSignature(defined)
-        return Rule(u.rule.id, mark_root(parents[0].lhs, marks), (mark_root(sub, marks),))
+        return _dependency_pair(u.rule.id, parents[0], sub, _marks(base))
     if pv.kind in ("forward", "backward", "oc-forward", "oc-backward"):
         if len(parents) != 2:
             return None

@@ -160,6 +160,14 @@ def test_find_loop_respects_word_bound():
     assert find_loop(p, 2) is None
 
 
+def test_find_loop_skips_a_variant_target():
+    # both rules rewrite f(a) to g(a); the second chain is not expanded
+    p = trs("f(a) -> g(a)  f(x) -> g(x)")
+    budget = Budget()
+    assert find_loop(p, 2, budget) is None
+    assert budget.nodes == 4
+
+
 def test_find_loop_budget_degrades():
     p = trs("f(x) -> g(h(x,one),x)  one -> zero  h(x,zero) -> f(f(x))")
     budget = Budget(node_cap=1)
@@ -875,6 +883,22 @@ def test_partner_binding_a_renamed_variable_is_rejected():
         assert (rp is not None) is hit
         want = reference_match(first, partner, unfiltered_decompositions(first.start, first.end))
         assert rp == want
+
+
+def test_partner_variable_bound_loosely_is_read_back():
+    # the partner's w meets the skeleton's ground 0 at argument 3 and is
+    # bound to it; at argument 4 it meets 0 again, at argument 5 a 1
+    first = chain_of("f(x,s(y),0,0,1)", "f(s(x),y,0,0,1)")
+    decompositions = _first_chain_decompositions(first.start, first.end)
+    assert len(decompositions) == 1
+    for lhs, rhs, hit in (
+        ("f(x,0,w,w,z)", "f(s(0),x,w,w,z)", True),
+        ("f(x,0,w,z,w)", "f(s(0),x,w,z,w)", False),
+    ):
+        partner = chain_of(lhs, rhs)
+        rp = _match_partner(first, partner, *decompositions[0])
+        assert (rp is not None) is hit
+        assert rp == reference_match_partner(first, partner, *decompositions[0])
 
 
 def test_peeling_a_shared_tower_builds_no_term():

@@ -1,6 +1,8 @@
-"""Every module-level import of a ``nonterm`` module is used in it.
+"""Every module-level import of a ``nonterm`` module is used in it, and
+every private module-level name is read somewhere in the package.
 
-``__init__.py`` is left out: its imports are the package's exports.
+``__init__.py`` is left out of the import check: its imports are the
+package's exports.
 """
 
 from __future__ import annotations
@@ -35,3 +37,52 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each module-level ``_name`` (not a dunder)
+    defined in one of ``sources`` that no module reads outside the
+    statement defining it."""
+    defined, reads = [], []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [
+                    n.id
+                    for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                ]
+            else:
+                names = []
+            defined += [
+                (module, name, len(reads))
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            ]
+            reads.append(
+                {
+                    n.id
+                    for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                }
+            )
+    return [
+        f"{module}.{name}"
+        for module, name, own in defined
+        if not any(name in read for i, read in enumerate(reads) if i != own)
+    ]
+
+
+def test_orphaned_private_names_are_found():
+    sources = {
+        "a": "def _used():\n    pass\ndef _self(n):\n    return _self(n)\n_x = 1\n",
+        "b": "from a import _used\n_used()\n",
+    }
+    assert orphaned_private_names(sources) == ["a._self", "a._x"]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert orphaned_private_names(sources) == []

@@ -2,8 +2,8 @@ import pytest
 
 from nonterm.errors import ParseError
 from nonterm.parsing import parse_lp, parse_program, parse_trs, render_program
-from nonterm.rewriting import Mode
-from nonterm.terms import Var, render
+from nonterm.rewriting import Mode, Program, Rule
+from nonterm.terms import App, Symbol, Var, is_variant, render
 
 
 def test_parse_trs_basic():
@@ -123,3 +123,13 @@ def test_render_roundtrip_lp():
     p = parse_lp("p(f(X,0)) :- p(X), q(X).\nq(a).")
     again = parse_lp(render_program(p))
     assert again.rules == p.rules
+
+
+def test_repeated_anonymous_variable_takes_a_name_no_other_variable_has():
+    r, q = Symbol("r", 2), Symbol("q", 2)
+    named, anon = Var(0, "_1"), Var(1, "_")
+    rule = Rule("c1", App(r, (named, anon)), (App(q, (anon, Var(2, "_"))),))
+    text = render_program(Program([rule], Mode.LP))
+    assert text == "r(_1,_1_) :- q(_1_,_).\n"
+    back = parse_lp(text).rules[0]
+    assert is_variant((rule.lhs, *rule.rhs), (back.lhs, *back.rhs))

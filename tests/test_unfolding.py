@@ -13,7 +13,6 @@ from nonterm.rewriting import Mode, Rule, Semantics, rename_apart, run_word, suc
 from nonterm.substitution import Substitution, apply, mgu
 from nonterm.terms import App, Symbol, Var, canonical, is_variant, render, term_vars
 from nonterm.unfolding import (
-    MarkedSignature,
     UnfoldedRule,
     Unfolding,
     _clash,
@@ -22,7 +21,6 @@ from nonterm.unfolding import (
     binary_unfold,
     defined_symbols,
     dependency_pairs,
-    mark_root,
     overlap_closure,
     replay_provenance,
     unfold_trs,
@@ -38,9 +36,9 @@ def rule_variant(u, lhs, rhs):
 
 
 def test_mark_unmark_roundtrip():
-    t = term("f(g(x),y)")
-    marks = MarkedSignature({t.symbol})
-    m = mark_root(t, marks)
+    p = trs("f(g(x),y) -> f(x,y)")
+    t = p.rules[0].lhs
+    m = dependency_pairs(p)[0].rule.lhs
     assert m.symbol.name == "f#"
     assert m.args == t.args
     assert unmark_root(m) == t
@@ -501,9 +499,18 @@ def test_each_unfolding_prints_only_its_own_variable_names():
 ANON_LP = "a(X, X).\nb(Z) :- a(_, Z), c(Z).\nc(W) :- b(W).\nd(_) :- e(_, _).\ne(U, U)."
 
 
-def test_rendered_pool_with_anonymous_variables_parses_back():
-    pool = unfolded_program(binary_unfold(lp(ANON_LP), 2), Mode.LP)
+def assert_pool_parses_back(text):
+    pool = unfolded_program(binary_unfold(lp(text), 2), Mode.LP)
     again = lp(render_program(pool))
     assert len(again.rules) == len(pool.rules)
     for rule, back in zip(pool.rules, again.rules):
         assert is_variant((rule.lhs, *rule.rhs), (back.lhs, *back.rhs)), (rule, back)
+
+
+def test_rendered_pool_with_anonymous_variables_parses_back():
+    assert_pool_parses_back(ANON_LP)
+
+
+def test_rendered_pool_names_a_repeated_anonymous_variable():
+    # unification makes the two body ``_`` of ``b6`` one variable
+    assert_pool_parses_back("q(Z,f(_)) :- q(Z,Z). r(_) :- q(f(_),_).")
