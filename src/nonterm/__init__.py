@@ -44,9 +44,7 @@ from .rewriting import (
 from .substitution import Substitution, apply, compose, match, mgu
 from .terms import (
     App,
-    Context,
     Goal,
-    GoalContext,
     Position,
     Signature,
     Symbol,

@@ -17,6 +17,7 @@ configuration are byte-identical across runs.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -205,8 +206,11 @@ def analyze(program: Program, cfg: Optional[AnalysisConfig] = None) -> Verdict:
             raise ValueError(f"unknown technique {tech!r}")
     if len(set(cfg.techniques)) < len(cfg.techniques):
         raise ValueError(f"repeated technique in {cfg.techniques!r}")
+    # 0 would read as no deadline, and nan never passes
+    if cfg.timeout is not None and not (math.isfinite(cfg.timeout) and cfg.timeout > 0):
+        raise ValueError(f"timeout must be finite and positive, not {cfg.timeout!r}")
     # one deadline bounds every search and the unfolding
-    deadline = time.monotonic() + cfg.timeout if cfg.timeout else None
+    deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
     budgets = {t: Budget(deadline) for t in cfg.techniques}
     # the recurrent-pair search of each depth skips the pairs the depth
     # before swept with no hit
@@ -252,15 +256,15 @@ def _witness_dict(v: Verdict, show) -> Optional[dict]:
             else None,
             "end": show(w.end),
             "embedding": w.embedding.kind.value,
-            "context": show(w.embedding.context.body),
+            "context": show(w.embedding.context),
             "binder": w.embedding.binder.text(show),
         }
     return {
         "kind": "recurrent-pair",
         "word1": list(w.word1),
         "word2": list(w.word2),
-        "c1": show(w.c1.body),
-        "c2": show(w.c2.body),
+        "c1": show(w.c1),
+        "c2": show(w.c2),
         "exponents": [w.n1, w.n2, w.n3, w.n4],
         "base": show(w.s),
         "regrown_base": show(w.s) if w.t_is_s else w.x.name,

@@ -96,8 +96,8 @@ def _config_from_args(args) -> AnalysisConfig:
             raise ValueError("--simulate must be non-negative")
         cfg.simulate_steps = args.simulate
     if args.timeout is not None:
-        # a falsy timeout means "no deadline" to the analysis, and nan
-        # compares false with every clock reading
+        # analyze rejects the same values; checked here so that the
+        # message names the flag
         if not (math.isfinite(args.timeout) and args.timeout > 0):
             raise ValueError("--timeout must be a finite positive number of seconds")
         cfg.timeout = args.timeout

@@ -45,9 +45,7 @@ from .rewriting import (
 from .substitution import Substitution, apply, compose, match
 from .terms import (
     App,
-    Context,
     Goal,
-    GoalContext,
     HOLE,
     HOLE2,
     ROOT,
@@ -72,8 +70,15 @@ class EmbeddingKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Embedding:
+    """Where ``source`` embeds in ``target``.  ``context`` is ``target``
+    with the embedded part replaced by a hole: one ``[]`` at its position
+    in a term, or one atom ``[]`` in place of the (possibly empty) window
+    of a goal.  ``binder`` relates the two: ``source`` instantiated by it
+    is the embedded part (ins), or the embedded part instantiated by it
+    is ``source`` (mg)."""
+
     kind: EmbeddingKind
-    context: Union[Context, GoalContext]
+    context: Union[Term, Goal]
     binder: Substitution
 
 
@@ -99,8 +104,8 @@ class LoopWitness:
 class RecurrentPair:
     chain1: Chain
     chain2: Chain
-    c1: Context  # two-hole context
-    c2: Context  # one-hole context
+    c1: Term  # two-hole context
+    c2: Term  # one-hole context
     n1: int
     n2: int
     n3: int
@@ -171,8 +176,7 @@ def _find_term_embedding(kind, source: Term, target: Term, full_context):
         )
         if theta is None:
             continue
-        ctx = Context(replace_at(target, p, App(HOLE)))
-        return Embedding(kind, ctx, theta)
+        return Embedding(kind, replace_at(target, p, App(HOLE)), theta)
     return None
 
 
@@ -194,7 +198,7 @@ def _find_goal_embedding(kind, source: Goal, target: Goal, full_context):
         )
         if theta is None:
             continue
-        return Embedding(kind, GoalContext(target[:i], target[j:]), theta)
+        return Embedding(kind, (*target[:i], App(HOLE), *target[j:]), theta)
     return None
 
 
@@ -248,15 +252,15 @@ def find_loop(
 # Recurrent-pair pattern matching
 
 
-def _strip_layer(t: Term, c2: Context) -> Optional[Term]:
+def _strip_layer(t: Term, c2: Term) -> Optional[Term]:
     """Inner term u with c2[u] = t, or None; builds no term."""
     res: list[Term] = []
-    if _walk_template(c2.body, t, {}, {}, res, [], loose=False) and _all_equal(res):
+    if _walk_template(c2, t, {}, {}, res, [], loose=False) and _all_equal(res):
         return res[0]
     return None
 
 
-def _peel_stages(t: Term, c2: Context) -> list[Term]:
+def _peel_stages(t: Term, c2: Term) -> list[Term]:
     """stages[n] is the remainder of ``t`` after peeling n layers of c2,
     for n up to 500."""
     stages = [t]
@@ -417,7 +421,7 @@ def _first_chain_decompositions(u1, v1) -> list[tuple]:
     if found is None:
         return []
     x, t, d, y = found
-    c2 = Context(replace_all(d, {y: App(HOLE)}))
+    c2 = replace_all(d, {y: App(HOLE)})
     if x is None:
         xs, n1 = sorted(term_vars(u1) - {y}, key=lambda v: v.id), 0
     else:
@@ -426,7 +430,7 @@ def _first_chain_decompositions(u1, v1) -> list[tuple]:
         if n1 is None:
             return []
     return [
-        (x, y, Context(replace_all(u1, {d: App(HOLE2), x: App(HOLE)})), c2, n1)
+        (x, y, replace_all(u1, {d: App(HOLE2), x: App(HOLE)}), c2, n1)
         for x in xs
     ]
 
@@ -447,9 +451,9 @@ def _match_partner(chain1: Chain, chain2: Chain, x, y, c1, c2, n1):
     res2: list[Term] = []
     r1: list[Term] = []
     r2: list[Term] = []
-    if not _walk_template(c1.body, u2, var_map, bindings, res1, res2, loose=True):
+    if not _walk_template(c1, u2, var_map, bindings, res1, res2, loose=True):
         return None
-    if not _walk_template(c1.body, v2, var_map, bindings, r1, r2, loose=True):
+    if not _walk_template(c1, v2, var_map, bindings, r1, r2, loose=True):
         return None
     if any(v in bindings for v in var_map.values()):
         return None
@@ -589,13 +593,13 @@ def _extended_chains(program, seeds, max_word_len, budget):
 # Witness-chain generation
 
 
-# Towers c2^n[s] of the current witness, keyed (c2.body, n): each one is
+# Towers c2^n[s] of the current witness, keyed (c2, n): each one is
 # built once, around the tower below it, so towers share structure.
 _power_cache: dict[tuple, Term] = {}
 
 
-def _tower(c2: Context, n: int, base: Term) -> Term:
-    key = (c2.body, n)
+def _tower(c2: Term, n: int, base: Term) -> Term:
+    key = (c2, n)
     if key not in _power_cache:
         _power_cache[key] = plug(c2, _tower(c2, n - 1, base)) if n else base
     return _power_cache[key]
@@ -650,14 +654,15 @@ def infinite_chain_prefix(
     The first round is the witness chain.  Each later round applies the
     word's rules with ``rewrite_at`` to the previous round's end, every
     step at its previous position moved into the embedding's hole: below
-    the hole position of a term context, or past the prefix of a goal
-    context.  Raises ``UnrollError`` when a step does not re-apply.
+    the hole position of a term context, or past the atoms before the
+    hole atom of a goal context.  Raises ``UnrollError`` when a step does
+    not re-apply.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     ctx = lw.embedding.context
-    if isinstance(ctx, GoalContext):
-        offset = len(ctx.prefix)
+    if isinstance(ctx, tuple):
+        offset = ctx.index(App(HOLE))
 
         def shift(p):
             return (p[0] + offset,)

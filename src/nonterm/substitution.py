@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Optional, Union
 
 from .terms import (
     App,
-    Context,
     Goal,
     Term,
     Var,
@@ -70,7 +69,7 @@ class Substitution:
 EMPTY_SUBST = Substitution()
 
 
-def apply(theta: Substitution, x: Union[Term, Goal, Context]):
+def apply(theta: Substitution, x: Union[Term, Goal]):
     """Homomorphic extension of ``theta``; holes are fixed points.
 
     Every subterm that ``theta`` leaves unchanged is returned as the same
@@ -93,9 +92,6 @@ def apply(theta: Substitution, x: Union[Term, Goal, Context]):
             return App(t.symbol, new)
         return t
 
-    if isinstance(x, Context):
-        body = walk(x.body)
-        return x if body is x.body else Context(body)
     if isinstance(x, tuple):
         new = tuple(map(walk, x))
         return new if any(map(is_not, new, x)) else x

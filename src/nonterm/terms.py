@@ -2,8 +2,12 @@
 
 Terms are immutable: a term is either a variable or an application of a
 function symbol to exactly ``arity`` argument terms.  Goals are finite
-tuples of terms.  Contexts are terms over the signature extended with the
-two reserved 0-ary hole symbols; they never appear in ordinary terms.
+tuples of terms.  A context is a term or goal like any other, over the
+signature extended with the two reserved 0-ary hole symbols ``[]`` and
+``[]'``, which never appear in ordinary terms.  A one-hole term context
+holds ``[]``, a two-hole one ``[]`` and ``[]'``; a goal context is a
+goal with one atom ``[]`` standing for an embedded window.  Only
+``plug`` and ``plug2`` check which holes a context holds.
 
 Terms share subterms freely (``substitution.apply`` returns unchanged
 subterms as they are), so a term is a DAG whose tree size may be far
@@ -24,7 +28,6 @@ the call (or, for a certificate, with the one renderer it uses).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
 from .errors import HoleMismatchError, InvalidPositionError, ResourceLimitError
@@ -259,39 +262,6 @@ def term_vars(t: Union[Term, Goal]) -> set[Var]:
 # Contexts
 
 
-@dataclass(frozen=True)
-class Context:
-    """A term over the extended signature with hole occurrences.
-
-    ``body`` may contain the primary hole only (one-hole context) or both
-    the primary and the secondary hole (two-hole context, used by the
-    recurrent-pair machinery).
-    """
-
-    body: Term
-
-    @property
-    def holes(self) -> frozenset[Symbol]:
-        found = set()
-
-        def walk(t: Term):
-            if isinstance(t, App):
-                if t.symbol in _HOLE_SYMBOLS:
-                    found.add(t.symbol)
-                for a in t.args:
-                    walk(a)
-
-        walk(self.body)
-        return frozenset(found)
-
-    @property
-    def is_two_hole(self) -> bool:
-        return self.holes == frozenset(_HOLE_SYMBOLS)
-
-    def __repr__(self):
-        return render(self.body)
-
-
 def replace_all(t: Term, repl: dict[Term, Term]) -> Term:
     """``t`` with every occurrence of a subterm that is a key of ``repl``
     replaced by its value; a hole is the subterm ``App(HOLE)``.  The
@@ -304,41 +274,24 @@ def replace_all(t: Term, repl: dict[Term, Term]) -> Term:
     return App(t.symbol, tuple(replace_all(a, repl) for a in t.args))
 
 
-def plug(c: Context, t: Term) -> Term:
-    """Replace every primary-hole occurrence of ``c`` by ``t``."""
-    holes = c.holes
-    if not holes:
-        raise HoleMismatchError("context has no hole")
-    if HOLE2 in holes:
+def hole_positions(c: Term, sym: Symbol = HOLE) -> list[Position]:
+    return [p for p, s in subterms(c) if isinstance(s, App) and s.symbol == sym]
+
+
+def plug(c: Term, t: Term) -> Term:
+    """Replace every primary-hole occurrence of the context ``c`` by ``t``."""
+    if hole_positions(c, HOLE2):
         raise HoleMismatchError("two-hole context requires plug2")
-    return check_size(replace_all(c.body, {App(HOLE): t}))
+    if not hole_positions(c):
+        raise HoleMismatchError("context has no hole")
+    return check_size(replace_all(c, {App(HOLE): t}))
 
 
-def plug2(c: Context, t: Term, t2: Term) -> Term:
+def plug2(c: Term, t: Term, t2: Term) -> Term:
     """Fill both holes of a two-hole context."""
-    if not c.is_two_hole:
+    if not (hole_positions(c) and hole_positions(c, HOLE2)):
         raise HoleMismatchError("plug2 requires a two-hole context")
-    return check_size(replace_all(c.body, {App(HOLE): t, App(HOLE2): t2}))
-
-
-def hole_positions(c: Context, sym: Symbol = HOLE) -> list[Position]:
-    return [p for p, s in subterms(c.body) if isinstance(s, App) and s.symbol == sym]
-
-
-@dataclass(frozen=True)
-class GoalContext:
-    """A goal with a single hole sitting between prefix and suffix."""
-
-    prefix: Goal = ()
-    suffix: Goal = ()
-
-    @property
-    def body(self) -> Goal:
-        """The goal with the hole atom ``[]`` between prefix and suffix."""
-        return (*self.prefix, App(HOLE), *self.suffix)
-
-    def __repr__(self):
-        return render(self.body)
+    return check_size(replace_all(c, {App(HOLE): t, App(HOLE2): t2}))
 
 
 # ---------------------------------------------------------------------------

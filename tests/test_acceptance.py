@@ -37,7 +37,6 @@ from nonterm.rewriting import (
 from nonterm.substitution import Substitution, apply, match, mgu
 from nonterm.terms import (
     App,
-    Context,
     HOLE,
     Symbol,
     Var,
@@ -165,8 +164,8 @@ def test_criterion_03_golden_recurrent_pairs():
     rp1 = find_recurrent_pair(p1, 1)
     ok1 = (
         rp1 is not None
-        and render(rp1.c1.body) == "f([],[]')"
-        and render(rp1.c2.body) == "s([])"
+        and render(rp1.c1) == "f([],[]')"
+        and render(rp1.c2) == "s([])"
         and (rp1.n1, rp1.n2, rp1.n3, rp1.n4) == (1, 0, 1, 0)
         and render(rp1.s) == "0"
         and rp1.t_is_s
@@ -175,8 +174,8 @@ def test_criterion_03_golden_recurrent_pairs():
     rp2 = find_recurrent_pair(p2, 1)
     ok2 = (
         rp2 is not None
-        and render(rp2.c1.body) == "f(c,[]',[])"
-        and render(rp2.c2.body) == "a([])"
+        and render(rp2.c1) == "f(c,[]',[])"
+        and render(rp2.c2) == "a([])"
         and render(rp2.s) == "a(c)"
         and rp2.t_is_s
     )
@@ -347,7 +346,7 @@ def test_criterion_07_compatibility():
         sigma = rand_ground_subst(rng, term_vars(a))
         wrap = rand_nonvar_term(rng, 2)
         hole_at = rng.choice(list(iter_positions(wrap)))
-        c = Context(replace_at(wrap, hole_at, App(HOLE)))
+        c = replace_at(wrap, hole_at, App(HOLE))
         a_pr = replace_at(wrap, hole_at, apply(sigma, a))
         found = any(
             find_embedding(EmbeddingKind.INS, a1, st.target) is not None

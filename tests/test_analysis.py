@@ -66,9 +66,9 @@ def test_witness_chain_builds_each_tower_around_the_one_below():
     holes = hole_positions(rp.c2)
     assert len(holes) == 2
     assert max(n for _, n in towers) >= 2
-    assert towers[(rp.c2.body, 0)] is rp.s
+    assert towers[(rp.c2, 0)] is rp.s
     for (body, n), tower in towers.items():
-        assert body == rp.c2.body
+        assert body == rp.c2
         for hp in holes if n else ():
             assert subterm_at(tower, hp) is towers[(body, n - 1)]
 
@@ -322,6 +322,16 @@ def test_timeout_bounds_unfolding():
     assert v.answer == "MAYBE"
     assert v.stats["exhausted"] == ["loop", "recpair"]
     assert "resource_limit" not in v.stats
+
+
+@pytest.mark.parametrize("timeout", [0, -1, float("nan"), float("inf")])
+def test_analyze_rejects_a_timeout_that_is_not_finite_and_positive(monkeypatch, timeout):
+    # 0 would mean no deadline and nan one that never passes; the
+    # configuration is refused before any unfolding starts
+    unfolds = _record(monkeypatch, "unfold_trs")
+    with pytest.raises(ValueError, match="timeout must be finite and positive"):
+        analyze(trs(EX_TRS), AnalysisConfig(timeout=timeout))
+    assert not unfolds
 
 
 @pytest.mark.parametrize(

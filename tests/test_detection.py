@@ -47,8 +47,6 @@ from nonterm.parsing import parse_trs
 from nonterm.substitution import Substitution, apply, compose
 from nonterm.terms import (
     App,
-    Context,
-    GoalContext,
     HOLE,
     HOLE2,
     hole_positions,
@@ -79,7 +77,7 @@ def test_embedding_ins_reflexive():
     t = term("f(x,y)")
     emb = find_embedding(EmbeddingKind.INS, t, t)
     assert emb is not None
-    assert emb.context.body == App(HOLE)
+    assert emb.context == App(HOLE)
     assert len(emb.binder) == 0
 
 
@@ -89,7 +87,7 @@ def test_embedding_ins_instance_below_root():
     emb = find_embedding(EmbeddingKind.INS, src, tgt)
     assert emb is not None
     # smallest position wins: the f(f(a)) occurrence at position 1
-    assert render(emb.context.body) == "g([],b)"
+    assert render(emb.context) == "g([],b)"
     assert render(apply(emb.binder, src)) == "f(f(a))"
 
 
@@ -97,7 +95,7 @@ def test_embedding_ins_position_order():
     src = term("f(x)", "x")
     tgt = term("g(f(a),f(b))")
     emb = find_embedding(EmbeddingKind.INS, src, tgt)
-    assert render(emb.context.body) == "g([],f(b))"
+    assert render(emb.context) == "g([],f(b))"
 
 
 def test_embedding_mg_term():
@@ -105,7 +103,7 @@ def test_embedding_mg_term():
     tgt = term("g(f(x,y))")
     emb = find_embedding(EmbeddingKind.MG, src, tgt)
     assert emb is not None
-    assert render(emb.context.body) == "g([])"
+    assert render(emb.context) == "g([])"
     assert render(apply(emb.binder, term("f(x,y)"))) == "f(a,b)"
 
 
@@ -121,9 +119,7 @@ def test_embedding_goal_window():
     tgt = (term("q(a)"), term("p(b)"), term("r(c)"))
     emb = find_embedding(EmbeddingKind.INS, src, tgt)
     assert emb is not None
-    assert isinstance(emb.context, GoalContext)
-    assert render(emb.context.prefix) == "<q(a)>"
-    assert render(emb.context.suffix) == "<r(c)>"
+    assert render(emb.context) == "<q(a),[],r(c)>"
 
 
 def test_embedding_goal_mg():
@@ -131,7 +127,7 @@ def test_embedding_goal_mg():
     tgt = (term("p(x)"), term("q(x)"))
     emb = find_embedding(EmbeddingKind.MG, src, tgt)
     assert emb is not None
-    assert emb.context.prefix == ()
+    assert render(emb.context) == "<[],q(x)>"
 
 
 def test_embedding_none():
@@ -199,7 +195,7 @@ def test_loop_with_nontrivial_context_unrolls():
     p = trs("f(x) -> g(f(h(x)))")
     lw = find_loop(p, 1)
     assert lw is not None
-    assert render(lw.embedding.context.body) == "g([])"
+    assert render(lw.embedding.context) == "g([])"
     chain = infinite_chain_prefix(p, lw, 3)
     assert is_variant(chain.end, term("g(g(g(f(h(h(h(x)))))))"))
     assert verify_chain(p, chain)
@@ -213,7 +209,7 @@ def test_loop_with_nontrivial_context_unrolls():
 def _unroll_ins(lw, k):
     ctx = lw.embedding.context
     theta = lw.embedding.binder
-    trivial = ctx.body == App(HOLE)
+    trivial = ctx == App(HOLE)
     hole_prefix = hole_positions(ctx)[0] if not trivial else ()
 
     def wrap(chain):
@@ -235,7 +231,7 @@ def _unroll_ins(lw, k):
 
 
 def _unroll_mg(program, lw, k):
-    offset = len(lw.embedding.context.prefix)
+    offset = lw.embedding.context.index(App(HOLE))
     indices = [(st.rule_id, st.position[0]) for st in lw.chain.steps]
     all_steps = list(lw.chain.steps)
     cur = lw.end
@@ -291,10 +287,10 @@ def test_unrolling_agrees_with_the_replaced_unrollers():
         assert lw.word == tuple(st.rule_id for st in lw.chain.steps)
         assert lw.start == lw.chain.start and lw.end == lw.chain.end
         ctx = lw.embedding.context
-        if isinstance(ctx, GoalContext):
-            kinds.add("goal, suffix" if ctx.suffix else "goal")
+        if isinstance(ctx, tuple):
+            kinds.add("goal, suffix" if ctx[-1] != App(HOLE) else "goal")
         else:
-            kinds.add("term" if ctx.body == App(HOLE) else "term, context")
+            kinds.add("term" if ctx == App(HOLE) else "term, context")
         for k in range(1, 7):
             got = infinite_chain_prefix(program, lw, k)
             if lw.embedding.kind is EmbeddingKind.INS:
@@ -371,8 +367,8 @@ def test_recurrent_pair_decomposition():
     p = zantema_rules()
     rp = find_recurrent_pair(p, 1)
     assert rp is not None
-    assert render(rp.c1.body) == "f([],[]')"
-    assert render(rp.c2.body) == "s([])"
+    assert render(rp.c1) == "f([],[]')"
+    assert render(rp.c2) == "s([])"
     assert (rp.n1, rp.n2, rp.n3, rp.n4) == (1, 0, 1, 0)
     assert render(rp.s) == "zero"
     assert rp.t_is_s
@@ -396,8 +392,8 @@ def test_recurrent_pair_ground_anchor():
     theta = Substitution({term("x"): term("c", "")})
     rp = match_recurrent_pattern(one_step_chain(p.rules[0]), c2.instantiate(theta))
     assert rp is not None
-    assert render(rp.c1.body) == "f(c,[]',[])"
-    assert render(rp.c2.body) == "a([])"
+    assert render(rp.c1) == "f(c,[]',[])"
+    assert render(rp.c2) == "a([])"
     assert render(rp.s) == "a(c)"
     assert rp.t_is_s
 
@@ -568,7 +564,7 @@ def unfiltered_decompositions(u1, v1):
                 rest = term_vars(body)
                 if y in rest:
                     continue
-                c1, c2 = Context(body), Context(replace_all(d, {y: App(HOLE)}))
+                c1, c2 = body, replace_all(d, {y: App(HOLE)})
                 got = strict_residues(c1, v1, {v: v for v in rest})
                 if got is None:
                     continue
@@ -583,7 +579,7 @@ def unfiltered_decompositions(u1, v1):
 
 def strict_residues(c1, t, var_map):
     res1, res2 = [], []
-    if not _walk_template(c1.body, t, var_map, {}, res1, res2, loose=False):
+    if not _walk_template(c1, t, var_map, {}, res1, res2, loose=False):
         return None
     return res1, res2
 
@@ -611,9 +607,9 @@ def reference_match_partner(chain1, chain2, x, y, c1, c2, n1):
     loosely, then each instantiated side strictly."""
     u2, v2 = chain2.start, chain2.end
     var_map, bindings = {}, {}
-    if not _walk_template(c1.body, u2, var_map, bindings, [], [], loose=True):
+    if not _walk_template(c1, u2, var_map, bindings, [], [], loose=True):
         return None
-    if not _walk_template(c1.body, v2, var_map, bindings, [], [], loose=True):
+    if not _walk_template(c1, v2, var_map, bindings, [], [], loose=True):
         return None
     sigma = Substitution(bindings)
     got = strict_residues(c1, apply(sigma, u2), var_map)
@@ -768,20 +764,20 @@ def shaped_chains(draw):
 
     hole, hole2 = App(HOLE), App(HOLE2)
     c1 = App(F2, (skeleton(2, [hole, z, App(A0)]), skeleton(2, [hole2, hole, z, App(B0)])))
-    if HOLE2 not in Context(c1).holes:
+    if not hole_positions(c1, HOLE2):
         c1 = App(F2, (c1, hole2))
-    if HOLE not in Context(c1).holes:
+    if not hole_positions(c1):
         c1 = App(F2, (hole, c1))
     if rng.random() < 0.5:
-        c2 = Context(App(G1, (hole,)))
+        c2 = App(G1, (hole,))
     else:  # f(s, []) or f([], s), s possibly a second hole
         args = (skeleton(1, [hole, App(A0)]), hole)
-        c2 = Context(App(F2, args if rng.random() < 0.5 else args[::-1]))
+        c2 = App(F2, args if rng.random() < 0.5 else args[::-1])
     tower = x
     for _ in range(rng.randint(0, 2)):
         tower = plug(c2, tower)
-    u1 = plug2(Context(c1), x, plug(c2, y))
-    v1 = plug2(Context(c1), tower, y)
+    u1 = plug2(c1, x, plug(c2, y))
+    v1 = plug2(c1, tower, y)
     moves = draw(st.integers(0, 2))
     for _ in range(moves):
         side = rng.randrange(2)
@@ -905,7 +901,7 @@ def test_peeling_a_shared_tower_builds_no_term():
     # 26 objects but 3 * 2**25 - 2 tree nodes: plugging a layer back in
     # to compare would go over the term size cap
     g, zero = Symbol("g", 3), App(Symbol("0", 0))
-    c2 = Context(App(g, (App(HOLE), zero, App(HOLE))))
+    c2 = App(g, (App(HOLE), zero, App(HOLE)))
     towers = [zero]
     for _ in range(25):
         towers.append(App(g, (towers[-1], zero, towers[-1])))
@@ -924,7 +920,7 @@ def test_witness_chain_keeps_one_witness_powers():
     witness_chain(counting, 1, 0, 3)
     witness_chain(swapping, 1, 0, 3)
     assert detection._power_cache
-    assert {body for body, _ in detection._power_cache} == {swapping.c2.body}
+    assert {c2 for c2, _ in detection._power_cache} == {swapping.c2}
 
 
 # The parent's witness_chain, kept as an oracle: it instantiated both

@@ -7,7 +7,6 @@ from conftest import A0, B0, F2, G1, GEN_VARS, random_term, term
 from nonterm.errors import HoleMismatchError, InvalidPositionError
 from nonterm.terms import (
     App,
-    Context,
     HOLE,
     HOLE2,
     ROOT,
@@ -75,29 +74,31 @@ def test_term_vars_and_size():
 
 def test_plug_and_power():
     s = Symbol("s", 1)
-    c = Context(App(s, (App(HOLE),)))
+    c = App(s, (App(HOLE),))
     zero = term("a")
     assert render(plug(c, zero)) == "s(a)"
-    assert render(plug(Context(App(HOLE)), zero)) == "a"
+    assert render(plug(App(HOLE), zero)) == "a"
 
 
 def test_two_hole_context():
     f = Symbol("f", 2)
-    c = Context(App(f, (App(HOLE), App(HOLE2))))
-    assert c.is_two_hole
+    c = App(f, (App(HOLE), App(HOLE2)))
+    assert hole_positions(c) and hole_positions(c, HOLE2)
     a, b = term("a"), term("b")
     out = plug2(c, a, b)
     assert render(out) == "f(a,b)"
     assert out.args[0] is a and out.args[1] is b  # the plugged terms are not walked
-    with pytest.raises(HoleMismatchError):
+    with pytest.raises(HoleMismatchError, match="two-hole context requires plug2"):
         plug(c, term("a"))
-    with pytest.raises(HoleMismatchError):
-        plug2(Context(App(HOLE)), term("a"), term("b"))
+    with pytest.raises(HoleMismatchError, match="plug2 requires a two-hole context"):
+        plug2(App(HOLE), term("a"), term("b"))
+    with pytest.raises(HoleMismatchError, match="context has no hole"):
+        plug(term("a"), term("b"))
 
 
 def test_hole_positions():
     f = Symbol("f", 2)
-    c = Context(App(f, (App(HOLE), App(HOLE2))))
+    c = App(f, (App(HOLE), App(HOLE2)))
     assert hole_positions(c) == [(1,)]
     assert hole_positions(c, HOLE2) == [(2,)]
 
