@@ -50,7 +50,6 @@ from .unfolding import (
     DEFAULT_DEPTH,
     Unfolding,
     binary_unfold,
-    dependency_pairs,
     unfold_trs,
     unfolded_program,
     unmark_root,
@@ -127,17 +126,21 @@ def _pools(
         stats["unfolding"] = "none"
         yield program
         return
-    if program.mode is Mode.TRS:
-        stats["unfolding"] = "dependency-pair"
-        stats["dependency_pairs"] = len(dependency_pairs(program))
-    else:
-        stats["unfolding"] = "binary"
+    trs = program.mode is Mode.TRS
+    stats["unfolding"] = "dependency-pair" if trs else "binary"
     resume = Unfolding()
     resume.deadline = deadline
     for depth in range(cfg.unfold_depth + 1):
         pool = unfold(program, depth, resume)
+        if trs and depth == 0:
+            # every pair built, variants included
+            stats["dependency_pairs"] = len(resume.dependency_pairs)
         stats["unfold_depth"] = depth
         stats["unfolded_rules"] = len(pool)
+        if depth == cfg.unfold_depth:
+            # nothing resumes the unfolding now: free its variant keys and
+            # tables before the deepest pool is searched
+            resume = None
         yield unfolded_program(pool, program.mode)
 
 
@@ -206,6 +209,11 @@ def analyze(program: Program, cfg: Optional[AnalysisConfig] = None) -> Verdict:
             raise ValueError(f"unknown technique {tech!r}")
     if len(set(cfg.techniques)) < len(cfg.techniques):
         raise ValueError(f"repeated technique in {cfg.techniques!r}")
+    # settings that would search nothing
+    if cfg.unfold_depth < 0:
+        raise ValueError(f"unfold_depth must be non-negative, not {cfg.unfold_depth!r}")
+    if cfg.max_word_len is not None and cfg.max_word_len < 1:
+        raise ValueError(f"max_word_len must be at least 1, not {cfg.max_word_len!r}")
     # 0 would read as no deadline, and nan never passes
     if cfg.timeout is not None and not (math.isfinite(cfg.timeout) and cfg.timeout > 0):
         raise ValueError(f"timeout must be finite and positive, not {cfg.timeout!r}")

@@ -15,10 +15,10 @@ pair, ``_erase`` and ``_binunf`` take the binary-unfolding steps, and
 same steps, so a replay reconstructs the rule up to variable renaming.
 
 All three keep their whole state in one ``Unfolding``: the pool, its
-variant keys, the derivation counter, the frontier and the renamed
-rules.  Given the same ``Unfolding`` at each call, dependency-pair and
-binary unfolding resume depth by depth from where the last call
-stopped.  A narrowing whose two sides carry different function symbols
+variant keys, the derivation counter, the frontier, the renamed rules
+and the table of unifiers.  Given the same ``Unfolding`` at each call,
+dependency-pair and binary unfolding resume depth by depth from where
+the last call stopped.  A narrowing whose two sides carry different function symbols
 at a shared position is skipped before the rule is renamed apart, since
 no renaming can make them unify.
 
@@ -29,6 +29,18 @@ builds the instance, the rule and its provenance only when the key is
 new.  About half of all derivations are variants.  Renaming a rule apart
 from a pair depends only on the rule and the largest variable id of the
 pair, so each such renamed rule is built once per unfolding.
+
+Each unifier of a narrowing is computed once per unfolding too.
+``apply`` hands the subterms it leaves unchanged on to the derived
+pairs, and many hosts receive the same renamed rule, so the same
+subterm object meets the same renamed side again and again (three
+``mgu`` calls in four, on the benchmark's ``unfold`` corpus).
+``Unfolding.unifiers`` tables the ``mgu`` result of each such pair of
+objects, keyed by their identities: ``Var`` equality ignores display
+names, so a key by value could hand one renamed copy's names to
+another's unifier.  The table lives as long as its ``Unfolding``, which
+serves one analysis.  It is read only for pairs that pass the clash
+pre-check, so pairs that cannot unify cost it no memory.
 """
 
 from __future__ import annotations
@@ -198,6 +210,19 @@ class Unfolding:
     shared between programs would print one program's variable names in
     another's rules.
 
+    ``unifiers`` is the table of unifiers that ``_narrowings`` fills:
+    ``(id(sub), id(side))`` maps to ``(sub, side, mgu(sub, side))`` for
+    each subterm ``sub`` of a pair unified with the side ``side`` of a
+    renamed rule.  Keys are identities, not values, for the reason
+    above; each entry holds its two key objects, so neither id can be
+    reused while the table lives, and the table lives as long as this
+    unfolding.  Only pairs past the clash pre-check are looked up, so
+    the table holds no pair that clashes.
+
+    ``dependency_pairs`` holds the pairs that dependency-pair unfolding
+    built at depth 0 (before any pair was dropped as a variant); later
+    depths narrow with them.
+
     ``deadline``, when set, is the ``time.monotonic()`` reading past which
     the unfolding raises ``DeadlineError``.  Dependency-pair unfolding
     checks it once per frontier rule, binary unfolding once per clause,
@@ -212,6 +237,8 @@ class Unfolding:
         self.depth = -1  # deepest depth unfolded
         self.frontier: list[UnfoldedRule] = []  # rules new at that depth
         self.renamed: dict[tuple[Rule, int], Rule] = {}
+        self.unifiers: dict[tuple[int, int], tuple] = {}
+        self.dependency_pairs: list[UnfoldedRule] = []
         self.deadline: Optional[float] = None
         self._keys: set = set()  # variant keys of the pool
         self._derived = 0
@@ -303,6 +330,7 @@ def _narrowings(
     rules_at: Callable[[Position], list[Rule]],
     allow_var: bool,
     renamed: Optional[dict[tuple[Rule, int], Rule]] = None,
+    unifiers: Optional[dict[tuple[int, int], tuple]] = None,
 ):
     """Every narrowing of the pair ``host``, the one place a pair is
     narrowed.
@@ -319,13 +347,17 @@ def _narrowings(
 
     The renaming of a rule depends only on the rule and the largest
     variable id of ``host``, so it is built once per such key, in
-    ``renamed`` if given, else once per call.
+    ``renamed`` if given, else once per call.  Likewise each pair of a
+    subterm object and a renamed side object is unified once, in
+    ``unifiers`` (an ``Unfolding.unifiers`` table) if given.
     """
     lhs, rhs = host.lhs, host.rhs[0]
     avoid = term_vars(lhs) | term_vars(rhs)
     top = max([v.id for v in avoid], default=-1)
     if renamed is None:
         renamed = {}
+    if unifiers is None:
+        unifiers = {}
     for kind in kinds:
         forward = kind.endswith("forward")
         side, other = (rhs, lhs) if forward else (lhs, rhs)
@@ -341,7 +373,14 @@ def _narrowings(
                 if fresh is None:
                     fresh = renamed[with_rule, top] = rename_apart(with_rule, avoid)
                 src, dst = fresh.lhs, fresh.rhs[0]
-                theta = mgu(sub, src if forward else dst)
+                target = src if forward else dst
+                key = (id(sub), id(target))
+                known = unifiers.get(key)
+                if known is None:
+                    theta = mgu(sub, target)
+                    unifiers[key] = (sub, target, theta)
+                else:
+                    theta = known[2]
                 if theta is None:
                     continue
                 new = replace_at(side, pos, dst if forward else src)
@@ -366,20 +405,23 @@ def unfold_trs(
     if r.mode is not Mode.TRS:
         raise ValueError("unfold_trs requires a TRS program")
     state = resume if resume is not None else Unfolding()
-    dps = dependency_pairs(r)
-    dp_rules = [dp.rule for dp in dps]
-
-    def rules_at(pos: Position) -> list[Rule]:
-        return dp_rules if pos == ROOT else r.rules
 
     def layer(depth: int) -> list[UnfoldedRule]:
         if depth == 0:
-            return [u for u in dps if state.add(u) is not None]
+            state.dependency_pairs = dependency_pairs(r)
+            return [u for u in state.dependency_pairs if state.add(u) is not None]
+        dp_rules = [dp.rule for dp in state.dependency_pairs]
+        rules_at = lambda pos: dp_rules if pos == ROOT else r.rules  # noqa: E731
         new = []
         for parent in state.frontier:
             state.check_deadline()
             for kind, pos, with_rule, lhs, rhs, theta in _narrowings(
-                parent.rule, ("forward", "backward"), rules_at, True, state.renamed
+                parent.rule,
+                ("forward", "backward"),
+                rules_at,
+                True,
+                state.renamed,
+                state.unifiers,
             ):
                 step = (kind, (parent.rule.id, with_rule.id), pos, theta)
                 added = state.derive("u", lhs, (rhs,), theta, depth, step)
@@ -427,7 +469,12 @@ def overlap_closure(
                     (("oc-backward",), b.rule, a.rule),
                 ):
                     for kind, pos, _, lhs, rhs, theta in _narrowings(
-                        host, kinds, lambda pos: (with_rule,), False, state.renamed
+                        host,
+                        kinds,
+                        lambda pos: (with_rule,),
+                        False,
+                        state.renamed,
+                        state.unifiers,
                     ):
                         step = (kind, (a.rule.id, b.rule.id), pos, theta)
                         added = state.derive("oc", lhs, (rhs,), theta, depth, step)

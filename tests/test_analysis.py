@@ -1,11 +1,12 @@
 import inspect
 import json
 import time
+import weakref
 
 import pytest
 
 from conftest import lp, trs
-from nonterm import analysis, detection
+from nonterm import analysis, detection, unfolding
 from nonterm.analysis import (
     AnalysisConfig,
     analyze,
@@ -332,6 +333,61 @@ def test_analyze_rejects_a_timeout_that_is_not_finite_and_positive(monkeypatch, 
     with pytest.raises(ValueError, match="timeout must be finite and positive"):
         analyze(trs(EX_TRS), AnalysisConfig(timeout=timeout))
     assert not unfolds
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [{"unfold_depth": -1}, {"raw": True, "max_word_len": 0}, {"raw": True, "max_word_len": -1}],
+    ids=["depth -1", "raw word 0", "raw word -1"],
+)
+def test_analyze_rejects_settings_that_search_nothing(monkeypatch, settings):
+    # each would answer MAYBE on this looping rule without searching a
+    # single word; the configuration is refused before any work starts
+    unfolds = _record(monkeypatch, "unfold_trs")
+    loops = _record(monkeypatch, "find_loop")
+    with pytest.raises(ValueError, match="must be"):
+        analyze(trs("f(x) -> f(s(x))"), AnalysisConfig(timeout=None, **settings))
+    assert not unfolds and not loops
+
+
+def test_dependency_pairs_are_built_once_per_analysis(monkeypatch):
+    built = []
+    real = unfolding.dependency_pairs
+
+    def counting(r):
+        built.append(r)
+        return real(r)
+
+    monkeypatch.setattr(unfolding, "dependency_pairs", counting)
+    v = analyze(trs("f(s(x)) -> g(f(x),f(x))"), AnalysisConfig(timeout=None))
+    assert v.answer == "MAYBE" and v.stats["unfold_depth"] == 4
+    assert len(built) == 1
+    # the stat counts the pairs built, not the one left once its variant
+    # is dropped from the pool
+    assert v.stats["dependency_pairs"] == 2
+
+
+def test_the_unfolding_is_freed_before_the_deepest_pool_is_searched(monkeypatch):
+    made = []
+
+    class Tracked(unfolding.Unfolding):
+        def __init__(self):
+            super().__init__()
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(analysis, "Unfolding", Tracked)
+    alive = []
+    search = analysis.find_recurrent_pair
+
+    def recording(*args, **kwargs):
+        alive.append(made[0]() is not None)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "find_recurrent_pair", recording)
+    cfg = AnalysisConfig(unfold_depth=2, timeout=None)
+    assert analyze(trs(TERMINATING), cfg).answer == "MAYBE"
+    # its variant keys and tables are garbage once no deeper pool follows
+    assert alive == [True, True, False]
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import lp, random_term, term, trs
 from test_substitution import terms
+from nonterm import unfolding
 from nonterm.errors import DeadlineError, ResourceLimitError
 from nonterm.parsing import render_program
 from nonterm.rewriting import Mode, Rule, Semantics, rename_apart, run_word, successors
@@ -17,6 +18,7 @@ from nonterm.unfolding import (
     Unfolding,
     _clash,
     _dedup_key,
+    _narrowings,
     _variant_key,
     binary_unfold,
     defined_symbols,
@@ -492,6 +494,80 @@ def test_each_unfolding_prints_only_its_own_variable_names():
             for v, t in u.provenance.unifier.bindings.items():
                 shown |= {v.name} | {w.name for w in term_vars(t)}
             assert shown and all(n.rstrip("0123456789") == name for n in shown), repr(u)
+
+
+# The table of unifiers.  Pairs derived from one parent share the
+# subterms that ``apply`` left unchanged, and hosts with the same largest
+# variable id share one renamed rule, so the same two objects meet again.
+DOUBLE_QUAD = "d(0) -> 0  d(s(x)) -> s(s(d(x)))  q(0) -> 0  q(s(x)) -> d(d(q(x)))"
+
+
+def _narrowed(r, hosts, renamed, unifiers):
+    """Every narrowing of ``hosts`` as ``unfold_trs`` makes it, as text."""
+    dp_rules = [u.rule for u in dependency_pairs(r)]
+    at = lambda pos: dp_rules if pos == () else r.rules  # noqa: E731
+    out = []
+    for host in hosts:
+        for kind, pos, rule, lhs, rhs, theta in _narrowings(
+            host, ("forward", "backward"), at, True, renamed, unifiers
+        ):
+            out.append((host.id, kind, pos, rule.id, render(lhs), render(rhs), theta.text(render)))
+    return out
+
+
+def test_unifier_table_is_transparent():
+    # one table shared by every host of two parses gives what each host
+    # narrowed on its own gives.  The parses differ only in display names,
+    # which Var equality ignores: a table keyed by value would print one
+    # parse's names in the other's unifiers
+    programs = [trs(DOUBLE_QUAD.replace("x", name), variables=name) for name in ("x", "u")]
+    hosts = [[u.rule for u in unfold_trs(r, 2)] for r in programs]
+    unifiers: dict = {}
+    renamed = [{} for _ in programs]
+    for r, rules, memo in zip(programs, hosts, renamed):
+        _narrowed(r, rules, memo, unifiers)
+    warm = len(unifiers)
+    for r, rules, memo in zip(programs, hosts, renamed):
+        plain = _narrowed(r, rules, None, None)
+        assert plain and _narrowed(r, rules, memo, unifiers) == plain
+    # the second pass found every pair in the table
+    assert len(unifiers) == warm
+
+
+def test_narrowing_unifies_each_pair_of_objects_once(monkeypatch):
+    calls = []
+
+    def counting(s, t):
+        calls.append((s, t))
+        return mgu(s, t)
+
+    monkeypatch.setattr(unfolding, "mgu", counting)
+    unfold_trs(trs(DOUBLE_QUAD), 3)
+    # ``calls`` keeps every argument alive, so no two of them share an id
+    assert len(calls) > 100
+    assert len({(id(s), id(t)) for s, t in calls}) == len(calls)
+
+
+def test_unifier_table_holds_its_key_objects():
+    state = Unfolding()
+    unfold_trs(trs(DOUBLE_QUAD), 3, resume=state)
+    assert state.unifiers
+    for key, (sub, side, theta) in state.unifiers.items():
+        assert key == (id(sub), id(side))
+        # looked up only after the clash pre-check
+        assert not _clash(sub, side)
+        assert theta == mgu(sub, side)
+
+
+def test_each_unfolding_has_its_own_unifier_table():
+    p = trs(DOUBLE_QUAD)
+    first = Unfolding()
+    unfold_trs(p, 3, resume=first)
+    second = Unfolding()
+    assert first.unifiers and second.unifiers == {}
+    unfold_trs(p, 3, resume=second)
+    assert second.unifiers is not first.unifiers
+    assert len(second.unifiers) == len(first.unifiers)
 
 
 # Anonymous variables and no numeric constant: a unit rule renamed apart
