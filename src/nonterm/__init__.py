@@ -46,7 +46,6 @@ from .terms import (
     App,
     Goal,
     Position,
-    Signature,
     Symbol,
     Term,
     Var,

@@ -25,11 +25,11 @@ from typing import Optional, Union
 
 from .detection import (
     Budget,
+    Embedding,
     EmbeddingKind,
     LoopWitness,
     PairSweep,
     RecurrentPair,
-    find_embedding,
     find_loop,
     find_recurrent_pair,
     infinite_chain_prefix,
@@ -45,7 +45,8 @@ from .rewriting import (
     rewrite_at,
     verify_chain,
 )
-from .terms import ROOT, render_position, renderer
+from .substitution import match
+from .terms import App, HOLE, ROOT, render_position, renderer
 from .unfolding import (
     DEFAULT_DEPTH,
     Unfolding,
@@ -59,14 +60,45 @@ TECHNIQUE_LOOP = "loop"
 TECHNIQUE_RECPAIR = "recpair"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalysisConfig:
+    """The settings of one analysis, each checked once, here: a config
+    that would search nothing or never stop is refused when it is built."""
+
     techniques: tuple[str, ...] = (TECHNIQUE_LOOP, TECHNIQUE_RECPAIR)
     unfold_depth: int = DEFAULT_DEPTH
     max_word_len: Optional[int] = None  # raw only; default 3
-    simulate_steps: int = 5
+    simulate_steps: int = 5  # 0 still simulates one step
     timeout: Optional[float] = 10.0  # seconds for the whole analysis
     raw: bool = False
+
+    def __post_init__(self):
+        if not self.techniques:
+            raise ValueError("no technique to run")
+        for tech in self.techniques:
+            if tech not in _WITNESSES:
+                raise ValueError(f"unknown technique {tech!r}")
+        if len(set(self.techniques)) < len(self.techniques):
+            raise ValueError(f"repeated technique in {self.techniques!r}")
+        # settings that would search nothing
+        if self.unfold_depth < 0:
+            raise ValueError(f"unfold_depth must be non-negative, not {self.unfold_depth!r}")
+        if self.max_word_len is not None and self.max_word_len < 1:
+            raise ValueError(f"max_word_len must be at least 1, not {self.max_word_len!r}")
+        if self.simulate_steps < 0:
+            raise ValueError(
+                f"simulate_steps must be non-negative, not {self.simulate_steps!r}"
+            )
+        # 0 would read as no deadline, and nan never passes
+        if self.timeout is not None and not (
+            math.isfinite(self.timeout) and self.timeout > 0
+        ):
+            raise ValueError(f"timeout must be finite and positive, not {self.timeout!r}")
+
+    def deadline(self) -> Optional[float]:
+        """The ``time.monotonic()`` reading ``timeout`` seconds from now,
+        or None for no time limit."""
+        return None if self.timeout is None else time.monotonic() + self.timeout
 
     def word_len(self) -> int:
         """Longest rule word searched: 1 in an unfolded pool, whose rules
@@ -87,21 +119,26 @@ class Verdict:
 
 
 def _rule_loop_witness(r, kind: EmbeddingKind) -> Optional[LoopWitness]:
-    """Context-free loop check of a single candidate rule against itself."""
+    """Context-free loop check of a single candidate rule against itself:
+    the whole right-hand side is an instance of the left-hand side (ins),
+    or the whole resolvent is more general than the goal (mg), so the
+    embedding's context is the bare hole."""
     if kind is EmbeddingKind.INS:
         if not r.trs_usable:
             return None
-        emb = find_embedding(EmbeddingKind.INS, r.lhs, r.rhs[0], full_context=False)
-        if emb is None:
+        theta = match(r.lhs, r.rhs[0])
+        if theta is None:
             return None
         # built by hand: rewrite_at would first match the rule against itself
         step = Step(r.id, ROOT, r.rhs[0])
+        emb = Embedding(kind, App(HOLE), theta)
         return LoopWitness(emb, Chain(r.lhs, [step], Semantics.TRS))
     start = (r.lhs,)
     step = rewrite_at(r, start, (1,), Semantics.LP_NARROW)
-    emb = find_embedding(EmbeddingKind.MG, start, step.target, full_context=False)
-    if emb is None:
+    theta = match(step.target, start)
+    if theta is None:
         return None
+    emb = Embedding(kind, (App(HOLE),), theta)
     return LoopWitness(emb, Chain(start, [step], Semantics.LP_NARROW))
 
 
@@ -204,21 +241,8 @@ def _mark_timed_out(budgets: dict[str, Budget], stats: dict) -> bool:
 def analyze(program: Program, cfg: Optional[AnalysisConfig] = None) -> Verdict:
     cfg = cfg or AnalysisConfig()
     stats: dict = {"mode": program.mode.value, "input_rules": len(program.rules)}
-    for tech in cfg.techniques:
-        if tech not in _WITNESSES:
-            raise ValueError(f"unknown technique {tech!r}")
-    if len(set(cfg.techniques)) < len(cfg.techniques):
-        raise ValueError(f"repeated technique in {cfg.techniques!r}")
-    # settings that would search nothing
-    if cfg.unfold_depth < 0:
-        raise ValueError(f"unfold_depth must be non-negative, not {cfg.unfold_depth!r}")
-    if cfg.max_word_len is not None and cfg.max_word_len < 1:
-        raise ValueError(f"max_word_len must be at least 1, not {cfg.max_word_len!r}")
-    # 0 would read as no deadline, and nan never passes
-    if cfg.timeout is not None and not (math.isfinite(cfg.timeout) and cfg.timeout > 0):
-        raise ValueError(f"timeout must be finite and positive, not {cfg.timeout!r}")
     # one deadline bounds every search and the unfolding
-    deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
+    deadline = cfg.deadline()
     budgets = {t: Budget(deadline) for t in cfg.techniques}
     # the recurrent-pair search of each depth skips the pairs the depth
     # before swept with no hit

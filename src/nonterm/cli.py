@@ -7,7 +7,6 @@ command-line usage, 1 for I/O, parse or resource failures.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -16,7 +15,7 @@ from .analysis import AnalysisConfig, analyze, emit_certificate, unfold
 from .errors import NontermError, ParseError
 from .parsing import parse_program, render_program
 from .rewriting import Mode
-from .unfolding import unfolded_program
+from .unfolding import Unfolding, unfolded_program
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,34 +74,21 @@ def _infer_mode(path: str, fmt: Optional[str]) -> Mode:
 
 
 def _config_from_args(args) -> AnalysisConfig:
-    cfg = AnalysisConfig()
-    techniques = tuple(t for t in args.technique.split(",") if t)
-    unknown = any(t not in ("loop", "recpair") for t in techniques)
-    if not techniques or unknown or len(set(techniques)) < len(techniques):
-        raise ValueError(f"bad --technique value {args.technique!r}")
-    cfg.techniques = techniques
-    if args.depth is not None:
-        if args.depth < 0:
-            raise ValueError("--depth must be non-negative")
-        cfg.unfold_depth = args.depth
-    if args.max_word is not None:
-        if not args.raw:
-            raise ValueError("--max-word needs --raw")
-        if args.max_word < 1:
-            raise ValueError("--max-word must be at least 1")
-        cfg.max_word_len = args.max_word
-    if args.simulate is not None:
-        if args.simulate < 0:
-            raise ValueError("--simulate must be non-negative")
-        cfg.simulate_steps = args.simulate
-    if args.timeout is not None:
-        # analyze rejects the same values; checked here so that the
-        # message names the flag
-        if not (math.isfinite(args.timeout) and args.timeout > 0):
-            raise ValueError("--timeout must be a finite positive number of seconds")
-        cfg.timeout = args.timeout
-    cfg.raw = args.raw
-    return cfg
+    """The config of the flags given; ``AnalysisConfig`` checks their
+    values, and the defaults stand for the flags left out."""
+    if args.max_word is not None and not args.raw:
+        raise ValueError("--max-word needs --raw")
+    given = {
+        "unfold_depth": args.depth,
+        "max_word_len": args.max_word,
+        "simulate_steps": args.simulate,
+        "timeout": args.timeout,
+    }
+    return AnalysisConfig(
+        techniques=tuple(t for t in args.technique.split(",") if t),
+        raw=args.raw,
+        **{name: value for name, value in given.items() if value is not None},
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -113,7 +99,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         text = Path(args.file).read_text()
         program = parse_program(text, mode)
         if args.emit_unfolded:
-            pool = unfold(program, cfg.unfold_depth)
+            # its own deadline, as long as the analysis's
+            resume = Unfolding()
+            resume.deadline = cfg.deadline()
+            pool = unfold(program, cfg.unfold_depth, resume)
             unfolded = unfolded_program(pool, mode)
             Path(args.emit_unfolded).write_text(render_program(unfolded))
         verdict = analyze(program, cfg)

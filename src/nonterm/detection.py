@@ -124,21 +124,25 @@ class RecurrentPair:
         return tuple(st.rule_id for st in self.chain2.steps)
 
 
+#: Search steps one technique may take in one analysis.
+NODE_CAP = 200_000
+
+
 class Budget:
     """Wall-clock and node budget for a search; never produces wrong NOs,
     only degrades to "nothing found".  ``deadline`` is a
-    ``time.monotonic()`` reading, or None for no time limit."""
+    ``time.monotonic()`` reading, or None for no time limit; the node
+    limit is ``NODE_CAP``."""
 
-    def __init__(self, deadline: Optional[float] = None, node_cap: int = 200_000):
+    def __init__(self, deadline: Optional[float] = None):
         self.deadline = deadline
-        self.node_cap = node_cap
         self.nodes = 0
         self.exhausted = False
 
     def tick(self, n: int = 1) -> bool:
         """Consume budget; True while budget remains."""
         self.nodes += n
-        if self.nodes > self.node_cap or (
+        if self.nodes > NODE_CAP or (
             self.deadline is not None and time.monotonic() > self.deadline
         ):
             self.exhausted = True
@@ -153,24 +157,17 @@ def find_embedding(
     kind: EmbeddingKind,
     source: Union[Term, Goal],
     target: Union[Term, Goal],
-    full_context: bool = True,
 ) -> Optional[Embedding]:
-    """Smallest-position embedding witness of ``source`` in ``target``.
-
-    With ``full_context=False`` only the context-free simplification is
-    tried: plain instance (ins) or plain generality (mg) of the whole
-    target.
-    """
+    """Smallest-position embedding witness of ``source`` in ``target``."""
     if isinstance(source, tuple) != isinstance(target, tuple):
         raise ValueError("source and target must both be terms or both goals")
     if isinstance(source, tuple):
-        return _find_goal_embedding(kind, source, target, full_context)
-    return _find_term_embedding(kind, source, target, full_context)
+        return _find_goal_embedding(kind, source, target)
+    return _find_term_embedding(kind, source, target)
 
 
-def _find_term_embedding(kind, source: Term, target: Term, full_context):
-    spots = subterms(target) if full_context else [(ROOT, target)]
-    for p, sub in spots:
+def _find_term_embedding(kind, source: Term, target: Term):
+    for p, sub in subterms(target):
         theta = (
             match(source, sub) if kind is EmbeddingKind.INS else match(sub, source)
         )
@@ -180,15 +177,12 @@ def _find_term_embedding(kind, source: Term, target: Term, full_context):
     return None
 
 
-def _find_goal_embedding(kind, source: Goal, target: Goal, full_context):
+def _find_goal_embedding(kind, source: Goal, target: Goal):
     n = len(target)
-    if full_context:
-        # by start, then by length
-        windows = [
-            (i, j) for i in range(n + 1) for j in range(i, n + 1)
-        ]
-    else:
-        windows = [(0, n)]
+    # by start, then by length
+    windows = [
+        (i, j) for i in range(n + 1) for j in range(i, n + 1)
+    ]
     for i, j in windows:
         window = target[i:j]
         theta = (

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .errors import ParseError
 from .rewriting import Mode, Program, Rule
-from .terms import App, Signature, Symbol, Term, Var, renderer, replace_all, subterms
+from .terms import App, Symbol, Term, Var, renderer, replace_all, subterms
 
 _RESERVED_NAMES = {"[]", "[]'"}
 
@@ -102,13 +102,18 @@ class _Cursor:
 
 
 class _TermReader:
-    """Reads terms, interning variables and inferring symbol arities.
-    With ``anonymous``, every ``_`` is a fresh variable."""
+    """Reads terms, interning variables and inferring symbol arities:
+    ``symbols`` maps each name read so far to its one symbol.  With
+    ``anonymous``, every ``_`` is a fresh variable."""
 
     def __init__(
-        self, signature: Signature, is_var, var_ids: dict[str, int], anonymous: bool = False
+        self,
+        symbols: dict[str, Symbol],
+        is_var,
+        var_ids: dict[str, int],
+        anonymous: bool = False,
     ):
-        self.signature = signature
+        self.symbols = symbols
         self.is_var = is_var
         self.var_ids = var_ids
         self.anonymous = anonymous
@@ -138,10 +143,12 @@ class _TermReader:
                 cur.next()
                 args.append(self.term(cur))
             cur.expect(")")
-        try:
-            sym = self.signature.add(Symbol(t.text, len(args)))
-        except ValueError as exc:
-            raise ParseError(str(exc), t.line, t.col) from None
+        sym = self.symbols.get(t.text)
+        if sym is None:
+            sym = self.symbols[t.text] = Symbol(t.text, len(args))
+        elif sym.arity != len(args):
+            clash = f"symbol {t.text} used with arities {sym.arity} and {len(args)}"
+            raise ParseError(clash, t.line, t.col)
         return App(sym, tuple(args))
 
 
@@ -150,7 +157,7 @@ def parse_trs(text: str) -> Program:
     tokens = _tokenize(text, allow_hash_comment=False)
     cur = _Cursor(tokens)
     variables: list[str] = []
-    signature = Signature()
+    symbols: dict[str, Symbol] = {}
     var_ids: dict[str, int] = {}
     rules: list[Rule] = []
 
@@ -167,7 +174,7 @@ def parse_trs(text: str) -> Program:
                 variables.append(v.text)
             cur.expect(")")
         elif head.text == "RULES":
-            reader = _TermReader(signature, lambda n: n in variables, var_ids)
+            reader = _TermReader(symbols, lambda n: n in variables, var_ids)
             while cur.peek() is not None and cur.peek().text != ")":
                 lhs = reader.term(cur)
                 if isinstance(lhs, Var):
@@ -196,12 +203,12 @@ def parse_lp(text: str) -> Program:
     """Parse Prolog-style clauses into a logic program."""
     tokens = _tokenize(text, allow_hash_comment=True)
     cur = _Cursor(tokens)
-    signature = Signature()
+    symbols: dict[str, Symbol] = {}
     rules: list[Rule] = []
 
     while cur.peek() is not None:
         var_ids: dict[str, int] = {}  # variables are clause-local
-        reader = _TermReader(signature, _is_prolog_var, var_ids, anonymous=True)
+        reader = _TermReader(symbols, _is_prolog_var, var_ids, anonymous=True)
         head = reader.term(cur)
         if isinstance(head, Var):
             t = cur.peek()

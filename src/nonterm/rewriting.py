@@ -182,7 +182,7 @@ def successors(p: Program, a: Union[Term, Goal], semantics: Semantics) -> list[S
     return [st for st in steps if st is not None]
 
 
-#: Default cap on intermediate result sets in run_word.
+#: Cap on intermediate result sets in run_word.
 RUN_WORD_CAP = 10**4
 
 
@@ -191,10 +191,11 @@ def run_word(
     a: Union[Term, Goal],
     word: Sequence[str],
     semantics: Semantics,
-    cap: int = RUN_WORD_CAP,
 ) -> list[Union[Term, Goal]]:
     """Everything reachable from ``a`` by applying the rules of ``word``
     in order, at any admissible positions.  The empty word is the identity.
+    Raises ``ResourceLimitError`` once one letter reaches more than
+    ``RUN_WORD_CAP`` results.
     """
     current: list[Union[Term, Goal]] = [a]
     for rule_id in word:
@@ -211,9 +212,9 @@ def run_word(
                     continue
                 seen.add(key)
                 nxt.append(step.target)
-                if len(nxt) > cap:
+                if len(nxt) > RUN_WORD_CAP:
                     raise ResourceLimitError(
-                        f"run_word exceeded {cap} intermediate results"
+                        f"run_word exceeded {RUN_WORD_CAP} intermediate results"
                     )
         current = nxt
     return current

@@ -79,30 +79,10 @@ class Symbol:
         return f"{self.name}/{self.arity}"
 
 
-# The two reserved hole symbols.  They are kept out of user signatures by
-# the parsers and by Signature itself.
+# The two reserved hole symbols.  The parsers keep them out of user
+# programs.
 HOLE = Symbol("[]", 0)
 HOLE2 = Symbol("[]'", 0)
-_HOLE_SYMBOLS = (HOLE, HOLE2)
-
-
-class Signature:
-    """A finite set of function symbols with unique names."""
-
-    def __init__(self):
-        self._by_name: dict[str, Symbol] = {}
-
-    def add(self, sym: Symbol) -> Symbol:
-        if sym in _HOLE_SYMBOLS:
-            raise ValueError("hole symbols are reserved and cannot enter a signature")
-        existing = self._by_name.get(sym.name)
-        if existing is not None and existing.arity != sym.arity:
-            raise ValueError(
-                f"symbol {sym.name} used with arities "
-                f"{existing.arity} and {sym.arity}"
-            )
-        self._by_name[sym.name] = sym
-        return sym
 
 
 class Var:

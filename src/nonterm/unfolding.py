@@ -18,9 +18,10 @@ All three keep their whole state in one ``Unfolding``: the pool, its
 variant keys, the derivation counter, the frontier, the renamed rules
 and the table of unifiers.  Given the same ``Unfolding`` at each call,
 dependency-pair and binary unfolding resume depth by depth from where
-the last call stopped.  A narrowing whose two sides carry different function symbols
-at a shared position is skipped before the rule is renamed apart, since
-no renaming can make them unify.
+the last call stopped.  An unfolding whose pool would grow past
+``RULE_CAP`` rules raises ``ResourceLimitError``.  A narrowing whose two
+sides carry different function symbols at a shared position is skipped
+before the rule is renamed apart, since no renaming can make them unify.
 
 Each derivation is checked for variants before it is built:
 ``Unfolding.derive`` computes the variant key of ``apply(theta, lhs) ->
@@ -67,9 +68,9 @@ from .terms import (
 
 MARK_SUFFIX = "#"
 
-#: Default bounds: unfolding depth and global rule cap.
+#: Default unfolding depth, and the most rules one unfolding may pool.
 DEFAULT_DEPTH = 4
-DEFAULT_RULE_CAP = 50_000
+RULE_CAP = 50_000
 
 
 @dataclass(frozen=True)
@@ -197,13 +198,14 @@ def _dedup_key(rule: Rule) -> tuple:
 class Unfolding:
     """One program's dependency-pair or binary unfolding (or one overlap
     closure): the pool of derived rules and where the unfolding stopped.
-    ``pool`` holds no two variants and at most ``cap`` rules; only ``add``
-    and ``derive`` extend it.
+    ``pool`` holds no two variants and at most ``RULE_CAP`` rules; only
+    ``add`` and ``derive`` extend it, and raise ``ResourceLimitError``
+    past that cap.
 
     Pass the same instance to successive ``unfold_trs``/``binary_unfold``
     calls on one program, at depths that do not decrease: each call then
-    unfolds only the depths not done yet.  A call cut short by the rule
-    cap or by the deadline leaves the instance unusable.
+    unfolds only the depths not done yet.  A call cut short by
+    ``RULE_CAP`` or by the deadline leaves the instance unusable.
 
     ``renamed`` memoises the narrowing rules renamed apart, for this
     unfolding only: ``Var`` equality ignores display names, so a memo
@@ -233,7 +235,6 @@ class Unfolding:
     def __init__(self):
         self.program: Optional[Program] = None
         self.pool: list[UnfoldedRule] = []
-        self.cap = DEFAULT_RULE_CAP
         self.depth = -1  # deepest depth unfolded
         self.frontier: list[UnfoldedRule] = []  # rules new at that depth
         self.renamed: dict[tuple[Rule, int], Rule] = {}
@@ -256,15 +257,15 @@ class Unfolding:
     def _is_new(self, key: tuple) -> bool:
         """Record ``key``; False if a variant had it already.  The key is
         hashed once, since each hash calls ``Symbol.__hash__`` per symbol.
-        A key recorded just before the cap error stays recorded; that
-        error leaves the unfolding unusable anyway."""
+        A key recorded just before the ``RULE_CAP`` error stays recorded;
+        that error leaves the unfolding unusable anyway."""
         keys = self._keys
         known = len(keys)
         keys.add(key)
         if len(keys) == known:
             return False
-        if len(self.pool) >= self.cap:
-            raise ResourceLimitError(f"unfolding exceeded {self.cap} rules")
+        if len(self.pool) >= RULE_CAP:
+            raise ResourceLimitError(f"unfolding exceeded {RULE_CAP} rules")
         return True
 
     def derive(
@@ -293,7 +294,6 @@ class Unfolding:
         self,
         program: Program,
         max_depth: int,
-        cap: int,
         layer: Callable[[int], list[UnfoldedRule]],
     ) -> list[UnfoldedRule]:
         """Run ``layer(depth)`` for each depth after the last one done, up
@@ -307,7 +307,6 @@ class Unfolding:
             raise ValueError("an unfolding cut short cannot resume")
         if max_depth < self.depth:
             raise ValueError(f"already unfolded to depth {self.depth} > {max_depth}")
-        self.cap = cap
         while self.depth < max_depth and (self.depth < 0 or self.frontier):
             depth, self.depth = self.depth + 1, None
             self.frontier = layer(depth)
@@ -391,7 +390,6 @@ def _narrowings(
 def unfold_trs(
     r: Program,
     max_depth: int = DEFAULT_DEPTH,
-    cap: int = DEFAULT_RULE_CAP,
     resume: Optional[Unfolding] = None,
 ) -> list[UnfoldedRule]:
     """Depth-bounded dependency-pair unfolding of a TRS.
@@ -429,13 +427,12 @@ def unfold_trs(
                     new.append(added)
         return new
 
-    return state.deepen(r, max_depth, cap, layer)
+    return state.deepen(r, max_depth, layer)
 
 
 def overlap_closure(
     r: Program,
     max_depth: int = DEFAULT_DEPTH,
-    cap: int = DEFAULT_RULE_CAP,
 ) -> list[UnfoldedRule]:
     """Depth-bounded overlap closure: depth 0 is the program itself;
     each later depth overlaps two closure elements forwards or backwards
@@ -482,7 +479,7 @@ def overlap_closure(
                             new.append(added)
         return new
 
-    return state.deepen(r, max_depth, cap, layer)
+    return state.deepen(r, max_depth, layer)
 
 
 def _in_use(rule: Rule, theta: Substitution) -> set[Var]:
@@ -531,7 +528,6 @@ def _binunf(
 def binary_unfold(
     p: Program,
     max_depth: int = DEFAULT_DEPTH,
-    cap: int = DEFAULT_RULE_CAP,
     resume: Optional[Unfolding] = None,
 ) -> list[UnfoldedRule]:
     """Depth-bounded binary unfolding of a logic program.
@@ -591,7 +587,7 @@ def binary_unfold(
                         emit("binunf-B", rule, theta, i, used, dmax, binr)
         return pool[before:]
 
-    return state.deepen(p, max_depth, cap, layer)
+    return state.deepen(p, max_depth, layer)
 
 
 def unfolded_program(rules: list[UnfoldedRule], mode: Mode) -> Program:

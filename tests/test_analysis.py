@@ -198,7 +198,42 @@ def test_cli_rejects_a_timeout_that_is_not_finite_and_positive(tmp_path, capsys,
     assert main([f, "--timeout", value]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: --timeout must be a finite positive number" in captured.err
+    assert "error: timeout must be finite and positive" in captured.err
+
+
+BAD_SETTINGS = [
+    ({"timeout": 0}, ["--timeout", "0"]),
+    ({"timeout": -1}, ["--timeout", "-1"]),
+    ({"timeout": float("nan")}, ["--timeout", "nan"]),
+    ({"timeout": float("inf")}, ["--timeout", "inf"]),
+    ({"unfold_depth": -1}, ["--depth", "-1"]),
+    ({"raw": True, "max_word_len": 0}, ["--raw", "--max-word", "0"]),
+    ({"techniques": ("sorcery",)}, ["--technique", "sorcery"]),
+    ({"techniques": ("loop", "loop")}, ["--technique", "loop,loop"]),
+    ({"techniques": ()}, ["--technique", ","]),
+    ({"simulate_steps": -1}, ["--simulate", "-1"]),
+]
+
+
+@pytest.mark.parametrize(
+    "settings, flags", BAD_SETTINGS, ids=[" ".join(flags) for _, flags in BAD_SETTINGS]
+)
+def test_the_library_refuses_what_the_cli_refuses(tmp_path, capsys, settings, flags):
+    # one check, in AnalysisConfig, for both
+    with pytest.raises(ValueError):
+        AnalysisConfig(**settings)
+    f = write(tmp_path, "ex.trs", f"(VAR x)(RULES {EX_TRS})")
+    assert main([f, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+def test_cli_drops_empty_technique_items(tmp_path, capsys):
+    f = write(tmp_path, "ex.trs", f"(VAR x)(RULES {EX_TRS})")
+    assert main([f, "--technique", "loop,"]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["NO", "technique: loop"]
 
 
 def test_cli_parse_error(tmp_path, capsys):
@@ -240,6 +275,18 @@ def test_cli_emit_unfolded(tmp_path, capsys):
     assert main([f, "--emit-unfolded", str(out), "--depth", "2"]) == 0
     text = out.read_text()
     assert "p(f(" in text
+
+
+def test_cli_timeout_bounds_the_emitted_unfolding(tmp_path, capsys):
+    # the dependency pairs of depth 0 narrow further, so depth 1 checks
+    # the deadline, which has passed by then
+    f = write(tmp_path, "ex.trs", f"(VAR x)(RULES {EX_TRS})")
+    out = tmp_path / "unfolded.trs"
+    assert main([f, "--timeout", "1e-9", "--emit-unfolded", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unfolding passed its deadline\n"
+    assert not out.exists()
 
 
 def test_cli_raw_flag(tmp_path, capsys):

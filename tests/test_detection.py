@@ -108,10 +108,11 @@ def test_embedding_mg_term():
 
 
 def test_embedding_simplified_root_only():
-    src = term("f(x)", "x")
-    tgt = term("g(f(a))")
-    assert find_embedding(EmbeddingKind.INS, src, tgt, full_context=False) is None
-    assert find_embedding(EmbeddingKind.INS, src, term("f(a)")) is not None
+    # the unfolded self-loop check embeds at the root only
+    below, at_root = trs("f(x) -> g(f(a))  f(x) -> f(a)", "x").rules
+    assert _rule_loop_witness(below, EmbeddingKind.INS) is None
+    assert find_embedding(EmbeddingKind.INS, below.lhs, below.rhs[0]) is not None
+    assert _rule_loop_witness(at_root, EmbeddingKind.INS) is not None
 
 
 def test_embedding_goal_window():
@@ -164,9 +165,10 @@ def test_find_loop_skips_a_variant_target():
     assert budget.nodes == 4
 
 
-def test_find_loop_budget_degrades():
+def test_find_loop_budget_degrades(monkeypatch):
+    monkeypatch.setattr(detection, "NODE_CAP", 1)
     p = trs("f(x) -> g(h(x,one),x)  one -> zero  h(x,zero) -> f(f(x))")
-    budget = Budget(node_cap=1)
+    budget = Budget()
     assert find_loop(p, 3, budget=budget) is None
     assert budget.exhausted
 
@@ -672,12 +674,13 @@ def unfolded_pools(text, depth):
 
 
 @pytest.mark.parametrize("text", sorted(SWEEP_SYSTEMS))
-def test_recurrent_pair_search_matches_the_unfiltered_sweep(text):
+def test_recurrent_pair_search_matches_the_unfiltered_sweep(text, monkeypatch):
+    monkeypatch.setattr(detection, "NODE_CAP", 10**9)
     # one PairSweep across the depths, as analyze carries it
     resume = PairSweep()
     for cand in unfolded_pools(text, SWEEP_SYSTEMS[text]):
         want = unfiltered_first_hit(cand.rules)
-        budget = Budget(node_cap=10**9)
+        budget = Budget()
         got = find_recurrent_pair(cand, 1, budget, resume=resume)
         assert got == want
         assert list(resume.swept) == ([] if want is not None else cand.rules)

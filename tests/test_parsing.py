@@ -38,6 +38,32 @@ def test_parse_trs_marker_rejected():
         parse_trs("(VAR x)(RULES f#(x) -> f#(x))")
 
 
+@pytest.mark.parametrize("name", ["[]", "[]'"], ids=["hole", "hole2"])
+@pytest.mark.parametrize(
+    "parse, template",
+    [
+        (parse_trs, "(VAR x)(RULES f(x) -> g({}))"),
+        (parse_trs, "(RULES {} -> a)"),
+        (parse_lp, "p({})."),
+        (parse_lp, "{} :- p."),
+    ],
+    ids=["trs-argument", "trs-root", "lp-argument", "lp-head"],
+)
+def test_hole_names_are_reserved_in_both_dialects(parse, template, name):
+    with pytest.raises(ParseError, match="is reserved"):
+        parse(template.format(name))
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [(parse_trs, "(VAR x)(RULES f(x,x) -> f(x))"), (parse_lp, "p(f(X,X)) :- p(f(X)).")],
+    ids=["trs", "lp"],
+)
+def test_symbol_arity_clash_in_both_dialects(parse, text):
+    with pytest.raises(ParseError, match="symbol f used with arities 2 and 1"):
+        parse(text)
+
+
 def test_parse_trs_error_position():
     try:
         parse_trs("(VAR x)\n(RULES f(x -> g)\n)")

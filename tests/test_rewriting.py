@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from conftest import lp, term, trs
+from nonterm import rewriting
 from nonterm.errors import ResourceLimitError
 from nonterm.rewriting import (
     Chain,
@@ -111,11 +112,12 @@ def test_run_word_unknown_rule():
         run_word(p, term("f(x)"), ["nope"], Semantics.TRS)
 
 
-def test_run_word_cap():
+def test_run_word_cap(monkeypatch):
     # d(x) -> d(x) at every position of a deep term explodes politely
+    monkeypatch.setattr(rewriting, "RUN_WORD_CAP", 50)
     p = trs("d(x) -> c(d(x),d(x))")
     with pytest.raises(ResourceLimitError):
-        run_word(p, term("d(d(d(x)))"), ["r1"] * 10, Semantics.TRS, cap=50)
+        run_word(p, term("d(d(d(x)))"), ["r1"] * 10, Semantics.TRS)
 
 
 def test_verify_chain_roundtrip():

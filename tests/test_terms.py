@@ -10,7 +10,6 @@ from nonterm.terms import (
     HOLE,
     HOLE2,
     ROOT,
-    Signature,
     Symbol,
     Var,
     canonical,
@@ -33,17 +32,6 @@ def test_symbol_arity_checked():
     f = Symbol("f", 2)
     with pytest.raises(ValueError):
         App(f, (Var(0),))
-
-
-def test_signature_rejects_holes_and_arity_clash():
-    sig = Signature()
-    sig.add(Symbol("f", 2))
-    with pytest.raises(ValueError):
-        sig.add(Symbol("f", 1))
-    with pytest.raises(ValueError):
-        sig.add(HOLE)
-    with pytest.raises(ValueError):
-        sig.add(HOLE2)
 
 
 def test_var_equality_ignores_name():

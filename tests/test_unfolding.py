@@ -96,10 +96,11 @@ def test_unfold_variant_dedup():
     assert len(keys) == len(set(keys))
 
 
-def test_unfold_rule_cap():
+def test_unfold_rule_cap(monkeypatch):
+    monkeypatch.setattr(unfolding, "RULE_CAP", 10)
     p = trs(EX_TRS)
     with pytest.raises(ResourceLimitError):
-        unfold_trs(p, 4, cap=10)
+        unfold_trs(p, 4)
 
 
 # f(a) -> f(b) overlaps b -> a backwards: on it every oc-backward rule
@@ -348,12 +349,13 @@ def test_resumed_unfolding_may_skip_depths(parse, unfolder, text):
         )
 
 
-def test_resumed_unfolding_rule_cap():
+def test_resumed_unfolding_rule_cap(monkeypatch):
+    monkeypatch.setattr(unfolding, "RULE_CAP", 10)
     p = trs(EX_TRS)
     state = Unfolding()
-    unfold_trs(p, 0, cap=10, resume=state)
+    unfold_trs(p, 0, resume=state)
     with pytest.raises(ResourceLimitError):
-        unfold_trs(p, 4, cap=10, resume=state)
+        unfold_trs(p, 4, resume=state)
     # a depth cut short cannot be finished later
     with pytest.raises(ValueError):
         unfold_trs(p, 4, resume=state)
