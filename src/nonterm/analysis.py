@@ -85,6 +85,9 @@ class AnalysisConfig:
             raise ValueError(f"unfold_depth must be non-negative, not {self.unfold_depth!r}")
         if self.max_word_len is not None and self.max_word_len < 1:
             raise ValueError(f"max_word_len must be at least 1, not {self.max_word_len!r}")
+        # an unfolded pool is searched over one-rule words only
+        if self.max_word_len is not None and not self.raw:
+            raise ValueError("max_word_len needs raw")
         if self.simulate_steps < 0:
             raise ValueError(
                 f"simulate_steps must be non-negative, not {self.simulate_steps!r}"
@@ -94,11 +97,6 @@ class AnalysisConfig:
             math.isfinite(self.timeout) and self.timeout > 0
         ):
             raise ValueError(f"timeout must be finite and positive, not {self.timeout!r}")
-
-    def deadline(self) -> Optional[float]:
-        """The ``time.monotonic()`` reading ``timeout`` seconds from now,
-        or None for no time limit."""
-        return None if self.timeout is None else time.monotonic() + self.timeout
 
     def word_len(self) -> int:
         """Longest rule word searched: 1 in an unfolded pool, whose rules
@@ -110,6 +108,12 @@ class AnalysisConfig:
 
 @dataclass
 class Verdict:
+    """The answer of one analysis.  ``used_program`` is the last program
+    searched, the one the verdict rests on: the input rules under
+    ``raw``, otherwise the unfolded pool that ``stats["unfold_depth"]``
+    and ``stats["unfolded_rules"]`` describe, where the certificate's rule
+    ids resolve.  It is None only when no program was searched at all."""
+
     answer: str  # "NO" or "MAYBE"
     technique: Optional[str] = None
     witness: Union[LoopWitness, RecurrentPair, None] = None
@@ -142,33 +146,28 @@ def _rule_loop_witness(r, kind: EmbeddingKind) -> Optional[LoopWitness]:
     return LoopWitness(emb, Chain(start, [step], Semantics.LP_NARROW))
 
 
-def unfold(program: Program, depth: int, resume: Optional[Unfolding] = None) -> list:
-    """The derived-rule pool of ``program`` at ``depth``: dependency-pair
-    unfolding for a TRS, binary unfolding for a logic program.  With
-    ``resume``, the unfolding continues from where it last stopped."""
-    if program.mode is Mode.TRS:
-        return unfold_trs(program, depth, resume=resume)
-    return binary_unfold(program, depth, resume=resume)
-
-
 def _pools(
     program: Program, cfg: AnalysisConfig, stats: dict, deadline: Optional[float]
 ):
     """Yield the programs to search: the input itself under ``raw``,
     otherwise the unfolded pool of each depth in turn, so cheap witnesses
     are found before the pool grows large.  Each depth resumes the
-    unfolding of the one before; unfolding raises ``DeadlineError`` once
-    ``deadline`` (a ``time.monotonic()`` reading, or None) has passed."""
+    unfolding of the one before: dependency-pair unfolding for a TRS,
+    binary unfolding for a logic program.  From depth 1 on, unfolding
+    raises ``DeadlineError`` once ``deadline`` (a ``time.monotonic()``
+    reading, or None) has passed; the pool of the depth before is then
+    the last one searched."""
     if cfg.raw:
         stats["unfolding"] = "none"
         yield program
         return
     trs = program.mode is Mode.TRS
     stats["unfolding"] = "dependency-pair" if trs else "binary"
+    unfold = unfold_trs if trs else binary_unfold
     resume = Unfolding()
     resume.deadline = deadline
     for depth in range(cfg.unfold_depth + 1):
-        pool = unfold(program, depth, resume)
+        pool = unfold(program, depth, resume=resume)
         if trs and depth == 0:
             # every pair built, variants included
             stats["dependency_pairs"] = len(resume.dependency_pairs)
@@ -229,25 +228,17 @@ def _verified(tech: str, cand: Program, witness, cfg, stats) -> Optional[Verdict
     return Verdict("NO", tech, witness, prefix, cand, stats)
 
 
-def _mark_timed_out(budgets: dict[str, Budget], stats: dict) -> bool:
-    """Mark exhausted each budget whose deadline has passed, though its
-    search may never have ticked; True when every budget is exhausted."""
-    for tech, budget in budgets.items():
-        if not budget.exhausted and not budget.tick(0):
-            stats.setdefault("exhausted", []).append(tech)
-    return all(b.exhausted for b in budgets.values())
-
-
 def analyze(program: Program, cfg: Optional[AnalysisConfig] = None) -> Verdict:
     cfg = cfg or AnalysisConfig()
     stats: dict = {"mode": program.mode.value, "input_rules": len(program.rules)}
     # one deadline bounds every search and the unfolding
-    deadline = cfg.deadline()
+    deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
     budgets = {t: Budget(deadline) for t in cfg.techniques}
     # the recurrent-pair search of each depth skips the pairs the depth
     # before swept with no hit
     searches = dict(_WITNESSES)
     searches[TECHNIQUE_RECPAIR] = partial(_recpair_witnesses, resume=PairSweep())
+    cand = None  # the last program searched
     try:
         for cand in _pools(program, cfg, stats, deadline):
             for tech in cfg.techniques:
@@ -261,13 +252,16 @@ def analyze(program: Program, cfg: Optional[AnalysisConfig] = None) -> Verdict:
                     stats.setdefault("exhausted", []).append(tech)
                 if v is not None:
                     return v
-            if _mark_timed_out(budgets, stats):
+            if all(b.exhausted for b in budgets.values()):
                 break
-    except DeadlineError:
-        _mark_timed_out(budgets, stats)
+    except DeadlineError as exc:
+        # the clock ends every technique still running
+        stats["deadline"] = str(exc)
+        running = [t for t, b in budgets.items() if not b.exhausted]
+        stats.setdefault("exhausted", []).extend(running)
     except ResourceLimitError as exc:
         stats["resource_limit"] = str(exc)
-    return Verdict("MAYBE", stats=stats)
+    return Verdict("MAYBE", used_program=cand, stats=stats)
 
 
 # ---------------------------------------------------------------------------

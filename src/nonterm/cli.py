@@ -11,11 +11,10 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .analysis import AnalysisConfig, analyze, emit_certificate, unfold
+from .analysis import AnalysisConfig, analyze, emit_certificate
 from .errors import NontermError, ParseError
 from .parsing import parse_program, render_program
 from .rewriting import Mode
-from .unfolding import Unfolding, unfolded_program
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--emit-unfolded",
         metavar="PATH",
-        help="also write the unfolded candidate rules to PATH",
+        help="also write the rules the verdict rests on to PATH: the last "
+        "unfolded pool searched, or the input rules with --raw",
     )
     return ap
 
@@ -76,8 +76,6 @@ def _infer_mode(path: str, fmt: Optional[str]) -> Mode:
 def _config_from_args(args) -> AnalysisConfig:
     """The config of the flags given; ``AnalysisConfig`` checks their
     values, and the defaults stand for the flags left out."""
-    if args.max_word is not None and not args.raw:
-        raise ValueError("--max-word needs --raw")
     given = {
         "unfold_depth": args.depth,
         "max_word_len": args.max_word,
@@ -97,15 +95,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = _config_from_args(args)
         mode = _infer_mode(args.file, args.format)
         text = Path(args.file).read_text()
-        program = parse_program(text, mode)
+        verdict = analyze(parse_program(text, mode), cfg)
         if args.emit_unfolded:
-            # its own deadline, as long as the analysis's
-            resume = Unfolding()
-            resume.deadline = cfg.deadline()
-            pool = unfold(program, cfg.unfold_depth, resume)
-            unfolded = unfolded_program(pool, mode)
-            Path(args.emit_unfolded).write_text(render_program(unfolded))
-        verdict = analyze(program, cfg)
+            if verdict.used_program is None:
+                # only the rule cap stops an unfolding before its first pool
+                raise NontermError(f"no pool searched: {verdict.stats['resource_limit']}")
+            Path(args.emit_unfolded).write_text(render_program(verdict.used_program))
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1

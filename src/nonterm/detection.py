@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from operator import is_
 from typing import Optional, Sequence, Union
 
-from .errors import UnrollError
+from .errors import DeadlineError, UnrollError
 from .rewriting import (
     Chain,
     Mode,
@@ -129,22 +129,24 @@ NODE_CAP = 200_000
 
 
 class Budget:
-    """Wall-clock and node budget for a search; never produces wrong NOs,
-    only degrades to "nothing found".  ``deadline`` is a
-    ``time.monotonic()`` reading, or None for no time limit; the node
-    limit is ``NODE_CAP``."""
+    """Node budget and deadline of a search; never produces wrong NOs.
+    Past ``NODE_CAP`` steps the search is ``exhausted`` and degrades to
+    "nothing found", which ends this technique only.  ``deadline`` is
+    the ``time.monotonic()`` reading of the whole analysis, or None for
+    no time limit; once it has passed, ``tick`` raises
+    ``DeadlineError``, which ends the analysis."""
 
     def __init__(self, deadline: Optional[float] = None):
         self.deadline = deadline
         self.nodes = 0
         self.exhausted = False
 
-    def tick(self, n: int = 1) -> bool:
-        """Consume budget; True while budget remains."""
-        self.nodes += n
-        if self.nodes > NODE_CAP or (
-            self.deadline is not None and time.monotonic() > self.deadline
-        ):
+    def tick(self) -> bool:
+        """Consume one step; True while steps remain."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise DeadlineError("search passed its deadline")
+        self.nodes += 1
+        if self.nodes > NODE_CAP:
             self.exhausted = True
         return not self.exhausted
 

@@ -18,7 +18,7 @@ class ResourceLimitError(NontermError):
 
 
 class DeadlineError(NontermError):
-    """Unfolding ran past the deadline of every search it feeds."""
+    """The analysis ran past its deadline, in its unfolding or a search."""
 
 
 class UnrollError(NontermError):

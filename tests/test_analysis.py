@@ -16,9 +16,10 @@ from nonterm.analysis import (
 )
 from nonterm.cli import main
 from nonterm.detection import witness_chain
-from nonterm.rewriting import verify_chain
+from nonterm.parsing import parse_program, render_program
+from nonterm.rewriting import Mode, verify_chain
 from nonterm.terms import hole_positions, subterm_at
-from nonterm.unfolding import unfold_trs
+from nonterm.unfolding import unfold_trs, unfolded_program
 
 EX_TRS = "f(x) -> g(h(x,one),x)  one -> zero  h(x,zero) -> f(f(x))"
 EX_LP = "p(f(X,zero)) :- p(X), q(X)."
@@ -98,6 +99,8 @@ def test_criterion_10_mutants_plus_and_minus_stats():
     assert minus.stats["unfold_depth"] == 4
     plus = analyze(trs("plus(0,x) -> x  plus(s(x),y) -> s(plus(x,y))"))
     assert plus.answer == "MAYBE"
+    # the node cap ends its recurrent-pair search, not the clock
+    assert "deadline" not in plus.stats
 
 
 def test_analyze_raw_search():
@@ -208,6 +211,7 @@ BAD_SETTINGS = [
     ({"timeout": float("inf")}, ["--timeout", "inf"]),
     ({"unfold_depth": -1}, ["--depth", "-1"]),
     ({"raw": True, "max_word_len": 0}, ["--raw", "--max-word", "0"]),
+    ({"max_word_len": 2}, ["--max-word", "2"]),
     ({"techniques": ("sorcery",)}, ["--technique", "sorcery"]),
     ({"techniques": ("loop", "loop")}, ["--technique", "loop,loop"]),
     ({"techniques": ()}, ["--technique", ","]),
@@ -266,7 +270,7 @@ def test_cli_max_word_needs_raw(tmp_path, capsys):
     assert main([f, "--max-word", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: --max-word needs --raw" in captured.err
+    assert captured.err == "error: max_word_len needs raw\n"
 
 
 def test_cli_emit_unfolded(tmp_path, capsys):
@@ -278,14 +282,51 @@ def test_cli_emit_unfolded(tmp_path, capsys):
 
 
 def test_cli_timeout_bounds_the_emitted_unfolding(tmp_path, capsys):
-    # the dependency pairs of depth 0 narrow further, so depth 1 checks
-    # the deadline, which has passed by then
+    # the search of depth 0 ticks past the deadline, which ends the
+    # analysis before depth 1 is unfolded: depth 0 is the pool written
     f = write(tmp_path, "ex.trs", f"(VAR x)(RULES {EX_TRS})")
     out = tmp_path / "unfolded.trs"
-    assert main([f, "--timeout", "1e-9", "--emit-unfolded", str(out)]) == 1
+    assert main([f, "--timeout", "1e-9", "--emit-unfolded", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "MAYBE"
+    depth0 = unfolded_program(unfold_trs(trs(EX_TRS), 0), Mode.TRS)
+    assert out.read_text() == render_program(depth0)
+
+
+def test_cli_emits_the_pool_the_verdict_rests_on(tmp_path, capsys, monkeypatch):
+    # one unfolding per run: the analysis's, whose last pool is written
+    unfolds = _record(monkeypatch, "unfold_trs")
+    f = write(tmp_path, "ex.trs", f"(VAR x)(RULES {EX_TRS})")
+    out = tmp_path / "unfolded.trs"
+    assert main([f, "--json", "--emit-unfolded", str(out)]) == 0
+    assert [args[1] for args, _ in unfolds] == [0, 1, 2]
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert stats["unfolded_rules"] == 115
+    assert out.read_text().count(" -> ") == stats["unfolded_rules"]
+
+
+@pytest.mark.parametrize(
+    "suffix, text, mode",
+    [(".trs", f"(VAR x)(RULES {EX_TRS})", Mode.TRS), (".pl", EX_LP, Mode.LP)],
+    ids=["trs", "lp"],
+)
+def test_cli_raw_emits_the_input_rules(tmp_path, capsys, suffix, text, mode):
+    f = write(tmp_path, "ex" + suffix, text)
+    out = tmp_path / ("emitted" + suffix)
+    assert main([f, "--raw", "--emit-unfolded", str(out)]) == 0
+    emitted = parse_program(out.read_text(), mode)
+    assert render_program(emitted) == render_program(parse_program(text, mode))
+
+
+def test_cli_writes_no_pool_when_none_was_searched(tmp_path, capsys, monkeypatch):
+    # the rule cap stops depth 0, so the analysis searches no pool
+    monkeypatch.setattr(unfolding, "RULE_CAP", 1)
+    f = write(tmp_path, "ex.trs", f"(VAR x)(RULES {EX_TRS})")
+    out = tmp_path / "unfolded.trs"
+    assert main([f, "--emit-unfolded", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: unfolding passed its deadline\n"
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
     assert not out.exists()
 
 
@@ -338,7 +379,7 @@ def test_tracer_hooks_unfolded_driver(monkeypatch):
     unfolds = _record(monkeypatch, "unfold_trs")
     checks = _record(monkeypatch, "_rule_loop_witness")
     pairs = _record(monkeypatch, "find_recurrent_pair")
-    cfg = AnalysisConfig(unfold_depth=2, timeout=None, max_word_len=3)
+    cfg = AnalysisConfig(unfold_depth=2, timeout=None)
     assert analyze(trs(TERMINATING), cfg).answer == "MAYBE"
     assert [args[1] for args, _ in unfolds] == [0, 1, 2]
     # one context-free loop check per pooled rule at every depth
@@ -449,5 +490,7 @@ def test_budget_exhaustion_reported(text, parse, raw, exhausted):
     v = analyze(parse(text), AnalysisConfig(timeout=1e-9, raw=raw))
     assert v.answer == "MAYBE"
     assert v.stats["exhausted"] == exhausted
-    # every budget is out after the first pool, so no deeper pool is built
+    assert v.stats["deadline"] == "search passed its deadline"
+    # the first search past the deadline ends the analysis, so no deeper
+    # pool is built
     assert raw or v.stats["unfold_depth"] == 0

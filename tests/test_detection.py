@@ -1,5 +1,6 @@
 import copy
 import random
+import time
 from operator import is_
 
 import pytest
@@ -42,7 +43,7 @@ from nonterm.rewriting import (
     rewrite_at,
     verify_chain,
 )
-from nonterm.errors import InvalidPositionError, ResourceLimitError, UnrollError
+from nonterm.errors import DeadlineError, InvalidPositionError, ResourceLimitError, UnrollError
 from nonterm.parsing import parse_trs
 from nonterm.substitution import Substitution, apply, compose
 from nonterm.terms import (
@@ -532,6 +533,18 @@ def test_recurrent_pair_budget_ticks_once_per_pair(monkeypatch):
     expected = [(c1, c2) for c1, c2 in pairs if _may_decompose(c1.start, c1.end)]
     assert 0 < len(expected) < len(pairs)
     assert budget.nodes == len(calls) == len(expected)
+
+
+def test_a_passed_deadline_ends_the_search():
+    # the clock ends the whole analysis, not one technique: the search
+    # raises rather than report its budget exhausted
+    p = trs("f(x) -> g(h(x,one),x)  one -> zero  h(x,zero) -> f(f(x))")
+    pool = unfolded_candidates(COUNTDOWN, 2)
+    for search, program in ((find_loop, p), (find_recurrent_pair, pool)):
+        budget = Budget(time.monotonic() - 1)
+        with pytest.raises(DeadlineError):
+            search(program, 1, budget)
+        assert not budget.exhausted
 
 
 # ---------------------------------------------------------------------------
