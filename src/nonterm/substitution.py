@@ -9,6 +9,9 @@ the smaller id is bound.  This keeps all outputs deterministic.
 Application shares structure: every subterm a substitution leaves
 unchanged comes back as the same object, so narrowing and instantiation
 allocate only the nodes on the paths to bound variables.
+
+The walks of ``apply`` and ``match`` do not close over themselves (see
+``nonterm.terms``), so neither call leaves a reference cycle behind.
 """
 
 from __future__ import annotations
@@ -65,6 +68,18 @@ class Substitution:
     def __repr__(self):
         return self.text(renderer())
 
+    def _image(self, t: Term) -> Term:
+        """``apply``'s walk of one term."""
+        if t.__class__ is Var:
+            return self._bindings.get(t, t)
+        args = t.args
+        if not args:
+            return t
+        new = tuple(map(self._image, args))
+        if any(map(is_not, new, args)):
+            return App(t.symbol, new)
+        return t
+
 
 EMPTY_SUBST = Substitution()
 
@@ -76,26 +91,12 @@ def apply(theta: Substitution, x: Union[Term, Goal]):
     object, so the result shares it with ``x``; an empty ``theta`` returns
     ``x`` itself.
     """
-    bindings = theta._bindings
-    if not bindings:
+    if not theta._bindings:
         return x
-    get = bindings.get
-
-    def walk(t):
-        if t.__class__ is Var:
-            return get(t, t)
-        args = t.args
-        if not args:
-            return t
-        new = tuple(map(walk, args))
-        if any(map(is_not, new, args)):
-            return App(t.symbol, new)
-        return t
-
     if isinstance(x, tuple):
-        new = tuple(map(walk, x))
+        new = tuple(map(theta._image, x))
         return new if any(map(is_not, new, x)) else x
-    return walk(x)
+    return theta._image(x)
 
 
 def compose(sigma: Substitution, theta: Substitution) -> Substitution:
@@ -157,24 +158,30 @@ def mgu(s: Term, t: Term) -> Optional[Substitution]:
 def match(s: Union[Term, Goal], t: Union[Term, Goal]) -> Optional[Substitution]:
     """Matcher theta with s theta = t and Dom(theta) within Var(s)."""
     bindings: dict[Var, Term] = {}
-
-    def go(a, b) -> bool:
-        if isinstance(a, tuple) or isinstance(b, tuple):
-            if not (isinstance(a, tuple) and isinstance(b, tuple)):
-                return False
-            return len(a) == len(b) and all(go(x, y) for x, y in zip(a, b))
-        if isinstance(a, Var):
-            if a in bindings:
-                return bindings[a] == b
-            bindings[a] = b
-            return True
-        if isinstance(b, Var) or a.symbol != b.symbol:
-            return False
-        return all(go(x, y) for x, y in zip(a.args, b.args))
-
-    if not go(s, t):
+    if not _match(s, t, bindings):
         return None
     return Substitution(bindings)
+
+
+def _match(a, b, bindings: dict[Var, Term]) -> bool:
+    """Extend ``bindings`` so that ``a`` matches ``b``, or return False."""
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        if not (isinstance(a, tuple) and isinstance(b, tuple)) or len(a) != len(b):
+            return False
+        pairs = zip(a, b)
+    elif isinstance(a, Var):
+        if a in bindings:
+            return bindings[a] == b
+        bindings[a] = b
+        return True
+    elif isinstance(b, Var) or a.symbol != b.symbol:
+        return False
+    else:
+        pairs = zip(a.args, b.args)
+    for x, y in pairs:
+        if not _match(x, y, bindings):
+            return False
+    return True
 
 
 def renaming_apart(vs: Iterable[Var], avoid: Iterable[Var]) -> Substitution:

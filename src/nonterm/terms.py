@@ -22,8 +22,15 @@ and ``f(u)`` from two parses and print the wrong names.
 
 Rendering walks each distinct object once per call: ``renderer`` looks
 a subterm met before up by identity, so a shared tower renders in time
-linear in its objects.  No string is kept on a node; the memo goes with
-the call (or, for a certificate, with the one renderer it uses).
+linear in its objects.  No string is kept on a node; the memo goes when
+the call returns (or, for a certificate, with the one renderer it uses).
+
+No walk closes over itself: a recursive walk is a module-level function
+that takes its state as arguments, or a method of a small ``__slots__``
+object that holds it.  A nested function that calls itself sits in a
+cell its own closure holds, a reference cycle that only the cycle
+collector frees; without one, reference counting frees a call's garbage
+as the call returns.
 """
 
 from __future__ import annotations
@@ -277,6 +284,33 @@ def plug2(c: Term, t: Term, t2: Term) -> Term:
 # ---------------------------------------------------------------------------
 # Rendering
 
+class _Renderer:
+    """One ``renderer``'s memo, with its walk as a method."""
+
+    __slots__ = ("memo",)
+
+    def __init__(self):
+        self.memo: dict[int, tuple[App, str]] = {}
+
+    def term(self, t: Term) -> str:
+        if t.__class__ is Var:
+            return t.name
+        args = t.args
+        if not args:
+            return t.symbol.name
+        hit = self.memo.get(id(t))
+        if hit is not None:
+            return hit[1]
+        text = t.symbol.name + "(" + ",".join(map(self.term, args)) + ")"
+        self.memo[id(t)] = (t, text)
+        return text
+
+    def show(self, x: Union[Term, Goal]) -> str:
+        if isinstance(x, tuple):
+            return "<" + ",".join(map(self.term, x)) + ">"
+        return self.term(x)
+
+
 def renderer() -> Callable[[Union[Term, Goal]], str]:
     """A function that renders terms and goals, walking each distinct
     ``App`` object once over all its calls: a subterm met again, in the
@@ -288,27 +322,7 @@ def renderer() -> Callable[[Union[Term, Goal]], str]:
     equality ignores display names), and holds each keyed term, so no id
     is reused while the function lives.  Variables and constants are not
     memoised."""
-    memo: dict[int, tuple[App, str]] = {}
-
-    def term(t: Term) -> str:
-        if t.__class__ is Var:
-            return t.name
-        args = t.args
-        if not args:
-            return t.symbol.name
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit[1]
-        text = t.symbol.name + "(" + ",".join(map(term, args)) + ")"
-        memo[id(t)] = (t, text)
-        return text
-
-    def show(x: Union[Term, Goal]) -> str:
-        if isinstance(x, tuple):
-            return "<" + ",".join(map(term, x)) + ">"
-        return term(x)
-
-    return show
+    return _Renderer().show
 
 
 def render(x: Union[Term, Goal]) -> str:
@@ -329,18 +343,28 @@ def canonical(x: Union[Term, Goal]) -> Union[Term, Goal]:
     Two terms (or goals) are variants iff their canonical forms are
     structurally equal.
     """
-    mapping: dict[Var, Var] = {}
+    walk = _Renumbering().walk
+    if isinstance(x, tuple):
+        return tuple(map(walk, x))
+    return walk(x)
 
-    def walk(t: Term) -> Term:
-        if isinstance(t, Var):
+
+class _Renumbering:
+    """The variables one ``canonical`` call has numbered so far, with its
+    walk as a method."""
+
+    __slots__ = ("mapping",)
+
+    def __init__(self):
+        self.mapping: dict[Var, Var] = {}
+
+    def walk(self, t: Term) -> Term:
+        if t.__class__ is Var:
+            mapping = self.mapping
             if t not in mapping:
                 mapping[t] = Var(len(mapping), f"v{len(mapping)}")
             return mapping[t]
-        return App(t.symbol, tuple(walk(a) for a in t.args))
-
-    if isinstance(x, tuple):
-        return tuple(walk(t) for t in x)
-    return walk(x)
+        return App(t.symbol, tuple(map(self.walk, t.args)))
 
 
 def is_variant(a: Union[Term, Goal], b: Union[Term, Goal]) -> bool:

@@ -171,23 +171,25 @@ def _variant_key(lhs: Term, body: tuple, theta: Substitution) -> tuple:
     push = key.append
     numbers: dict[Var, int] = {}
     bound = theta._bindings.get
-
-    def walk(t: Term) -> None:
-        if t.__class__ is Var:
-            image = bound(t)
-            if image is None:
-                push(numbers.setdefault(t, len(numbers)))
-            else:
-                walk(image)
-        else:
-            push(t.symbol)
-            for a in t.args:
-                walk(a)
-
-    walk(lhs)
+    _key_walk(lhs, push, numbers, bound)
     for t in body:
-        walk(t)
+        _key_walk(t, push, numbers, bound)
     return tuple(key)
+
+
+def _key_walk(t: Term, push, numbers: dict[Var, int], bound) -> None:
+    """``_variant_key``'s walk of one term, its state passed in rather
+    than closed over, so that a key leaves no reference cycle behind."""
+    if t.__class__ is Var:
+        image = bound(t)
+        if image is None:
+            push(numbers.setdefault(t, len(numbers)))
+        else:
+            _key_walk(image, push, numbers, bound)
+    else:
+        push(t.symbol)
+        for a in t.args:
+            _key_walk(a, push, numbers, bound)
 
 
 def _dedup_key(rule: Rule) -> tuple:

@@ -1,3 +1,4 @@
+import gc
 import inspect
 import json
 import time
@@ -16,7 +17,7 @@ from nonterm.analysis import (
 )
 from nonterm.cli import main
 from nonterm.detection import witness_chain
-from nonterm.parsing import parse_program, render_program
+from nonterm.parsing import parse_lp, parse_program, parse_trs, render_program
 from nonterm.rewriting import Mode, verify_chain
 from nonterm.terms import hole_positions, subterm_at
 from nonterm.unfolding import unfold_trs, unfolded_program
@@ -494,3 +495,68 @@ def test_budget_exhaustion_reported(text, parse, raw, exhausted):
     # the first search past the deadline ends the analysis, so no deeper
     # pool is built
     assert raw or v.stats["unfold_depth"] == 0
+
+
+GOLDEN_LOOP = "(VAR x)(RULES f(x) -> g(h(x,1),x) 1 -> 0 h(x,0) -> f(f(x)))"
+REV = (
+    "app(nil,Y,Y).\napp(cons(X,Xs),Y,cons(X,Z)) :- app(Xs,Y,Z).\n"
+    "rev(nil,nil).\nrev(cons(X,Xs),R) :- rev(Xs,T), app(T,cons(X,nil),R)."
+)
+
+
+@pytest.mark.parametrize(
+    "parse, text, settings",
+    [
+        (parse_trs, GOLDEN_LOOP, {}),
+        (parse_trs, GOLDEN_LOOP, {"raw": True}),
+        (parse_trs, "(VAR x y)(RULES f(x,s(y)) -> f(s(x),y) f(x,0) -> f(s(0),x))",
+         {"simulate_steps": 40}),
+        (parse_trs, "(VAR x)(RULES d(0) -> 0 d(s(x)) -> s(s(d(x))) q(0) -> 0 "
+         "q(s(x)) -> d(d(q(x))))", {"unfold_depth": 3}),
+        # MAYBE at a resource limit, and MAYBE at the deadline
+        (parse_trs, f"(VAR x y)(RULES {PAPER_TRS})", {}),
+        (parse_trs, f"(VAR x y)(RULES {PAPER_TRS})", {"timeout": 1e-9}),
+        (parse_lp, REV, {}),
+        (parse_lp, "q(s(X)) :- q(s(s(X))).", {}),
+    ],
+    ids=["golden-loop", "golden-loop-raw", "counting", "double-quad", "paper",
+         "paper-deadline", "rev", "q-ss"],
+)
+def test_an_analysis_leaves_no_cyclic_garbage(parse, text, settings):
+    # With no reference cycles, refcounting frees every term, key and memo
+    # an analysis drops, and the cycle collector has nothing to find.  The
+    # JSON certificate is left out: the standard library's json encoder
+    # with indent leaves cyclic garbage of its own, 33 objects a call.
+    gc.collect()
+    gc.disable()
+    try:
+        emit_certificate(analyze(parse(text), AnalysisConfig(**settings)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _tower(n: int, var: str) -> str:
+    return "s(" * n + var + ")" * n
+
+
+@pytest.mark.parametrize(
+    "rules",
+    ["f({t}) -> f({t})", "f({t}) -> g(x)  g(x) -> f({t})"],
+    ids=["self", "through-g"],
+)
+def test_a_deep_tower_answers_no_and_renders(rules):
+    # Each term walk spends a bounded number of frames per level, so a
+    # 300-level tower stays under the default recursion limit.
+    t = _tower(300, "x")
+    v = analyze(parse_trs(f"(VAR x)(RULES {rules.format(t=t)})"))
+    assert v.answer == "NO"
+    assert emit_certificate(v).startswith("NO\n")
+    assert json.loads(emit_certificate(v, as_json=True))["answer"] == "NO"
+
+
+def test_a_deep_logic_program_tower_answers_as_a_shallow_one_does():
+    v = analyze(parse_lp(f"p(X) :- p({_tower(100, 'X')})."))
+    assert v.answer == analyze(parse_lp("p(X) :- p(s(X)).")).answer
+    emit_certificate(v)
+    emit_certificate(v, as_json=True)

@@ -5,6 +5,12 @@ long-lived process.  This checks every function (methods and nested
 functions included) for a ``global`` statement, an item assignment or
 ``del``, and a mutating method call on a module-level name that the
 function or an enclosing one does not bind itself.
+
+It also checks that no nested function reaches itself through the
+closures of its enclosing function, by calling itself or a sibling that
+calls it back.  Such a function sits in a cell that its own closure
+holds, so every call of the enclosing function leaves a reference cycle
+that only the cycle collector frees.
 """
 
 from __future__ import annotations
@@ -72,6 +78,18 @@ def _local_names(fn, own: list[ast.AST], nested: list) -> set[str]:
     return names - declared
 
 
+def _outer_functions(node, prefix: str = ""):
+    """``(qualified name, node)`` for each function of ``node`` that no
+    other function encloses: module-level functions, lambdas and methods."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, SCOPES):
+            yield prefix + getattr(child, "name", "<lambda>"), child
+        elif isinstance(child, ast.ClassDef):
+            yield from _outer_functions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _outer_functions(child, prefix)
+
+
 def module_state_writes(source: str) -> list[tuple[str, str, str]]:
     """``(function, name, how)`` for each write to a module-level name
     made inside a function of ``source``; ``how`` is ``global``,
@@ -104,16 +122,46 @@ def module_state_writes(source: str) -> list[tuple[str, str, str]]:
             name = getattr(inner, "name", "<lambda>")
             visit_function(inner, f"{qualname}.{name}", bound)
 
-    def visit(node, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, SCOPES):
-                visit_function(child, prefix + getattr(child, "name", "<lambda>"), set())
-            elif isinstance(child, ast.ClassDef):
-                visit(child, f"{prefix}{child.name}.")
-            else:
-                visit(child, prefix)
+    for qualname, fn in _outer_functions(tree):
+        visit_function(fn, qualname, set())
+    return sorted(found)
 
-    visit(tree, "")
+
+def _free_names(fn) -> set[str]:
+    """Names ``fn`` or a function nested in it reads but ``fn`` does not
+    bind: the names its closure (or the module) supplies."""
+    own, nested = _own_nodes(fn)
+    names = {n.id for n in own if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for inner in nested:
+        names |= _free_names(inner)
+    return names - _local_names(fn, own, nested)
+
+
+def self_reaching_closures(source: str) -> list[str]:
+    """Qualified names of the nested functions of ``source`` that reach
+    themselves through the closures of their enclosing function: each
+    one that reads its own name or, through a chain of such reads, the
+    name of a sibling that reads it back."""
+    found = []
+
+    def visit_function(fn, qualname: str) -> None:
+        _, nested = _own_nodes(fn)
+        named = {f.name: f for f in nested if not isinstance(f, ast.Lambda)}
+        calls = {name: _free_names(f) & named.keys() for name, f in named.items()}
+        for name in named:
+            seen, todo = set(), list(calls[name])
+            while todo:
+                other = todo.pop()
+                if other not in seen:
+                    seen.add(other)
+                    todo.extend(calls[other])
+            if name in seen:
+                found.append(f"{qualname}.{name}")
+        for inner in nested:
+            visit_function(inner, f"{qualname}.{getattr(inner, 'name', '<lambda>')}")
+
+    for qualname, fn in _outer_functions(ast.parse(source)):
+        visit_function(fn, qualname)
     return sorted(found)
 
 
@@ -166,3 +214,49 @@ def test_each_exemption_is_still_used():
     for module, name in EXEMPT:
         writes = module_state_writes((SRC / module).read_text())
         assert any(w[1] == name for w in writes), (module, name)
+
+
+def test_self_reaching_closures_are_found():
+    source = """
+def walk(t):
+    return [walk(a) for a in t]
+
+def f(t):
+    def go(a):
+        return all(go(b) for b in a)
+    def even(n):
+        return n == 0 or odd(n - 1)
+    def odd(n):
+        return even(n - 1)
+    def outer(n):
+        def inner():
+            return outer(n - 1)
+        return inner
+    return go(t), odd(3), outer(2)
+
+def g(t):
+    def erase(a):
+        return a
+    def emit(a):
+        return erase(a)
+    def layer(a):
+        go = len
+        return emit(a), erase(a), go(a)
+    def go(a):
+        return layer(a)
+    return go(t)
+
+class K:
+    def m(self, t):
+        def walk(a):
+            return walk(a)
+        return walk(t), self.m(t)
+"""
+    assert self_reaching_closures(source) == [
+        "K.m.walk", "f.even", "f.go", "f.odd", "f.outer"
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_nested_function_reaches_itself_through_a_closure(path):
+    assert self_reaching_closures(path.read_text()) == []
