@@ -1,13 +1,15 @@
 import random
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import lp, random_term, term, trs
 from test_substitution import terms
-from nonterm import unfolding
+from nonterm import parse_trs, unfolding
 from nonterm.errors import DeadlineError, ResourceLimitError
 from nonterm.parsing import render_program
 from nonterm.rewriting import Mode, Rule, Semantics, rename_apart, run_word, successors
@@ -29,6 +31,9 @@ from nonterm.unfolding import (
     unfolded_program,
     unmark_root,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import corpus  # noqa: E402
 
 EX_TRS = "f(x) -> g(h(x,one),x)  one -> zero  h(x,zero) -> f(f(x))"
 
@@ -570,6 +575,142 @@ def test_each_unfolding_has_its_own_unifier_table():
     unfold_trs(p, 3, resume=second)
     assert second.unifiers is not first.unifiers
     assert len(second.unifiers) == len(first.unifiers)
+
+
+# The table of nodes.  Each node an unfolding builds is looked up by the
+# identities of its symbol and children first, so equal nodes built from
+# the same objects are one object.
+UNFOLD_CORPUS = {i.program.name: i for i in corpus.instances(corpus.UNFOLD, 1)}
+
+
+class _NeverHits(dict):
+    """A node table in which no lookup finds a node, so every node is
+    built anew, as without a table."""
+
+    def get(self, key, default=None):
+        return None
+
+
+def _pool_text(pool):
+    """Ids, rules, depths and provenance of ``pool``, names and all."""
+    return [
+        (u.rule.id, repr(u.rule), u.depth, u.provenance.kind, u.provenance.parents,
+         u.provenance.position, repr(u.provenance.unifier))
+        for u in pool
+    ]
+
+
+def _deepened(p, state, top=4):
+    return [_pool_text(unfold_trs(p, depth, resume=state)) for depth in range(top + 1)]
+
+
+def _apps(terms):
+    """The distinct ``App`` objects reachable from ``terms``, by id."""
+    seen, stack = {}, list(terms)
+    while stack:
+        t = stack.pop()
+        if t.__class__ is App and id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t.args)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["double-quad", "f-g-h", "rotate3"])
+def test_node_table_is_exact(name):
+    # the golden pools stop at depth 3; this goes to depth 4
+    p = parse_trs(UNFOLD_CORPUS[name].text)
+    state, plain = Unfolding(), Unfolding()
+    plain.nodes = _NeverHits()
+    assert _deepened(p, state) == _deepened(p, plain)
+    assert state.nodes and len(state.nodes) < len(plain.nodes)
+
+
+def test_node_table_keeps_display_names_apart():
+    # the two parses are equal up to display names, and their variables
+    # have the same ids: one table shared by both must not merge them
+    first, second = (trs(DOUBLE_QUAD.replace("x", v), variables=v) for v in "xu")
+    ids = [sorted(v.id for r in p.rules for v in r.all_vars()) for p in (first, second)]
+    assert ids[0] == ids[1]
+    shared = Unfolding()
+    unfold_trs(first, 4, resume=shared)
+    again = Unfolding()
+    again.nodes = shared.nodes
+    pool = unfold_trs(second, 4, resume=again)
+    assert _pool_text(pool) == _pool_text(unfold_trs(second, 4))
+    for u in pool:
+        shown = {v.name for v in u.rule.all_vars()}
+        assert all(n.rstrip("0123456789") == "u" for n in shown), repr(u)
+
+
+def test_node_table_holds_its_key_objects():
+    state = Unfolding()
+    unfold_trs(trs(DOUBLE_QUAD), 4, resume=state)
+    assert state.nodes
+    for key, node in state.nodes.items():
+        # the node holds every object whose id its key holds
+        assert key == (id(node.symbol), *map(id, node.args))
+
+
+def test_node_table_holds_each_node_once():
+    state = Unfolding()
+    unfold_trs(trs(DOUBLE_QUAD), 4, resume=state)
+    nodes = list(state.nodes.values())
+    assert len({id(n) for n in nodes}) == len(nodes)
+    assert len({(id(n.symbol), *map(id, n.args)) for n in nodes}) == len(nodes)
+    # the pool's derived rules are built from the table's nodes
+    deep = [t for u in state.pool if u.depth >= 1 for t in (u.rule.lhs, *u.rule.rhs)]
+    assert len(set(_apps(deep)) & {id(n) for n in nodes}) > len(nodes) // 2
+
+
+def test_each_unfolding_has_its_own_node_table():
+    p = trs(DOUBLE_QUAD)
+    first = Unfolding()
+    unfold_trs(p, 3, resume=first)
+    second = Unfolding()
+    assert first.nodes and second.nodes == {}
+    unfold_trs(p, 3, resume=second)
+    assert second.nodes is not first.nodes
+    assert len(second.nodes) == len(first.nodes)
+    ids = [{id(n) for n in state.nodes.values()} for state in (first, second)]
+    assert not ids[0] & ids[1]
+
+
+# Counts that do not depend on machine speed.  Without the table of
+# nodes the depth-4 pool of ``double-quad`` held about 44,000 ``App``
+# objects and the corpus took 4,590 ``mgu`` calls.
+def test_double_quad_pool_holds_few_app_objects():
+    pool = unfold_trs(parse_trs(UNFOLD_CORPUS["double-quad"].text), 4)
+    assert len(pool) == 4198
+    assert len(_apps(t for u in pool for t in (u.rule.lhs, *u.rule.rhs))) <= 8000
+
+
+def test_unfold_corpus_takes_few_unifications(monkeypatch):
+    calls = []
+
+    def counting(s, t):
+        calls.append(None)
+        return mgu(s, t)
+
+    monkeypatch.setattr(unfolding, "mgu", counting)
+    programs = [w for w in corpus.UNFOLD.programs if w.dialect == "trs"]
+    assert len(programs) == 7
+    for w in programs:
+        unfold_trs(parse_trs(UNFOLD_CORPUS[w.name].text), w.depth)
+    assert len(calls) <= 2300
+
+
+def test_binary_unfolding_renames_each_rule_once_per_key(monkeypatch):
+    # the renaming of a unit or binary rule depends only on the rule and
+    # the largest variable id in use, so it is built once per such key
+    keys = []
+
+    def counting(rule, avoid):
+        keys.append((rule, max((v.id for v in avoid), default=-1)))
+        return rename_apart(rule, avoid)
+
+    monkeypatch.setattr(unfolding, "rename_apart", counting)
+    binary_unfold(lp(REV_LP), 4)
+    assert len(keys) == len(set(keys)) == 35
 
 
 # Anonymous variables and no numeric constant: a unit rule renamed apart
