@@ -8,7 +8,9 @@ the simulated prefix has been re-executed step by step.
 
 One driver searches either the input rules themselves (``raw``) or one
 unfolded pool per depth, running each technique's witness search on the
-pool and re-verifying every witness it yields.
+pool and re-verifying every witness it yields.  The searches resume from
+the depth before: the loop check and the recurrent-pair precheck see only
+the rules a pool gained (semi-naive evaluation).
 
 All output is deterministic: certificates for the same input and
 configuration are byte-identical across runs.
@@ -21,6 +23,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from typing import Optional, Union
 
 from .detection import (
@@ -58,6 +61,7 @@ from .unfolding import (
 
 TECHNIQUE_LOOP = "loop"
 TECHNIQUE_RECPAIR = "recpair"
+_TECHNIQUES = (TECHNIQUE_LOOP, TECHNIQUE_RECPAIR)
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,7 @@ class AnalysisConfig:
     """The settings of one analysis, each checked once, here: a config
     that would search nothing or never stop is refused when it is built."""
 
-    techniques: tuple[str, ...] = (TECHNIQUE_LOOP, TECHNIQUE_RECPAIR)
+    techniques: tuple[str, ...] = _TECHNIQUES
     unfold_depth: int = DEFAULT_DEPTH
     max_word_len: Optional[int] = None  # raw only; default 3
     simulate_steps: int = 5  # 0 still simulates one step
@@ -76,7 +80,7 @@ class AnalysisConfig:
         if not self.techniques:
             raise ValueError("no technique to run")
         for tech in self.techniques:
-            if tech not in _WITNESSES:
+            if tech not in _TECHNIQUES:
                 raise ValueError(f"unknown technique {tech!r}")
         if len(set(self.techniques)) < len(self.techniques):
             raise ValueError(f"repeated technique in {self.techniques!r}")
@@ -180,18 +184,28 @@ def _pools(
         yield unfolded_program(pool, program.mode)
 
 
-def _loop_witnesses(cand: Program, cfg: AnalysisConfig, budget: Budget):
+def _loop_witnesses(
+    cand: Program, cfg: AnalysisConfig, budget: Budget, checked: list[int]
+):
     """Loop candidates: one full-context word search on the input rules,
-    or a context-free self-loop check of every unfolded rule."""
+    or a context-free self-loop check of every unfolded rule.
+
+    Each pool extends the one before, its rules kept in order, and
+    ``checked[0]`` counts the rules checked, so a pool checks only the
+    rules it gained.  A rejected witness is not tried again: its prefix
+    and its verification depend only on its rule and on rule ids that a
+    deeper pool keeps.
+    """
     if cfg.raw:
         lw = find_loop(cand, cfg.word_len(), budget=budget)
         if lw is not None:
             yield lw
         return
     kind = EmbeddingKind.INS if cand.mode is Mode.TRS else EmbeddingKind.MG
-    for r in cand.rules:
+    for r in islice(cand.rules, checked[0], None):
         if not budget.tick():
             return
+        checked[0] += 1
         lw = _rule_loop_witness(r, kind)
         if lw is not None:
             yield lw
@@ -207,9 +221,6 @@ def _recpair_witnesses(
     rp = find_recurrent_pair(cand, words, budget, resume=resume)
     if rp is not None:
         yield rp
-
-
-_WITNESSES = {TECHNIQUE_LOOP: _loop_witnesses, TECHNIQUE_RECPAIR: _recpair_witnesses}
 
 
 def _verified(tech: str, cand: Program, witness, cfg, stats) -> Optional[Verdict]:
@@ -234,10 +245,11 @@ def analyze(program: Program, cfg: Optional[AnalysisConfig] = None) -> Verdict:
     # one deadline bounds every search and the unfolding
     deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
     budgets = {t: Budget(deadline) for t in cfg.techniques}
-    # the recurrent-pair search of each depth skips the pairs the depth
-    # before swept with no hit
-    searches = dict(_WITNESSES)
-    searches[TECHNIQUE_RECPAIR] = partial(_recpair_witnesses, resume=PairSweep())
+    # each depth's searches skip what the depth before searched
+    searches = {
+        TECHNIQUE_LOOP: partial(_loop_witnesses, checked=[0]),
+        TECHNIQUE_RECPAIR: partial(_recpair_witnesses, resume=PairSweep()),
+    }
     cand = None  # the last program searched
     try:
         for cand in _pools(program, cfg, stats, deadline):

@@ -1,7 +1,10 @@
 """Command-line front end: parse a system, analyze it, print a certificate.
 
 Exit codes: 0 for a completed analysis (whatever the verdict), 2 for bad
-command-line usage, 1 for I/O, parse or resource failures.
+command-line usage, 1 for I/O, parse or resource failures, each reported
+as one line on standard error.  Terms that nest deeper than Python's
+recursion limit allows, in the input or in what the analysis builds
+from it, are such a failure.
 """
 
 from __future__ import annotations
@@ -101,13 +104,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 # only the rule cap stops an unfolding before its first pool
                 raise NontermError(f"no pool searched: {verdict.stats['resource_limit']}")
             Path(args.emit_unfolded).write_text(render_program(verdict.used_program))
+        certificate = emit_certificate(verdict, as_json=args.json)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError, NontermError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(emit_certificate(verdict, as_json=args.json))
+    except RecursionError as exc:
+        print(f"error: terms nest too deeply: {exc}", file=sys.stderr)
+        return 1
+    sys.stdout.write(certificate)
     return 0
 
 

@@ -20,7 +20,8 @@ partner is matched with one walk over each of its sides, and a tower
 layer is peeled with a walk over the context, building no term.
 Given a ``PairSweep``, it also skips the pairs of two candidates an
 earlier search over a shorter pool already swept with no hit
-(semi-naive evaluation), which keeps the first hit the same.
+(semi-naive evaluation) and does not precheck them again, which keeps
+the first hit the same.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
+from functools import cache
+from itertools import islice
 from operator import is_
 from typing import Optional, Sequence, Union
 
@@ -487,29 +490,31 @@ def _match_partner(chain1: Chain, chain2: Chain, x, y, c1, c2, n1):
     return None
 
 
-def _one_step_chains(candidates: Sequence[Rule], semantics: Semantics) -> list[Chain]:
-    restricted = semantics is Semantics.LP_RESTRICTED
-    return [
-        Chain(r.lhs, [Step(r.id, ROOT, r.rhs[0])], semantics)
-        for r in candidates
-        if (r.restricted_usable if restricted else r.trs_usable)
-    ]
+def _one_step_chain(r: Rule, semantics: Semantics) -> Chain:
+    return Chain(r.lhs, [Step(r.id, ROOT, r.rhs[0])], semantics)
+
+
+def _root(t):
+    return t.symbol if isinstance(t, App) else None
 
 
 class PairSweep:
-    """What one program's recurrent-pair search has already ruled out.
+    """What one program's recurrent-pair search has already done.
 
     Pass the same instance to successive ``find_recurrent_pair`` calls
     on the pools of one program, each pool extending the one before (its
     rules kept, in order).  ``swept`` holds the candidates of the last
-    call when that call paired all of them with no hit; the next call
-    pairs only chains of which at least one is new.  A call that finds a
-    pair or runs out of budget empties it, so the next call searches in
-    full.
+    call when that call paired all of them with no hit, and ``kinds`` a
+    byte per swept rule: 0 for no chain, 1 for a chain that fails
+    ``_may_decompose``, 2 for one that passes.  The next call prechecks
+    only new rules, and pairs only chains of which at least one is new.
+    A call that finds a pair or runs out of budget empties both, so the
+    next call searches in full.
     """
 
     def __init__(self):
         self.swept: Sequence[Rule] = ()
+        self.kinds = bytearray()
 
 
 def find_recurrent_pair(
@@ -524,48 +529,69 @@ def find_recurrent_pair(
     Chains use a substitution-closed relation: term rewriting, or the
     restricted relation for a logic program.  A first chain that fails
     ``_may_decompose`` is skipped with no ``match_recurrent_pattern``
-    call and no budget tick.  With ``resume`` (one-rule words only), the
-    pairs of two candidates it has swept before are skipped too;
-    ``match_recurrent_pattern`` depends only on its two chains, so the
-    first hit is the one a full search would return.
+    call and no budget tick.  Over one-rule words, a chain is built only
+    for a rule that is paired.  With ``resume`` (one-rule words only),
+    the rules it swept before are not prechecked again and the pairs of
+    two of them are skipped; ``match_recurrent_pattern`` depends only on
+    its two chains, so the first hit is the one a full search would
+    return.
     """
     if resume is not None and max_word_len > 1:
         raise ValueError("only a search over one-rule words can resume")
     budget = budget or Budget()
     candidates = program.rules
-    semantics = Semantics.TRS if program.mode is Mode.TRS else Semantics.LP_RESTRICTED
-    swept = resume.swept if resume is not None else ()
-    if len(swept) > len(candidates) or not all(map(is_, swept, candidates)):
-        swept = ()  # not a prefix of these candidates: search in full
-    chains = _one_step_chains(swept, semantics)
-    old = len(chains)
-    chains += _one_step_chains(candidates[len(swept):], semantics)
+    restricted = program.mode is not Mode.TRS
+    semantics = Semantics.LP_RESTRICTED if restricted else Semantics.TRS
     if max_word_len > 1:
-        chains = chains + _extended_chains(program, chains, max_word_len, budget)
-    if resume is not None:
-        resume.swept = ()
+        chains = [
+            _one_step_chain(r, semantics)
+            for r in candidates
+            if (r.restricted_usable if restricted else r.trs_usable)
+        ]
+        chains += _extended_chains(program, chains, max_word_len, budget)
+        ends = [(c.start, c.end) for c in chains]
+        firsts = [i for i, (u, v) in enumerate(ends) if _may_decompose(u, v)]
+        return _first_pair(ends, firsts, 0, chains.__getitem__, budget)
+    resume = resume if resume is not None else PairSweep()
+    swept, kinds = resume.swept, resume.kinds
+    if len(swept) > len(candidates) or not all(map(is_, swept, candidates)):
+        swept, kinds = (), bytearray()  # not a prefix of these candidates: search in full
+    resume.swept, resume.kinds = (), bytearray()
+    for r in islice(candidates, len(swept), None):
+        if not (r.restricted_usable if restricted else r.trs_usable):
+            kinds.append(0)
+        else:
+            kinds.append(2 if _may_decompose(r.lhs, r.rhs[0]) else 1)
+    if 2 in kinds:
+        usable = [(r, k) for r, k in zip(candidates, kinds) if k]
+        ends = [(r.lhs, r.rhs[0]) for r, _ in usable]
+        firsts = [i for i, (_, k) in enumerate(usable) if k == 2]
+        old = len(swept) - kinds.count(0, 0, len(swept))  # the swept chains
+        chain = cache(lambda i: _one_step_chain(usable[i][0], semantics))
+        rp = _first_pair(ends, firsts, old, chain, budget)
+        if rp is not None or budget.exhausted:
+            return rp
+    resume.swept, resume.kinds = tuple(candidates), kinds
+    return None
 
-    # Every component of a recurrent pair shares the root symbol of c1.
-    # A first chain that passes the precheck has one root symbol on both
-    # sides and two distinct variables to instantiate.
-    def root(t):
-        return t.symbol if isinstance(t, App) else None
 
-    new = chains[old:]  # the partners of an old first chain
-    for i, c1 in enumerate(chains):
-        if not _may_decompose(c1.start, c1.end):
-            continue
-        r = c1.start.symbol
-        for c2 in new if i < old else chains:
-            if root(c2.start) != r or root(c2.end) != r:
+def _first_pair(ends, firsts, old, chain, budget) -> Optional[RecurrentPair]:
+    """The first hit, in canonical order, pairing a first chain i in
+    ``firsts`` with a chain j whose two sides ``ends[j]`` have the root
+    symbol of c1, as every component of a recurrent pair does; if i is
+    below ``old``, only with j from ``old`` on.  ``chain(i)`` is chain
+    i."""
+    roots = [_root(u) if _root(u) == _root(v) else None for u, v in ends]
+    for i in firsts:
+        r = roots[i]
+        for j in range(old if i < old else 0, len(ends)):
+            if roots[j] != r:
                 continue
             if not budget.tick():
                 return None
-            rp = match_recurrent_pattern(c1, c2)
+            rp = match_recurrent_pattern(chain(i), chain(j))
             if rp is not None:
                 return rp
-    if resume is not None:
-        resume.swept = tuple(candidates)
     return None
 
 

@@ -383,12 +383,31 @@ def test_tracer_hooks_unfolded_driver(monkeypatch):
     cfg = AnalysisConfig(unfold_depth=2, timeout=None)
     assert analyze(trs(TERMINATING), cfg).answer == "MAYBE"
     assert [args[1] for args, _ in unfolds] == [0, 1, 2]
-    # one context-free loop check per pooled rule at every depth
-    pooled = [u.rule.id for d in range(3) for u in unfold_trs(trs(TERMINATING), d)]
+    # one context-free loop check per pooled rule, in pool order: each
+    # depth checks only the rules its pool gained
+    pooled = [u.rule.id for u in unfold_trs(trs(TERMINATING), 2)]
     assert [args[0].id for args, _ in checks] == pooled
     # one recurrent-pair search per depth, always over single rules
     assert len(pairs) == 3
     assert all(args[1] == 1 for args, _ in pairs)
+
+
+def test_loop_check_resumes_from_the_depth_before(monkeypatch):
+    # every prefix fails verification, so every loop witness is rejected
+    monkeypatch.setattr(analysis, "verify_chain", lambda program, chain: False)
+    tried = _record(monkeypatch, "infinite_chain_prefix")
+    cfg = AnalysisConfig(techniques=("loop",), unfold_depth=3, timeout=None)
+    v = analyze(trs("f(x) -> f(s(x))"), cfg)
+    assert v.answer == "MAYBE" and v.stats["unfold_depth"] == 3
+    # each rejected witness once, not once per depth, in pool order
+    looping = [
+        r.id
+        for r in v.used_program.rules
+        if analysis._rule_loop_witness(r, detection.EmbeddingKind.INS) is not None
+    ]
+    assert len(looping) > 1
+    assert v.stats["rejected"] == ["loop"] * len(looping)
+    assert [args[1].word[0] for args, _ in tried] == looping
 
 
 def test_tracer_hooks_raw_driver(monkeypatch):
@@ -560,3 +579,21 @@ def test_a_deep_logic_program_tower_answers_as_a_shallow_one_does():
     assert v.answer == analyze(parse_lp("p(X) :- p(s(X)).")).answer
     emit_certificate(v)
     emit_certificate(v, as_json=True)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("tower.trs", "(VAR x)(RULES f({t}) -> f({t}))".format(t=_tower(1200, "x"))),
+        # shallow input; each step of the simulated prefix stacks the tower
+        ("tower.pl", f"p(X) :- p({_tower(124, 'X')})."),
+    ],
+    ids=["parse", "analysis"],
+)
+def test_cli_reports_too_deep_terms_as_one_error_line(tmp_path, capsys, name, text):
+    f = tmp_path / name
+    f.write_text(text)
+    assert main([str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: terms nest too deeply")

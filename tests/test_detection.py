@@ -726,6 +726,58 @@ def test_resumed_search_pairs_only_new_chains(text, monkeypatch):
     assert calls == [pair for pair in full if not set(pair) <= old_ids]
 
 
+@pytest.mark.parametrize("text", [COUNTDOWN, PLUS])
+def test_precheck_runs_once_per_rule(text, monkeypatch):
+    prechecked = []
+    precheck = detection._may_decompose
+
+    def counting(u1, v1):
+        prechecked.append((u1, v1))
+        return precheck(u1, v1)
+
+    monkeypatch.setattr(detection, "_may_decompose", counting)
+    # the pair matcher prechecks its first chain too: count the search's
+    # own calls only
+    monkeypatch.setattr(detection, "match_recurrent_pattern", lambda chain1, chain2: None)
+    pools = unfolded_pools(text, 3)
+    resume = PairSweep()
+    for cand in pools:
+        assert find_recurrent_pair(cand, 1, resume=resume) is None
+    usable = [r for r in pools[-1].rules if r.trs_usable]
+    assert len(usable) > len(pools[0].rules)
+    assert len(prechecked) == len(usable)
+    assert all(map(is_, (u for u, _ in prechecked), (r.lhs for r in usable)))
+    assert resume.kinds.count(2) == sum(
+        _may_decompose(r.lhs, r.rhs[0]) is not None for r in usable
+    )
+
+
+@pytest.mark.parametrize("text", [MINUS, PLUS])
+def test_chains_are_built_only_for_paired_rules(text, monkeypatch):
+    built, paired = [], set()
+    make, match = detection.Chain, detection.match_recurrent_pattern
+
+    def building(*args):
+        chain = make(*args)
+        built.append(chain.steps[0].rule_id)
+        return chain
+
+    def pairing(chain1, chain2):
+        paired.update(c.steps[0].rule_id for c in (chain1, chain2))
+        return match(chain1, chain2)
+
+    monkeypatch.setattr(detection, "Chain", building)
+    monkeypatch.setattr(detection, "match_recurrent_pattern", pairing)
+    resume = PairSweep()
+    for cand in unfolded_pools(text, 2):
+        built.clear()
+        assert find_recurrent_pair(cand, 1, resume=resume) is None
+        # each paired rule's chain once; minus pairs none, since no first
+        # chain of it passes the precheck
+        assert sorted(built) == sorted(paired)
+        paired.clear()
+
+
 def test_resume_is_ignored_for_another_pool():
     resume = PairSweep()
     plus, minus = unfolded_pools(PLUS, 2)[2], unfolded_pools(MINUS, 2)[2]
