@@ -20,8 +20,8 @@ partner is matched with one walk over each of its sides, and a tower
 layer is peeled with a walk over the context, building no term.
 Given a ``PairSweep``, it also skips the pairs of two candidates an
 earlier search over a shorter pool already swept with no hit
-(semi-naive evaluation) and does not precheck them again, which keeps
-the first hit the same.
+(semi-naive evaluation), which keeps the first hit the same, and does
+not precheck a candidate an earlier search prechecked.
 """
 
 from __future__ import annotations
@@ -503,18 +503,19 @@ class PairSweep:
 
     Pass the same instance to successive ``find_recurrent_pair`` calls
     on the pools of one program, each pool extending the one before (its
-    rules kept, in order).  ``swept`` holds the candidates of the last
-    call when that call paired all of them with no hit, and ``kinds`` a
-    byte per swept rule: 0 for no chain, 1 for a chain that fails
-    ``_may_decompose``, 2 for one that passes.  The next call prechecks
-    only new rules, and pairs only chains of which at least one is new.
-    A call that finds a pair or runs out of budget empties both, so the
-    next call searches in full.
+    rules kept, in order).  ``rules`` holds the candidates of the last
+    call and ``kinds`` a byte per rule: 0 for no chain, 1 for a chain
+    that fails ``_may_decompose``, 2 for one that passes.  A rule's kind
+    depends on that rule alone, so the next call prechecks only new
+    rules.  ``swept`` is ``rules`` when the last call paired all of them
+    with no hit, and empty when it found a pair or ran out of budget; the
+    next call pairs only chains of which at least one is past ``swept``.
     """
 
     def __init__(self):
-        self.swept: Sequence[Rule] = ()
+        self.rules: Sequence[Rule] = ()
         self.kinds = bytearray()
+        self.swept: Sequence[Rule] = ()
 
 
 def find_recurrent_pair(
@@ -531,10 +532,10 @@ def find_recurrent_pair(
     ``_may_decompose`` is skipped with no ``match_recurrent_pattern``
     call and no budget tick.  Over one-rule words, a chain is built only
     for a rule that is paired.  With ``resume`` (one-rule words only),
-    the rules it swept before are not prechecked again and the pairs of
-    two of them are skipped; ``match_recurrent_pattern`` depends only on
-    its two chains, so the first hit is the one a full search would
-    return.
+    the rules it prechecked before are not prechecked again, even after a
+    hit, and the pairs of two rules it swept with no hit are skipped;
+    ``match_recurrent_pattern`` depends only on its two chains, so the
+    first hit is the one a full search would return.
     """
     if resume is not None and max_word_len > 1:
         raise ValueError("only a search over one-rule words can resume")
@@ -553,15 +554,16 @@ def find_recurrent_pair(
         firsts = [i for i, (u, v) in enumerate(ends) if _may_decompose(u, v)]
         return _first_pair(ends, firsts, 0, chains.__getitem__, budget)
     resume = resume if resume is not None else PairSweep()
-    swept, kinds = resume.swept, resume.kinds
-    if len(swept) > len(candidates) or not all(map(is_, swept, candidates)):
-        swept, kinds = (), bytearray()  # not a prefix of these candidates: search in full
-    resume.swept, resume.kinds = (), bytearray()
-    for r in islice(candidates, len(swept), None):
+    known, kinds, swept = resume.rules, resume.kinds, resume.swept
+    if len(known) > len(candidates) or not all(map(is_, known, candidates)):
+        known, kinds, swept = (), bytearray(), ()  # not a prefix of these candidates
+    resume.rules, resume.kinds, resume.swept = (), bytearray(), ()
+    for r in islice(candidates, len(known), None):
         if not (r.restricted_usable if restricted else r.trs_usable):
             kinds.append(0)
         else:
             kinds.append(2 if _may_decompose(r.lhs, r.rhs[0]) else 1)
+    rp, swept_all = None, True
     if 2 in kinds:
         usable = [(r, k) for r, k in zip(candidates, kinds) if k]
         ends = [(r.lhs, r.rhs[0]) for r, _ in usable]
@@ -569,10 +571,11 @@ def find_recurrent_pair(
         old = len(swept) - kinds.count(0, 0, len(swept))  # the swept chains
         chain = cache(lambda i: _one_step_chain(usable[i][0], semantics))
         rp = _first_pair(ends, firsts, old, chain, budget)
-        if rp is not None or budget.exhausted:
-            return rp
-    resume.swept, resume.kinds = tuple(candidates), kinds
-    return None
+        swept_all = rp is None and not budget.exhausted
+    resume.rules, resume.kinds = tuple(candidates), kinds
+    if swept_all:
+        resume.swept = resume.rules
+    return rp
 
 
 def _first_pair(ends, firsts, old, chain, budget) -> Optional[RecurrentPair]:

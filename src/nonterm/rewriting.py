@@ -12,8 +12,15 @@ Three successor relations are provided:
 
 ``rewrite_at`` builds the one step of a given rule at a given position;
 successor enumeration calls it in a fixed order (rule order, then
-position) so that searches and certificates are reproducible, and
-verification calls it only at each step's claimed rule and position.
+position) so that searches and certificates are reproducible.
+Verification builds no step: ``_rewrites_to`` checks a claimed step
+where it stands.  Under term rewriting and the restricted relation it
+walks the source and the claimed target down the step's position
+together, matches the rule's left side there, and walks the right side
+against the target's subterm.  Under narrowing it unifies as
+``rewrite_at`` does and walks each atom of the resolvent against the
+target's atom.  Both accept a step exactly when ``rewrite_at`` would
+build it; ``_admissible`` holds the guards the two share.
 """
 
 from __future__ import annotations
@@ -23,12 +30,14 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import InvalidPositionError, ResourceLimitError
-from .substitution import Substitution, apply, match, mgu, renaming_apart
+from .substitution import Substitution, _match, apply, match, mgu, renaming_apart
 from .terms import (
+    App,
     Goal,
     Position,
     ROOT,
     Term,
+    Var,
     canonical,
     render,
     render_position,
@@ -134,30 +143,48 @@ class Chain:
         return Chain(apply(theta, self.start), steps, self.semantics)
 
 
+def _admissible(
+    rule: Rule, source: Union[Term, Goal], position: Position, semantics: Semantics
+) -> bool:
+    """Whether ``rule`` may apply at ``position`` under ``semantics`` at
+    all: at one atom of the goal under narrowing, at the root only and
+    with no new variable under the restricted relation, and with a
+    one-atom right side under term rewriting."""
+    if semantics is Semantics.LP_NARROW:
+        return len(position) == 1 and 1 <= position[0] <= len(source)
+    if semantics is Semantics.LP_RESTRICTED:
+        return not position and rule.restricted_usable
+    return rule.trs_usable
+
+
+def _resolution(rule: Rule, goal: Goal, i: int) -> Optional[tuple[Substitution, Goal]]:
+    """The unifier of atom ``i`` of ``goal`` with the head of ``rule``
+    renamed apart from the goal, and the resolvent before the unifier is
+    applied; None if they do not unify.  The renaming takes ids just
+    above the maximum id in the goal, which makes targets reproducible."""
+    fresh = rename_apart(rule, term_vars(goal))
+    theta = mgu(goal[i - 1], fresh.lhs)
+    if theta is None:
+        return None
+    return theta, goal[: i - 1] + fresh.rhs + goal[i:]
+
+
 def rewrite_at(
     rule: Rule, source: Union[Term, Goal], position: Position, semantics: Semantics
 ) -> Optional[Step]:
     """The step of ``rule`` at ``position`` of ``source``, or None.
 
-    Under narrowing the rule is renamed apart from the goal with ids
-    allocated just above the maximum id occurring in it, which makes
-    targets reproducible.
+    Under narrowing the rule is renamed apart from the goal
+    (``_resolution``).
     """
-    if semantics is Semantics.LP_NARROW:
-        if len(position) != 1 or not 1 <= position[0] <= len(source):
-            return None
-        i = position[0]
-        fresh = rename_apart(rule, term_vars(source))
-        theta = mgu(source[i - 1], fresh.lhs)
-        if theta is None:
-            return None
-        target = apply(theta, source[: i - 1] + fresh.rhs + source[i:])
-        return Step(rule.id, position, target)
-    if semantics is Semantics.LP_RESTRICTED:
-        if position or not rule.restricted_usable:
-            return None
-    elif not rule.trs_usable:
+    if not _admissible(rule, source, position, semantics):
         return None
+    if semantics is Semantics.LP_NARROW:
+        resolved = _resolution(rule, source, position[0])
+        if resolved is None:
+            return None
+        theta, resolvent = resolved
+        return Step(rule.id, position, apply(theta, resolvent))
     try:
         theta = match(rule.lhs, subterm_at(source, position))
     except InvalidPositionError:
@@ -166,6 +193,62 @@ def rewrite_at(
         return None
     target = replace_at(source, position, apply(theta, rule.rhs[0]))
     return Step(rule.id, position, target)
+
+
+def _rewrites_to(
+    rule: Rule,
+    source: Union[Term, Goal],
+    position: Position,
+    target: Union[Term, Goal],
+    semantics: Semantics,
+) -> bool:
+    """Whether ``rewrite_at(rule, source, position, semantics)`` builds a
+    step to ``target``, decided without building it.
+
+    Under term rewriting and the restricted relation, ``source`` and
+    ``target`` are walked down ``position`` together: at each level both
+    have one symbol and equal arguments off the path.  At the position
+    the rule's left side is matched against the source's subterm, and the
+    right side is walked against the target's subterm.  Under narrowing
+    the rule is renamed apart and unified as ``rewrite_at`` does, and
+    each atom of the resolvent is walked against the target's atom.
+    """
+    if not _admissible(rule, source, position, semantics):
+        return False
+    if semantics is Semantics.LP_NARROW:
+        resolved = _resolution(rule, source, position[0])
+        if resolved is None or not isinstance(target, tuple):
+            return False
+        theta, resolvent = resolved
+        if len(resolvent) != len(target):
+            return False
+        bindings = theta.bindings
+        return all(_image_is(a, bindings, t) for a, t in zip(resolvent, target))
+    s, t = source, target
+    for i in position:
+        if s.__class__ is not App or not 1 <= i <= len(s.args):
+            return False
+        if t.__class__ is not App or t.symbol != s.symbol:
+            return False
+        sa, ta = s.args, t.args
+        if sa[: i - 1] != ta[: i - 1] or sa[i:] != ta[i:]:
+            return False
+        s, t = sa[i - 1], ta[i - 1]
+    bindings: dict[Var, Term] = {}
+    return _match(rule.lhs, s, bindings) and _image_is(rule.rhs[0], bindings, t)
+
+
+def _image_is(r: Term, bindings: dict[Var, Term], t: Term) -> bool:
+    """Whether ``r`` with its variables mapped by ``bindings`` (the
+    others kept) equals ``t``."""
+    if r.__class__ is Var:
+        return bindings.get(r, r) == t
+    if t.__class__ is not App or t.symbol != r.symbol:
+        return False
+    for a, b in zip(r.args, t.args):
+        if not _image_is(a, bindings, b):
+            return False
+    return True
 
 
 def successors(p: Program, a: Union[Term, Goal], semantics: Semantics) -> list[Step]:
@@ -221,15 +304,17 @@ def run_word(
 
 
 def verify_chain(p: Program, c: Chain) -> bool:
-    """Replay every step of ``c`` from the state before it, under the
+    """Check every step of ``c`` from the state before it, under the
     chain's semantics; True iff a rule with the step's id rewrites that
-    state at the step's position to the step's target."""
+    state at the step's position to the step's target.  Each step is
+    checked where it stands (``_rewrites_to``): no target is built, so
+    this accepts exactly the steps ``rewrite_at`` would build."""
     by_id: dict[str, list[Rule]] = {}
     for r in p.rules:
         by_id.setdefault(r.id, []).append(r)
+    semantics = c.semantics
     for source, st in zip(c.states(), c.steps):
         rules = by_id.get(st.rule_id, ())
-        got = (rewrite_at(r, source, st.position, c.semantics) for r in rules)
-        if not any(g is not None and g.target == st.target for g in got):
+        if not any(_rewrites_to(r, source, st.position, st.target, semantics) for r in rules):
             return False
     return True

@@ -1,5 +1,6 @@
 import copy
 import random
+import sys
 import time
 from operator import is_
 
@@ -811,6 +812,36 @@ def test_rejected_hit_makes_the_next_depth_search_in_full(monkeypatch):
     for (rules, swept, rp), (_, _, before) in zip(searches[1:], searches):
         assert before is not None and swept == 0
         assert rp == unfiltered_first_hit(rules) is not None
+
+
+def test_rejected_hit_keeps_the_prechecks(monkeypatch):
+    # every prefix fails verification, so each depth's hit is rejected
+    # and the next depth pairs every chain again; a rule's kind depends
+    # on that rule alone, so only the rules new at a depth are prechecked
+    monkeypatch.setattr(analysis, "verify_chain", lambda program, chain: False)
+    prechecked, pools = [], []
+    precheck, search = detection._may_decompose, analysis.find_recurrent_pair
+
+    def counting(u1, v1):
+        # the pair matcher prechecks its first chain too: count the
+        # search's own calls only
+        if sys._getframe(1).f_code.co_name == "find_recurrent_pair":
+            prechecked.append(u1)
+        return precheck(u1, v1)
+
+    def recording(program, *args, **kwargs):
+        pools.append(program)
+        return search(program, *args, **kwargs)
+
+    monkeypatch.setattr(detection, "_may_decompose", counting)
+    monkeypatch.setattr(analysis, "find_recurrent_pair", recording)
+    cfg = AnalysisConfig(techniques=("recpair",), unfold_depth=3, timeout=None)
+    v = analyze(trs(COUNTING), cfg)
+    assert v.answer == "MAYBE" and v.stats["rejected"] == ["recpair"] * 4
+    usable = [r for r in pools[-1].rules if r.trs_usable]
+    assert len(usable) > len(pools[0].rules)
+    assert len(prechecked) == len(usable)
+    assert all(map(is_, prechecked, (r.lhs for r in usable)))
 
 
 @st.composite

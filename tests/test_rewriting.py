@@ -1,9 +1,14 @@
 import dataclasses
+import random
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import lp, term, trs
-from nonterm import rewriting
+from conftest import GEN_VARS, lp, random_term, term, trs
+from nonterm import AnalysisConfig, analyze, parse_lp, parse_trs, rewriting, substitution, terms
 from nonterm.errors import ResourceLimitError
 from nonterm.rewriting import (
     Chain,
@@ -12,12 +17,27 @@ from nonterm.rewriting import (
     Rule,
     Semantics,
     Step,
+    rewrite_at,
     run_word,
     successors,
     verify_chain,
 )
 from nonterm.substitution import Substitution, apply
-from nonterm.terms import ROOT, is_variant, iter_positions, render
+from nonterm.terms import (
+    App,
+    ROOT,
+    Symbol,
+    Var,
+    is_variant,
+    iter_positions,
+    render,
+    replace_at,
+    subterm_at,
+)
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+import corpus  # noqa: E402
 
 
 EX_TRS = "f(x) -> g(h(x,one),x)  one -> zero  h(x,zero) -> f(f(x))"
@@ -273,3 +293,232 @@ def test_verify_step_tries_every_rule_with_the_id():
     step = one_step(term("f(x)"), "r1", ROOT, term("c"), Semantics.TRS)
     assert oracle_verify_step(p, step)
     assert verify_chain(p, step)
+
+
+# ---------------------------------------------------------------------------
+# The checker against the build-and-compare verifier it replaced
+
+
+def reference_verify_chain(p, c):
+    """The verifier before the checker, kept as an oracle: rebuild each
+    step with ``rewrite_at`` and compare the result with the claimed
+    target."""
+    by_id = {}
+    for r in p.rules:
+        by_id.setdefault(r.id, []).append(r)
+    for source, st in zip(c.states(), c.steps):
+        rules = by_id.get(st.rule_id, ())
+        got = (rewrite_at(r, source, st.position, c.semantics) for r in rules)
+        if not any(g is not None and g.target == st.target for g in got):
+            return False
+    return True
+
+
+def agree(p, chain):
+    """The checker's answer on ``chain``, asserted equal to the oracle's."""
+    got = verify_chain(p, chain)
+    assert got == reference_verify_chain(p, chain), chain
+    return got
+
+
+# a symbol no program uses, so a mutant it marks differs from what it replaced
+MUTANT = App(Symbol("mutant", 0))
+
+
+def replace_in(x, path, u):
+    """``x`` with the subterm at ``path`` replaced by ``u``; in a goal
+    the first index picks the atom."""
+    if isinstance(x, tuple):
+        i = path[0]
+        return x[: i - 1] + (replace_at(x[i - 1], path[1:], u),) + x[i:]
+    return replace_at(x, path, u)
+
+
+def subterm_in(x, path):
+    return subterm_at(x[path[0] - 1], path[1:]) if isinstance(x, tuple) else subterm_at(x, path)
+
+
+def var_paths(t, here=ROOT):
+    if isinstance(t, Var):
+        return [here]
+    return [q for i, a in enumerate(t.args, 1) for q in var_paths(a, here + (i,))]
+
+
+def step_mutants(rule, source, step, semantics):
+    """(kind, mutated step) pairs of one step of ``rule``, one per kind
+    that applies to it."""
+    target, pos = step.target, step.position
+
+    def retarget(new):
+        return dataclasses.replace(step, target=new)
+
+    out = []
+    goal = isinstance(target, tuple)
+    if goal:
+        i, body = pos[0], rule.rhs
+        window = range(i, i + len(body))  # the resolvent's atoms, 1-based
+        off = [(j,) for j in range(1, len(target) + 1) if j not in window]
+        on_path = (i,) if body else None
+        images = [(i + k,) + q for k, atom in enumerate(body) for q in var_paths(atom)]
+    else:
+        # the argument paths that leave the step's path, nearest the
+        # position first
+        off = [
+            pos[:d] + (j,)
+            for d in reversed(range(len(pos)))
+            for j in range(1, len(subterm_at(target, pos[:d]).args) + 1)
+            if j != pos[d]
+        ]
+        on_path = pos[:-1]  # the parent of the position, or the root
+        images = [pos + q for q in var_paths(rule.rhs[0])]
+    if off:
+        out.append(("off-path argument", retarget(replace_in(target, off[0], MUTANT))))
+    node = None if on_path is None else subterm_in(target, on_path)
+    if isinstance(node, App):
+        renamed = App(Symbol("mutant", node.symbol.arity), node.args)
+        out.append(("symbol on the path", retarget(replace_in(target, on_path, renamed))))
+    if images:
+        out.append(("variable image", retarget(replace_in(target, images[0], MUTANT))))
+    if goal:
+        out.append(("atom added", retarget(target + (MUTANT,))))
+        if target:
+            out.append(("atom dropped", retarget(target[:-1])))
+        wrong = [(j,) for j in (pos[0] + 1, pos[0] - 1) if 1 <= j <= len(source)]
+        outside = (len(source) + 1,)
+    else:
+        if pos:
+            wrong = [pos[:-1]]
+        else:
+            wrong = [(1,)] if isinstance(source, App) and source.args else []
+        outside = pos + (len(subterm_at(source, pos).args) + 1,)
+    if wrong:
+        out.append(("wrong position", dataclasses.replace(step, position=wrong[0])))
+    out.append(("position outside", dataclasses.replace(step, position=outside)))
+    return out
+
+
+BENCH_INSTANCES = [
+    (f"{w.name}/{inst.program.name}", inst)
+    for w in corpus.WORKLOADS.values()
+    for inst in corpus.instances(w, 1)
+]
+
+
+def bench_verdict(inst, raw=False):
+    """The verdict of one benchmark program at its corpus settings."""
+    parse = parse_trs if inst.program.dialect == "trs" else parse_lp
+    if raw:
+        cfg = AnalysisConfig(timeout=None, raw=True, simulate_steps=inst.program.simulate)
+    else:
+        cfg = AnalysisConfig(
+            timeout=None, unfold_depth=inst.program.depth, simulate_steps=inst.program.simulate
+        )
+    return analyze(parse(inst.text), cfg)
+
+
+def test_checker_agrees_with_the_reference_on_bench_prefixes():
+    assert len(BENCH_INSTANCES) == 33
+    kinds, prefixes = Counter(), 0
+    for raw in (False, True):
+        for _, inst in BENCH_INSTANCES:
+            v = bench_verdict(inst, raw)
+            if v.answer != "NO":
+                continue
+            p, chain = v.used_program, v.simulated_prefix
+            prefixes += 1
+            assert agree(p, chain)
+            for source, step in zip(chain.states(), chain.steps):
+                for rule in p.rules:
+                    if rule.id != step.rule_id:
+                        continue
+                    for kind, m in step_mutants(rule, source, step, chain.semantics):
+                        kinds[kind] += 1
+                        accepted = agree(p, Chain(source, [m], chain.semantics))
+                        # d(x) -> d(d(x)) makes one step at two positions;
+                        # every other mutant is a step no rule makes
+                        assert not accepted or kind == "wrong position", kind
+    # 14 NOs unfolded and 14 raw
+    assert prefixes == 28
+    # every kind of mutant was tried, on many steps
+    assert min(kinds.values()) >= 200 and len(kinds) == 7, kinds
+
+
+@pytest.mark.parametrize("semantics", list(Semantics))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_checker_agrees_with_the_reference_on_random_steps(semantics, seed):
+    rng = random.Random(seed)
+
+    def app(depth):
+        t = random_term(rng, depth)
+        return t if isinstance(t, App) else App(Symbol("g", 1), (t,))
+
+    def instance(t):
+        return apply(Substitution({v: random_term(rng, 2) for v in GEN_VARS}), t)
+
+    lhs = app(3)
+    if semantics is Semantics.LP_NARROW:
+        rule = Rule("r1", lhs, tuple(random_term(rng, 3) for _ in range(rng.randrange(3))))
+        source = tuple(random_term(rng, 3) for _ in range(rng.randrange(1, 4)))
+        position = (rng.randrange(1, len(source) + 1),)
+        source = replace_in(source, position, instance(lhs))
+    else:
+        rule = Rule("r1", lhs, (random_term(rng, 3),))
+        source = random_term(rng)
+        spots = [ROOT] if semantics is Semantics.LP_RESTRICTED else list(iter_positions(source))
+        position = rng.choice(spots)
+        source = replace_at(source, position, instance(lhs))
+    # now and then a second rule with the same id, or one that cannot apply
+    rules = [rule] + [Rule("r1", app(3), (random_term(rng, 3),))] * rng.randrange(2)
+    p = Program(rules, Mode.TRS if semantics is Semantics.TRS else Mode.LP)
+    true = rewrite_at(rule, source, position, semantics)
+    if semantics is not Semantics.LP_RESTRICTED:
+        assert true is not None
+    if true is None:
+        # an extra variable on the right: no step of this rule at all
+        true = Step("r1", position, instance(rule.rhs[0]))
+    target = true.target
+    targets = []
+    if isinstance(target, tuple):
+        if target:
+            j = rng.randrange(len(target))
+            at = (j + 1,) + rng.choice(list(iter_positions(target[j])))
+            targets += [replace_in(target, at, random_term(rng, 2)), target[:j] + target[j + 1 :]]
+        targets.append(target + (random_term(rng, 2),))
+        spots = [(i,) for i in range(len(source) + 2)] + [ROOT]
+    else:
+        at = rng.choice(list(iter_positions(target)))
+        targets.append(replace_at(target, at, random_term(rng, 2)))
+        spots = list(iter_positions(source)) + [(1, 1, 1, 1, 1, 1), (3,)]
+    steps = [true] + [dataclasses.replace(true, target=t) for t in targets]
+    steps.append(dataclasses.replace(true, position=rng.choice(spots)))
+    for step in steps:
+        agree(p, Chain(source, [step], semantics))
+
+
+def test_checker_builds_no_term(monkeypatch):
+    witnesses = dict(BENCH_INSTANCES)
+    prefixes = [bench_verdict(witnesses[f"witness/{name}"]) for name in ("counting", "swapping")]
+    prefixes = [(v.used_program, v.simulated_prefix) for v in prefixes]
+    source = term("f(s(s(a)),s(s(b)))")
+    restricted = [source] + [successors(RESTRICTED, source, Semantics.LP_RESTRICTED)[0].target]
+    restricted.append(successors(RESTRICTED, restricted[-1], Semantics.LP_RESTRICTED)[0].target)
+    steps = [Step("r1", ROOT, t) for t in restricted[1:]]
+    prefixes.append((RESTRICTED, Chain(source, steps, Semantics.LP_RESTRICTED)))
+    assert all(c.semantics is not Semantics.LP_NARROW for _, c in prefixes)
+    assert sum(len(c.steps) for _, c in prefixes) > 1000
+
+    def builds(*args, **kwargs):
+        raise AssertionError("verification built a term")
+
+    for module, name in [
+        (rewriting, "rewrite_at"),
+        (rewriting, "replace_at"),
+        (rewriting, "apply"),
+        (terms, "replace_at"),
+        (substitution, "apply"),
+        (App, "__init__"),
+    ]:
+        monkeypatch.setattr(module, name, builds)
+    for p, chain in prefixes:
+        assert verify_chain(p, chain)
