@@ -17,7 +17,12 @@ two sides that rules out a decomposition without building a context.
 For a chain that passes, what the walk found fixes the decompositions:
 the variable that differs and the term facing it, and the anchor.  A
 partner is matched with one walk over each of its sides, and a tower
-layer is peeled with a walk over the context, building no term.
+layer is peeled with a walk over the context, building no term.  Its
+conditions are checked cheapest first: after the walk of its left side,
+that side's residue at ``[]`` must be a variable; after the walk of its
+right side, no skeleton variable may be bound, the variable at ``[]``
+must stay free and every variable of the residue at ``[]'`` must be
+bound.  Only then are the residues instantiated and the towers peeled.
 Given a ``PairSweep``, it also skips the pairs of two candidates an
 earlier search over a shorter pool already swept with no hit
 (semi-naive evaluation), which keeps the first hit the same, and does
@@ -296,14 +301,18 @@ def _walk_template(
     ``var_map``.  In loose mode a variable of ``u`` meeting ground
     skeleton content is bound to it instead of failing, recorded in
     ``bindings``; that instantiation keeps the chain valid because the
-    underlying semantics are closed under substitution.
+    underlying semantics are closed under substitution.  ``_strip_layer``
+    also uses it, strictly, on the one-hole ``c2``.
     """
-    if isinstance(c, App) and c.symbol == HOLE:
-        res1.append(u)
-        return True
-    if isinstance(c, App) and c.symbol == HOLE2:
-        res2.append(u)
-        return True
+    if isinstance(c, App):
+        sym = c.symbol
+        if not c.args:  # a hole is 0-ary, so its name tells it apart
+            if sym.name == HOLE.name:
+                res1.append(u)
+                return True
+            if sym.name == HOLE2.name:
+                res2.append(u)
+                return True
     if isinstance(u, Var) and u in bindings:
         u = bindings[u]
     if isinstance(c, Var):
@@ -318,12 +327,22 @@ def _walk_template(
             bindings[u] = c
             return True
         return False
-    if u.symbol != c.symbol:
+    if u.symbol is not sym and u.symbol != sym:
         return False
-    return all(
-        _walk_template(a, b, var_map, bindings, res1, res2, loose)
-        for a, b in zip(c.args, u.args)
-    )
+    for a, b in zip(c.args, u.args):
+        if not _walk_template(a, b, var_map, bindings, res1, res2, loose):
+            return False
+    return True
+
+
+def _bound(t: Term, bindings: dict[Var, Term]) -> bool:
+    """Whether ``bindings`` binds every variable of ``t``."""
+    if isinstance(t, Var):
+        return t in bindings
+    for a in t.args:
+        if not _bound(a, bindings):
+            return False
+    return True
 
 
 def _all_equal(items: list) -> bool:
@@ -350,13 +369,15 @@ def match_recurrent_pattern(
     computed once and reused while consecutive calls share that chain.
     """
     global _decomposed
-    ends = (chain1.start, chain1.end, chain2.start, chain2.end)
-    if not all(isinstance(t, (Var, App)) for t in ends):
-        return None
+    u1, v1 = chain1.start, chain1.end
     start, end, decompositions = _decomposed
-    if start is not chain1.start or end is not chain1.end:
-        decompositions = _first_chain_decompositions(chain1.start, chain1.end)
-        _decomposed = (chain1.start, chain1.end, decompositions)
+    if start is not u1 or end is not v1:
+        terms = isinstance(u1, (Var, App)) and isinstance(v1, (Var, App))
+        decompositions = _first_chain_decompositions(u1, v1) if terms else []
+        _decomposed = (u1, v1, decompositions)
+    u2, v2 = chain2.start, chain2.end
+    if not (isinstance(u2, (Var, App)) and isinstance(v2, (Var, App))):
+        return None
     for x, y, c1, c2, n1 in decompositions:
         rp = _match_partner(chain1, chain2, x, y, c1, c2, n1)
         if rp is not None:
@@ -452,16 +473,24 @@ def _match_partner(chain1: Chain, chain2: Chain, x, y, c1, c2, n1):
     r2: list[Term] = []
     if not _walk_template(c1, u2, var_map, bindings, res1, res2, loose=True):
         return None
+    # The loose walks bind variables to ground skeleton content only, so
+    # sigma maps an application to an application: a residue at [] that
+    # is not a variable never becomes one.
+    if not isinstance(res1[0], Var):
+        return None
     if not _walk_template(c1, v2, var_map, bindings, r1, r2, loose=True):
         return None
     if any(v in bindings for v in var_map.values()):
         return None
+    # For the same reason sigma keeps x2 a variable exactly when no walk
+    # bound it, and grounds the residue at []' exactly when the walks
+    # bound every variable in it.
+    x2 = res1[0]
+    if x2 in bindings or not _bound(res2[0], bindings):
+        return None
     sigma = Substitution(bindings)
     res1, res2, r1, r2 = (apply(sigma, tuple(r)) for r in (res1, res2, r1, r2))
     if not all(map(_all_equal, (res1, res2, r1, r2))):
-        return None
-    x2 = res1[0]
-    if not isinstance(x2, Var) or term_vars(res2[0]):
         return None
     stages4 = _peel_stages(r2[0], c2)
     n4 = next((n for n, st in enumerate(stages4) if st == x2), None)

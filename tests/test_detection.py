@@ -5,7 +5,7 @@ import time
 from operator import is_
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import A0, B0, F2, G1, GEN_VARS, lp, random_term, term, trs
 from test_analysis import PAPER_TRS
@@ -961,9 +961,12 @@ def test_partner_matching_matches_the_four_walk_reference(text):
         assert match_recurrent_pattern(c1, c2) == want
 
 
-def chain_of(lhs, rhs):
-    u, v = term(lhs), term(rhs)
+def chain_from(u, v):
     return Chain(u, [Step("r", (), v)], Semantics.TRS)
+
+
+def chain_of(lhs, rhs):
+    return chain_from(term(lhs), term(rhs))
 
 
 def test_partner_binding_a_renamed_variable_is_rejected():
@@ -994,6 +997,66 @@ def test_partner_variable_bound_loosely_is_read_back():
         rp = _match_partner(first, partner, *decompositions[0])
         assert (rp is not None) is hit
         assert rp == reference_match_partner(first, partner, *decompositions[0])
+
+
+def early_reject_partners(c1, c2, ns):
+    """(u2, v2, hit) for one decomposition's skeleton c1 = f(c1', a),
+    whose a gives the second side's loose walk ground content to bind:
+    a partner whose [] residue is an application, one whose []' residue
+    holds a variable the second side's walk grounds, and one whose []'
+    residue holds a variable no walk binds.  The partners rename c1's
+    variables apart."""
+    n2, n3, n4 = ns
+    x2, w = Var(900, "x2"), Var(901, "w")
+    c1 = replace_all(c1, {v: Var(910 + v.id, f"z{v.id}") for v in term_vars(c1)})
+    inner, pad = c1.args
+
+    def tower(n, base):
+        for _ in range(n):
+            base = plug(c2, base)
+        return base
+
+    v2 = plug2(c1, tower(n3, x2), tower(n4, x2))
+    grounding_v2 = App(F2, (plug2(inner, tower(n3, x2), tower(n4, x2)), w))
+    return [
+        (plug2(c1, App(G1, (x2,)), tower(n2, pad)), v2, False),
+        (plug2(c1, x2, tower(n2, w)), grounding_v2, True),
+        (plug2(c1, x2, tower(n2, w)), v2, False),
+    ]
+
+
+@given(shaped_chains(), st.tuples(*[st.integers(0, 2)] * 3))
+@settings(max_examples=300, deadline=None)
+def test_early_rejects_match_the_four_walk_reference(pair, ns):
+    u1, v1, _ = pair
+    first = chain_from(App(F2, (u1, App(A0))), App(F2, (v1, App(A0))))
+    decompositions = _first_chain_decompositions(first.start, first.end)
+    assume(decompositions)
+    for dec in decompositions:
+        _, _, c1, c2, _ = dec
+        assert c1.args[1] == App(A0)
+        for u2, v2, hit in early_reject_partners(c1, c2, ns):
+            partner = chain_from(u2, v2)
+            rp = _match_partner(first, partner, *dec)
+            assert (rp is not None) is hit
+            assert rp == reference_match_partner(first, partner, *dec)
+
+
+def test_partner_with_a_non_variable_at_the_hole_walks_one_side(monkeypatch):
+    first = chain_of("f(x,s(y))", "f(s(x),y)")
+    (dec,) = _first_chain_decompositions(first.start, first.end)
+    c1 = dec[2]
+    partner = chain_of("f(0,s(0))", "f(s(0),0)")
+    walked = []
+
+    def counting(c, u, *args, **kwargs):
+        if c is c1:
+            walked.append(u)
+        return _walk_template(c, u, *args, **kwargs)
+
+    monkeypatch.setattr(detection, "_walk_template", counting)
+    assert _match_partner(first, partner, *dec) is None
+    assert walked == [partner.start]
 
 
 def test_peeling_a_shared_tower_builds_no_term():
