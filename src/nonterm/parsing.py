@@ -103,29 +103,32 @@ class _Cursor:
 
 class _TermReader:
     """Reads terms, interning variables and inferring symbol arities:
-    ``symbols`` maps each name read so far to its one symbol.  With
-    ``anonymous``, every ``_`` is a fresh variable."""
+    ``symbols`` maps each name read so far to its one symbol, ``variables``
+    each variable name to its one ``Var``, so that lookups keyed by a
+    variable find it by identity.  With ``anonymous``, every ``_`` is a
+    fresh variable."""
 
     def __init__(
         self,
         symbols: dict[str, Symbol],
         is_var,
-        var_ids: dict[str, int],
+        variables: dict[str, Var],
         anonymous: bool = False,
     ):
         self.symbols = symbols
         self.is_var = is_var
-        self.var_ids = var_ids
+        self.variables = variables
         self.anonymous = anonymous
         self.fresh = 0  # anonymous variables read so far
 
     def variable(self, name: str) -> Var:
         if self.anonymous and name == "_":
             self.fresh += 1
-            return Var(len(self.var_ids) + self.fresh - 1, name)
-        if name not in self.var_ids:
-            self.var_ids[name] = len(self.var_ids) + self.fresh
-        return Var(self.var_ids[name], name)
+            return Var(len(self.variables) + self.fresh - 1, name)
+        v = self.variables.get(name)
+        if v is None:
+            v = self.variables[name] = Var(len(self.variables) + self.fresh, name)
+        return v
 
     def term(self, cur: _Cursor) -> Term:
         t = cur.next()
@@ -158,7 +161,7 @@ def parse_trs(text: str) -> Program:
     cur = _Cursor(tokens)
     variables: list[str] = []
     symbols: dict[str, Symbol] = {}
-    var_ids: dict[str, int] = {}
+    named: dict[str, Var] = {}
     rules: list[Rule] = []
 
     while cur.peek() is not None:
@@ -174,7 +177,7 @@ def parse_trs(text: str) -> Program:
                 variables.append(v.text)
             cur.expect(")")
         elif head.text == "RULES":
-            reader = _TermReader(symbols, lambda n: n in variables, var_ids)
+            reader = _TermReader(symbols, lambda n: n in variables, named)
             while cur.peek() is not None and cur.peek().text != ")":
                 lhs = reader.term(cur)
                 if isinstance(lhs, Var):
@@ -207,8 +210,8 @@ def parse_lp(text: str) -> Program:
     rules: list[Rule] = []
 
     while cur.peek() is not None:
-        var_ids: dict[str, int] = {}  # variables are clause-local
-        reader = _TermReader(symbols, _is_prolog_var, var_ids, anonymous=True)
+        named: dict[str, Var] = {}  # variables are clause-local
+        reader = _TermReader(symbols, _is_prolog_var, named, anonymous=True)
         head = reader.term(cur)
         if isinstance(head, Var):
             t = cur.peek()

@@ -45,6 +45,7 @@ from .terms import (
     replace_at,
     subterm_at,
     iter_positions,
+    max_var_id,
     term_vars,
 )
 
@@ -75,7 +76,7 @@ class Rule:
         return len(self.rhs) == 1 and term_vars(self.rhs[0]) <= term_vars(self.lhs)
 
     def all_vars(self):
-        return term_vars(self.lhs) | term_vars(self.rhs)
+        return term_vars((self.lhs, *self.rhs))
 
     def rename(self, theta: Substitution) -> "Rule":
         return Rule(self.id, apply(theta, self.lhs), apply(theta, self.rhs))
@@ -88,10 +89,10 @@ class Rule:
         return self.text(renderer())
 
 
-def rename_apart(r: Rule, avoid: Iterable) -> Rule:
+def rename_apart(r: Rule, avoid: Iterable[Var]) -> Rule:
     """A variant of ``r`` whose variables are disjoint from ``avoid``."""
-    gamma = renaming_apart(r.all_vars(), avoid)
-    return r.rename(gamma)
+    top = max((v.id for v in avoid), default=-1)
+    return r.rename(renaming_apart(r.all_vars(), top))
 
 
 @dataclass
@@ -161,12 +162,12 @@ def _resolution(rule: Rule, goal: Goal, i: int) -> Optional[tuple[Substitution, 
     """The unifier of atom ``i`` of ``goal`` with the head of ``rule``
     renamed apart from the goal, and the resolvent before the unifier is
     applied; None if they do not unify.  The renaming takes ids just
-    above the maximum id in the goal, which makes targets reproducible."""
-    fresh = rename_apart(rule, term_vars(goal))
-    theta = mgu(goal[i - 1], fresh.lhs)
+    above the largest id in the goal, which makes targets reproducible."""
+    gamma = renaming_apart(rule.all_vars(), max_var_id(goal))
+    theta = mgu(goal[i - 1], apply(gamma, rule.lhs))
     if theta is None:
         return None
-    return theta, goal[: i - 1] + fresh.rhs + goal[i:]
+    return theta, goal[: i - 1] + apply(gamma, rule.rhs) + goal[i:]
 
 
 def rewrite_at(
@@ -228,7 +229,7 @@ def _rewrites_to(
     for i in position:
         if s.__class__ is not App or not 1 <= i <= len(s.args):
             return False
-        if t.__class__ is not App or t.symbol != s.symbol:
+        if t.__class__ is not App or (t.symbol is not s.symbol and t.symbol != s.symbol):
             return False
         sa, ta = s.args, t.args
         if sa[: i - 1] != ta[: i - 1] or sa[i:] != ta[i:]:
@@ -242,8 +243,9 @@ def _image_is(r: Term, bindings: dict[Var, Term], t: Term) -> bool:
     """Whether ``r`` with its variables mapped by ``bindings`` (the
     others kept) equals ``t``."""
     if r.__class__ is Var:
-        return bindings.get(r, r) == t
-    if t.__class__ is not App or t.symbol != r.symbol:
+        image = bindings.get(r, r)
+        return image is t or image == t
+    if t.__class__ is not App or (t.symbol is not r.symbol and t.symbol != r.symbol):
         return False
     for a, b in zip(r.args, t.args):
         if not _image_is(a, bindings, b):

@@ -4,7 +4,21 @@ Unification is a Martelli-Montanari-style solved-form transformation with
 occurs check.  Results are normalized to an idempotent solved form in
 which binding targets never mention domain variables; when either
 orientation of a variable-variable equation is legal, the variable with
-the smaller id is bound.  This keeps all outputs deterministic.
+the smaller id is bound.  This keeps all outputs deterministic.  A
+pending equation is instantiated by the solved bindings when it is
+popped, not each time a binding is added, and two sides that are one
+object, or two variables with one id, are dropped without comparing
+them; other equal sides simply decompose.  The solved form is the one
+an eager instantiation of every pending equation gives.
+
+Renaming apart starts from the largest variable id the fresh variables
+must avoid, which ``terms.max_var_id`` finds in one walk.  A fresh name
+is the old name's stem followed by the new id, with underscores between
+while it is in a given set of taken names (a rewrite system's symbols).
+
+Walks tell a variable from an application by class, compare variables
+by id and symbols by identity first, so the common cases of these hot
+loops make no Python-level ``__eq__`` call.
 
 Application shares structure: every subterm a substitution leaves
 unchanged comes back as the same object, so narrowing and instantiation
@@ -17,7 +31,7 @@ The walks of ``apply`` and ``match`` do not close over themselves (see
 from __future__ import annotations
 
 from operator import is_not
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Container, Iterable, Optional, Union
 
 from .terms import (
     App,
@@ -37,7 +51,8 @@ class Substitution:
         clean = {}
         if bindings:
             for v, t in bindings.items():
-                if t != v:
+                # an x -> x binding, told by class and id, not by __eq__
+                if t.__class__ is not Var or t.id != v.id:
                     clean[v] = t
         self._bindings = clean
 
@@ -110,49 +125,65 @@ def compose(sigma: Substitution, theta: Substitution) -> Substitution:
     return Substitution(out)
 
 
+def _solved(bindings: dict[Var, Term]) -> Substitution:
+    """A substitution over ``bindings`` itself, which holds no x -> x
+    binding: not copied, so it sees later changes to the dict."""
+    theta = Substitution.__new__(Substitution)
+    theta._bindings = bindings
+    return theta
+
+
 def _occurs(v: Var, t: Term) -> bool:
-    if isinstance(t, Var):
-        return t == v
-    return any(_occurs(v, a) for a in t.args)
+    if t.__class__ is Var:
+        return t.id == v.id
+    for a in t.args:
+        if _occurs(v, a):
+            return True
+    return False
 
 
 def mgu(s: Term, t: Term) -> Optional[Substitution]:
-    """Most general unifier of ``s`` and ``t``, or None if none exists."""
+    """Most general unifier of ``s`` and ``t``, or None if none exists.
+
+    An equation is instantiated by the bindings solved so far when it is
+    popped, not each time a binding is added; the solved bindings are
+    kept idempotent, so one application suffices.  Two sides that are
+    one object, or two variables with one id, are skipped without
+    comparing them; other equal sides decompose into such pairs."""
     solved: dict[Var, Term] = {}
+    image = _solved(solved)._image
     stack: list[tuple[Term, Term]] = [(s, t)]
-
-    def bind(v: Var, u: Term) -> bool:
-        if _occurs(v, u):
-            return False
-        one = Substitution({v: u})
-        for w in list(solved):
-            solved[w] = apply(one, solved[w])
-        solved[v] = u
-        # keep pending equations in the solved space too
-        for i, (a, b) in enumerate(stack):
-            stack[i] = (apply(one, a), apply(one, b))
-        return True
-
     while stack:
         a, b = stack.pop()
-        if a == b:
+        if solved:
+            a, b = image(a), image(b)
+        if a is b:
             continue
-        if isinstance(a, Var) and isinstance(b, Var):
-            # deterministic orientation: bind the smaller id
-            v, u = (a, b) if a.id < b.id else (b, a)
-            if not bind(v, u):
+        if a.__class__ is Var:
+            if b.__class__ is Var:
+                if a.id == b.id:
+                    continue
+                # deterministic orientation: bind the smaller id
+                v, u = (a, b) if a.id < b.id else (b, a)
+            elif _occurs(a, b):
                 return None
-        elif isinstance(a, Var):
-            if not bind(a, b):
+            else:
+                v, u = a, b
+        elif b.__class__ is Var:
+            if _occurs(b, a):
                 return None
-        elif isinstance(b, Var):
-            if not bind(b, a):
-                return None
+            v, u = b, a
         else:
-            if a.symbol != b.symbol:
+            if a.symbol is not b.symbol and a.symbol != b.symbol:
                 return None
             stack.extend(zip(a.args, b.args))
-    return Substitution(solved)
+            continue
+        if solved:
+            one = _solved({v: u})._image
+            for w, x in solved.items():
+                solved[w] = one(x)
+        solved[v] = u
+    return _solved(solved)
 
 
 def match(s: Union[Term, Goal], t: Union[Term, Goal]) -> Optional[Substitution]:
@@ -165,40 +196,52 @@ def match(s: Union[Term, Goal], t: Union[Term, Goal]) -> Optional[Substitution]:
 
 def _match(a, b, bindings: dict[Var, Term]) -> bool:
     """Extend ``bindings`` so that ``a`` matches ``b``, or return False."""
-    if isinstance(a, tuple) or isinstance(b, tuple):
+    if a.__class__ is App and b.__class__ is App:
+        if a.symbol is not b.symbol and a.symbol != b.symbol:
+            return False
+        pairs = zip(a.args, b.args)
+    elif isinstance(a, tuple) or isinstance(b, tuple):
         if not (isinstance(a, tuple) and isinstance(b, tuple)) or len(a) != len(b):
             return False
         pairs = zip(a, b)
-    elif isinstance(a, Var):
-        if a in bindings:
-            return bindings[a] == b
-        bindings[a] = b
-        return True
-    elif isinstance(b, Var) or a.symbol != b.symbol:
-        return False
+    elif a.__class__ is Var:
+        bound = bindings.get(a)
+        if bound is None:
+            bindings[a] = b
+            return True
+        return bound is b or bound == b
     else:
-        pairs = zip(a.args, b.args)
+        return False
     for x, y in pairs:
         if not _match(x, y, bindings):
             return False
     return True
 
 
-def renaming_apart(vs: Iterable[Var], avoid: Iterable[Var]) -> Substitution:
-    """A renaming of ``vs`` whose image avoids ``avoid``.
+def renaming_apart(
+    vs: Iterable[Var], top: int, taken: Container[str] = ()
+) -> Substitution:
+    """A renaming of ``vs`` onto fresh variables whose ids lie above
+    ``top``, the largest id the image must avoid.
 
-    Fresh ids are allocated deterministically just above every id in
-    sight, so the result is a pure function of its inputs.  A fresh
-    variable is named by its id after the stem of the old name, which
-    drops trailing digits and underscores; a name with no stem, such as
-    ``_``, gets the stem ``_``, so the fresh name still reads as a
-    variable.
+    Fresh ids are allocated deterministically just above ``top`` and
+    every id of ``vs``, so the result is a pure function of its inputs.
+    A fresh variable is named by its id after the stem of the old name,
+    which drops trailing digits and underscores; a name with no stem,
+    such as ``_``, gets the stem ``_``, so the fresh name still reads as
+    a variable.  While the name is in ``taken`` (the names of a
+    program's symbols), one more ``_`` goes between stem and id.
     """
     vs = sorted(set(vs), key=lambda v: v.id)
-    avoid_ids = {v.id for v in avoid} | {v.id for v in vs}
-    next_id = max(avoid_ids, default=-1) + 1
+    next_id = max(top, vs[-1].id if vs else -1) + 1
     out = {}
     for v in vs:
-        out[v] = Var(next_id, f"{v.name.rstrip('0123456789_') or '_'}{next_id}")
+        stem = v.name.rstrip("0123456789_") or "_"
+        name = f"{stem}{next_id}"
+        while name in taken:
+            stem += "_"
+            name = f"{stem}{next_id}"
+        out[v] = Var(next_id, name)
         next_id += 1
-    return Substitution(out)
+    # every fresh id is above every id of vs: no x -> x binding
+    return _solved(out)

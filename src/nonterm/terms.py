@@ -232,17 +232,39 @@ def replace_at(t: Term, p: Position, u: Term) -> Term:
 
 
 def term_vars(t: Union[Term, Goal]) -> set[Var]:
-    if isinstance(t, tuple):
-        out: set[Var] = set()
-        for s in t:
-            out |= term_vars(s)
-        return out
-    if isinstance(t, Var):
-        return {t}
-    out = set()
-    for a in t.args:
-        out |= term_vars(a)
+    """The variables of a term or of a goal, collected into one set."""
+    out: set[Var] = set()
+    add = out.add
+    for s in t if isinstance(t, tuple) else (t,):
+        _add_vars(s, add)
     return out
+
+
+def _add_vars(t: Term, add) -> None:
+    """``term_vars``' walk of one term."""
+    if t.__class__ is Var:
+        add(t)
+    else:
+        for a in t.args:
+            _add_vars(a, add)
+
+
+def max_var_id(x: Union[Term, Goal]) -> int:
+    """The largest variable id in a term or a goal, -1 if it has no
+    variable: one walk that builds no set."""
+    top = -1
+    for t in x if isinstance(x, tuple) else (x,):
+        top = _max_id(t, top)
+    return top
+
+
+def _max_id(t: Term, top: int) -> int:
+    """``max_var_id``'s walk of one term."""
+    if t.__class__ is Var:
+        return t.id if t.id > top else top
+    for a in t.args:
+        top = _max_id(a, top)
+    return top
 
 
 # ---------------------------------------------------------------------------

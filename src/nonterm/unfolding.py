@@ -70,11 +70,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from operator import is_not
-from typing import Callable, Optional
+from typing import Callable, Container, Optional
 
 from .errors import DeadlineError, InvalidPositionError, ResourceLimitError
-from .rewriting import Mode, Program, Rule, rename_apart
-from .substitution import EMPTY_SUBST, Substitution, apply, compose, mgu
+from .rewriting import Mode, Program, Rule
+from .substitution import EMPTY_SUBST, Substitution, apply, compose, mgu, renaming_apart
 from .terms import (
     App,
     Position,
@@ -82,9 +82,9 @@ from .terms import (
     Symbol,
     Term,
     Var,
+    max_var_id,
     subterm_at,
     subterms,
-    term_vars,
 )
 
 MARK_SUFFIX = "#"
@@ -402,15 +402,32 @@ class Unfolding:
 
 
 def _renamed(
-    rule: Rule, avoid: set[Var], top: int, renamed: dict[tuple[Rule, int], Rule]
+    rule: Rule,
+    top: int,
+    renamed: dict[tuple[Rule, int], Rule],
+    taken: Container[str] = (),
 ) -> Rule:
-    """``rename_apart(rule, avoid)``, ``top`` being the largest variable id
-    in ``avoid``.  The renaming depends on nothing else, so it is built
-    once per ``(rule, top)`` in the memo ``renamed``."""
+    """``rule`` renamed apart from the variable ids up to ``top``, no
+    fresh name in ``taken``.  The memo ``renamed`` serves one unfolding,
+    whose ``taken`` does not change, so the renaming is built once per
+    ``(rule, top)``."""
     fresh = renamed.get((rule, top))
     if fresh is None:
-        fresh = renamed[rule, top] = rename_apart(rule, avoid)
+        gamma = renaming_apart(rule.all_vars(), top, taken)
+        fresh = renamed[rule, top] = rule.rename(gamma)
     return fresh
+
+
+def _symbol_names(p: Program) -> frozenset[str]:
+    """The names of the function symbols of ``p``, which no variable that
+    renaming makes may take."""
+    return frozenset(
+        f.symbol.name
+        for rule in p.rules
+        for t in (rule.lhs, *rule.rhs)
+        for _, f in subterms(t)
+        if f.__class__ is App
+    )
 
 
 def _clash(s: Term, t: Term) -> bool:
@@ -430,6 +447,7 @@ def _narrowings(
     renamed: Optional[dict[tuple[Rule, int], Rule]] = None,
     unifiers: Optional[dict[tuple[int, int], tuple]] = None,
     nodes: Optional[dict[tuple[int, ...], App]] = None,
+    taken: Container[str] = (),
 ):
     """Every narrowing of the pair ``host``, the one place a pair is
     narrowed.
@@ -451,11 +469,10 @@ def _narrowings(
     ``unifiers`` (an ``Unfolding.unifiers`` table) if given.  The spine
     that splices the renamed rule into the pair takes its nodes from
     ``nodes`` (an ``Unfolding.nodes`` table) if given, else from a table
-    of this call's own.
+    of this call's own.  No renamed variable takes a name in ``taken``.
     """
     lhs, rhs = host.lhs, host.rhs[0]
-    avoid = term_vars(lhs) | term_vars(rhs)
-    top = max([v.id for v in avoid], default=-1)
+    top = max_var_id((lhs, rhs))
     if renamed is None:
         renamed = {}
     if unifiers is None:
@@ -473,7 +490,7 @@ def _narrowings(
                     sub, with_rule.lhs if forward else with_rule.rhs[0]
                 ):
                     continue
-                fresh = _renamed(with_rule, avoid, top, renamed)
+                fresh = _renamed(with_rule, top, renamed, taken)
                 src, dst = fresh.lhs, fresh.rhs[0]
                 target = src if forward else dst
                 key = (id(sub), id(target))
@@ -506,6 +523,7 @@ def unfold_trs(
     if r.mode is not Mode.TRS:
         raise ValueError("unfold_trs requires a TRS program")
     state = resume if resume is not None else Unfolding()
+    taken = _symbol_names(r)
 
     def layer(depth: int) -> list[UnfoldedRule]:
         if depth == 0:
@@ -524,6 +542,7 @@ def unfold_trs(
                 state.renamed,
                 state.unifiers,
                 state.nodes,
+                taken,
             ):
                 step = (kind, (parent.rule.id, with_rule.id), pos, theta)
                 added = state.derive("u", lhs, (rhs,), theta, depth, step)
@@ -545,6 +564,7 @@ def overlap_closure(
     if r.mode is not Mode.TRS:
         raise ValueError("overlap_closure requires a TRS program")
     state = Unfolding()
+    taken = _symbol_names(r)
 
     def layer(depth: int) -> list[UnfoldedRule]:
         if depth == 0:
@@ -577,6 +597,7 @@ def overlap_closure(
                         state.renamed,
                         state.unifiers,
                         state.nodes,
+                        taken,
                     ):
                         step = (kind, (a.rule.id, b.rule.id), pos, theta)
                         added = state.derive("oc", lhs, (rhs,), theta, depth, step)
@@ -593,8 +614,8 @@ def _joining(
     """``joined`` renamed apart from the variables in use in the
     derivation of ``rule`` under ``theta``: the clause's own, and those
     the rules joined before brought in through ``theta``."""
-    avoid = term_vars((rule.lhs, *rule.rhs, *theta.bindings.values()))
-    return _renamed(joined, avoid, max([v.id for v in avoid], default=-1), renamed)
+    top = max_var_id((rule.lhs, *rule.rhs, *theta._bindings.values()))
+    return _renamed(joined, top, renamed)
 
 
 def _erase(

@@ -91,8 +91,9 @@ def test_mgu_idempotent_solved_form():
 def test_renaming_apart_deterministic():
     vs = term_vars(term("f(x,y)"))
     avoid = term_vars(term("g(z)"))
-    gamma1 = renaming_apart(vs, avoid)
-    gamma2 = renaming_apart(vs, avoid)
+    top = max(v.id for v in avoid)
+    gamma1 = renaming_apart(vs, top)
+    gamma2 = renaming_apart(vs, top)
     assert gamma1 == gamma2
     image = {gamma1.get(v) for v in vs}
     assert not image & (vs | avoid)
@@ -138,5 +139,5 @@ def test_empty_subst_is_identity(t):
 
 
 def test_renaming_an_anonymous_variable_keeps_a_variable_name():
-    gamma = renaming_apart([Var(0, "_"), Var(1, "X_2"), Var(2, "12")], [])
+    gamma = renaming_apart([Var(0, "_"), Var(1, "X_2"), Var(2, "12")], -1)
     assert [gamma.get(Var(i)).name for i in range(3)] == ["_3", "X4", "_5"]

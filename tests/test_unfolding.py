@@ -13,7 +13,7 @@ from nonterm import parse_trs, unfolding
 from nonterm.errors import DeadlineError, ResourceLimitError
 from nonterm.parsing import render_program
 from nonterm.rewriting import Mode, Rule, Semantics, rename_apart, run_word, successors
-from nonterm.substitution import Substitution, apply, mgu
+from nonterm.substitution import Substitution, apply, mgu, renaming_apart
 from nonterm.terms import App, Symbol, Var, canonical, is_variant, render, term_vars
 from nonterm.unfolding import (
     UnfoldedRule,
@@ -702,15 +702,17 @@ def test_unfold_corpus_takes_few_unifications(monkeypatch):
 def test_binary_unfolding_renames_each_rule_once_per_key(monkeypatch):
     # the renaming of a unit or binary rule depends only on the rule and
     # the largest variable id in use, so it is built once per such key
-    keys = []
+    calls = []
 
-    def counting(rule, avoid):
-        keys.append((rule, max((v.id for v in avoid), default=-1)))
-        return rename_apart(rule, avoid)
+    def counting(vs, top, taken=()):
+        calls.append(top)
+        return renaming_apart(vs, top, taken)
 
-    monkeypatch.setattr(unfolding, "rename_apart", counting)
-    binary_unfold(lp(REV_LP), 4)
-    assert len(keys) == len(set(keys)) == 35
+    monkeypatch.setattr(unfolding, "renaming_apart", counting)
+    state = Unfolding()
+    binary_unfold(lp(REV_LP), 4, resume=state)
+    # one renaming per (rule, largest id) key of the memo
+    assert len(calls) == len(state.renamed) == 35
 
 
 # Anonymous variables and no numeric constant: a unit rule renamed apart
