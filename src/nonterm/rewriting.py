@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import InvalidPositionError, ResourceLimitError
 from .substitution import Substitution, _match, apply, match, mgu, renaming_apart
@@ -87,12 +87,6 @@ class Rule:
 
     def __repr__(self):
         return self.text(renderer())
-
-
-def rename_apart(r: Rule, avoid: Iterable[Var]) -> Rule:
-    """A variant of ``r`` whose variables are disjoint from ``avoid``."""
-    top = max((v.id for v in avoid), default=-1)
-    return r.rename(renaming_apart(r.all_vars(), top))
 
 
 @dataclass

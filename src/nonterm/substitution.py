@@ -22,7 +22,8 @@ loops make no Python-level ``__eq__`` call.
 
 Application shares structure: every subterm a substitution leaves
 unchanged comes back as the same object, so narrowing and instantiation
-allocate only the nodes on the paths to bound variables.
+allocate only the nodes on the paths to bound variables.  Its walk
+spends no call on a leaf argument and spells out arities 1 and 2.
 
 The walks of ``apply`` and ``match`` do not close over themselves (see
 ``nonterm.terms``), so neither call leaves a reference cycle behind.
@@ -83,20 +84,33 @@ class Substitution:
     def __repr__(self):
         return self.text(renderer())
 
-    def _image(self, t: Term) -> Term:
-        """``apply``'s walk of one term."""
-        if t.__class__ is Var:
-            return self._bindings.get(t, t)
-        args = t.args
-        if not args:
-            return t
-        new = tuple(map(self._image, args))
-        if any(map(is_not, new, args)):
-            return App(t.symbol, new)
-        return t
-
 
 EMPTY_SUBST = Substitution()
+
+
+def _image(t: Term, bound) -> Term:
+    """``apply``'s walk of one term, ``bound`` being the ``get`` of a
+    substitution's bindings.  A leaf argument costs no call: a variable
+    is one lookup in ``bound`` and a constant is kept as it is.  Arities
+    1 and 2 are spelt out; other arities take the general path."""
+    if t.__class__ is Var:
+        return bound(t, t)
+    args = t.args
+    n = len(args)
+    if n == 1:
+        a = args[0]
+        x = bound(a, a) if a.__class__ is Var else _image(a, bound) if a.args else a
+        return t if x is a else App(t.symbol, (x,))
+    if n == 2:
+        a, b = args
+        x = bound(a, a) if a.__class__ is Var else _image(a, bound) if a.args else a
+        y = bound(b, b) if b.__class__ is Var else _image(b, bound) if b.args else b
+        return t if x is a and y is b else App(t.symbol, (x, y))
+    new = []  # a loop, not a comprehension, which would take a frame per level
+    for a in args:
+        new.append(bound(a, a) if a.__class__ is Var else _image(a, bound) if a.args else a)
+    new = tuple(new)
+    return App(t.symbol, new) if any(map(is_not, new, args)) else t
 
 
 def apply(theta: Substitution, x: Union[Term, Goal]):
@@ -108,10 +122,11 @@ def apply(theta: Substitution, x: Union[Term, Goal]):
     """
     if not theta._bindings:
         return x
+    bound = theta._bindings.get
     if isinstance(x, tuple):
-        new = tuple(map(theta._image, x))
+        new = tuple([_image(t, bound) for t in x])
         return new if any(map(is_not, new, x)) else x
-    return theta._image(x)
+    return _image(x, bound)
 
 
 def compose(sigma: Substitution, theta: Substitution) -> Substitution:
@@ -151,12 +166,12 @@ def mgu(s: Term, t: Term) -> Optional[Substitution]:
     one object, or two variables with one id, are skipped without
     comparing them; other equal sides decompose into such pairs."""
     solved: dict[Var, Term] = {}
-    image = _solved(solved)._image
+    bound = solved.get
     stack: list[tuple[Term, Term]] = [(s, t)]
     while stack:
         a, b = stack.pop()
         if solved:
-            a, b = image(a), image(b)
+            a, b = _image(a, bound), _image(b, bound)
         if a is b:
             continue
         if a.__class__ is Var:
@@ -179,9 +194,9 @@ def mgu(s: Term, t: Term) -> Optional[Substitution]:
             stack.extend(zip(a.args, b.args))
             continue
         if solved:
-            one = _solved({v: u})._image
+            one = {v: u}.get
             for w, x in solved.items():
-                solved[w] = one(x)
+                solved[w] = _image(x, one)
         solved[v] = u
     return _solved(solved)
 

@@ -47,10 +47,15 @@ pre-check, so pairs that cannot unify cost it no memory.
 
 The nodes an unfolding builds are hash-consed, per unfolding, never
 globally.  ``Unfolding.nodes`` maps the identities of a symbol and of
-argument objects to the one ``App`` built with them.  Two places look a
-node up before building it: ``Unfolding.derive``, for each node of the
-new rule's instance, and ``_narrowings``, for each node of the spine
-that splices the narrowing rule into its pair.  A node built again from
+argument objects to the one ``App`` built with them.  Two walks look a
+node up before building it: ``_instance``, which ``Unfolding.derive``
+runs for each node of the new rule's instance, and ``_spine``, which
+``_narrowings`` runs for each node of the spine that splices the
+narrowing rule into its pair.  ``_instance`` spends no call on a leaf
+argument (a variable is one lookup among the unifier's bindings, a
+constant is kept), ``_spine`` none on the step that puts the rule in
+place, and both spell out arities 1 and 2 with the lookup inline, the
+arities of nearly every node they build.  A node built again from
 the same objects is then the same object wherever it occurs.  So the
 pool holds fewer objects for the cycle collector to scan (a sixth of
 the ``App`` objects on ``double-quad`` at depth 4), and the table of
@@ -60,7 +65,7 @@ reason above: two parses, or two renamed copies that differ only in
 display names, are never merged.  Each entry's node holds its symbol
 and children, so no id in a key is reused while the table lives, and
 the table lives as long as its ``Unfolding``.  Every node these two
-places build goes through the table, at every depth.
+walks build goes through the table, at every depth.
 ``replay_provenance``, which has no ``Unfolding``, lets ``_narrowings``
 use a table of its own per call, as it does for renamings and unifiers.
 """
@@ -218,56 +223,70 @@ def _dedup_key(rule: Rule) -> tuple:
     return _variant_key(rule.lhs, rule.rhs, EMPTY_SUBST)
 
 
-def _node(nodes: dict, symbol: Symbol, args: tuple) -> App:
-    """The node of ``nodes`` (an ``Unfolding.nodes`` table) with this
-    symbol and these argument objects, built and entered if missing.
-    The key is spelt out for arities 1 and 2, where it costs a third of
-    the general form."""
+def _instance(t: Term, bound, nodes: dict) -> Term:
+    """``apply(theta, t)``, ``bound`` being ``theta._bindings.get``, that
+    takes each node it builds from the node table ``nodes``; the subterms
+    ``theta`` leaves unchanged come back as they are, as from ``apply``.
+
+    A leaf argument costs no call: a variable is one lookup in ``bound``
+    and a constant is kept as it is.  Arities 1 and 2 are spelt out, with
+    the table lookup inline; other arities take the general path."""
+    if t.__class__ is Var:
+        return bound(t, t)
+    args = t.args
     n = len(args)
     if n == 1:
-        key = (id(symbol), id(args[0]))
+        a = args[0]
+        x = bound(a, a) if a.__class__ is Var else _instance(a, bound, nodes) if a.args else a
+        if x is a:
+            return t
+        key, new = (id(t.symbol), id(x)), (x,)
     elif n == 2:
-        key = (id(symbol), id(args[0]), id(args[1]))
+        a, b = args
+        x = bound(a, a) if a.__class__ is Var else _instance(a, bound, nodes) if a.args else a
+        y = bound(b, b) if b.__class__ is Var else _instance(b, bound, nodes) if b.args else b
+        if x is a and y is b:
+            return t
+        key, new = (id(t.symbol), id(x), id(y)), (x, y)
     else:
-        key = (id(symbol), *map(id, args))
+        new = []  # a loop, not a comprehension, which would take a frame per level
+        for a in args:
+            new.append(
+                bound(a, a) if a.__class__ is Var else _instance(a, bound, nodes) if a.args else a
+            )
+        new = tuple(new)
+        if not any(map(is_not, new, args)):
+            return t
+        key = (id(t.symbol), *map(id, new))
     node = nodes.get(key)
     if node is None:
-        node = nodes[key] = App(symbol, args)
+        node = nodes[key] = App(t.symbol, new)
     return node
-
-
-class _Instance:
-    """``apply(theta, ...)`` that takes each node it builds from the node
-    table ``nodes``; the subterms ``theta`` leaves unchanged come back as
-    they are, as from ``apply``."""
-
-    __slots__ = ("bound", "nodes")
-
-    def __init__(self, theta: Substitution, nodes: dict):
-        self.bound = theta._bindings.get
-        self.nodes = nodes
-
-    def image(self, t: Term) -> Term:
-        if t.__class__ is Var:
-            return self.bound(t, t)
-        args = t.args
-        if not args:
-            return t
-        new = tuple(map(self.image, args))
-        if any(map(is_not, new, args)):
-            return _node(self.nodes, t.symbol, new)
-        return t
 
 
 def _spine(t: Term, p: Position, u: Term, nodes: dict) -> Term:
     """``replace_at(t, p, u)`` for a position ``p`` of ``t``, each node on
-    the path to ``p`` taken from the node table ``nodes``."""
+    the path to ``p`` taken from the node table ``nodes``.  The last step
+    puts ``u`` in place with no call, and arities 1 and 2 are spelt out,
+    as in ``_instance``."""
     if not p:
         return u
-    args = list(t.args)
+    args = t.args
     i = p[0] - 1
-    args[i] = _spine(args[i], p[1:], u, nodes)
-    return _node(nodes, t.symbol, tuple(args))
+    new = _spine(args[i], p[1:], u, nodes) if len(p) > 1 else u
+    n = len(args)
+    if n == 1:
+        key, args = (id(t.symbol), id(new)), (new,)
+    elif n == 2:
+        args = (new, args[1]) if i == 0 else (args[0], new)
+        key = (id(t.symbol), id(args[0]), id(args[1]))
+    else:
+        args = (*args[:i], new, *args[i + 1 :])
+        key = (id(t.symbol), *map(id, args))
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = App(t.symbol, args)
+    return node
 
 
 class Unfolding:
@@ -300,10 +319,11 @@ class Unfolding:
 
     ``nodes`` is the table of nodes: ``(id(symbol), id(arg1), ...,
     id(argn))`` maps to the one ``App`` of this unfolding with that
-    symbol object and those argument objects.  ``derive`` and
-    ``_narrowings`` enter every node they build.  Keys are identities
-    for the reason above, and each node holds the objects of its key,
-    so no key id is reused while the table lives.
+    symbol object and those argument objects.  ``derive`` (through
+    ``_instance``) and ``_narrowings`` (through ``_spine``) enter every
+    node they build, and both walks look the key up in line.  Keys are
+    identities for the reason above, and each node holds the objects of
+    its key, so no key id is reused while the table lives.
 
     ``dependency_pairs`` holds the pairs that dependency-pair unfolding
     built at depth 0 (before any pair was dropped as a variant); later
@@ -370,8 +390,9 @@ class Unfolding:
         self._derived += 1
         if not self._is_new(_variant_key(lhs, rhs, theta)):
             return None
-        image = _Instance(theta, self.nodes).image
-        lhs, rhs = image(lhs), tuple(map(image, rhs))
+        bound, nodes = theta._bindings.get, self.nodes
+        lhs = _instance(lhs, bound, nodes)
+        rhs = tuple([_instance(t, bound, nodes) for t in rhs])
         named = Rule(f"{prefix}{self._derived}", lhs, rhs)
         u = UnfoldedRule(named, depth, ProvenanceStep(*step))
         self.pool.append(u)

@@ -49,6 +49,21 @@ def random_term(rng: random.Random, depth: int = 4):
     return App(sym, tuple(random_term(rng, depth - 1) for _ in range(sym.arity)))
 
 
+# A wider signature, for the walks that treat arities 1 and 2 apart from
+# the others: f/2, g/1, h/3, k/4 and two constants.  ``random_term``
+# stays as it is, so the examples other properties draw do not move.
+H3 = Symbol("h", 3)
+K4 = Symbol("k", 4)
+
+
+def random_wide_term(rng: random.Random, depth: int = 4):
+    """A random term over f/2, g/1, h/3, k/4, a, b and three variables."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(GEN_VARS + [App(A0), App(B0)])
+    sym = rng.choice([F2, G1, H3, K4])
+    return App(sym, tuple(random_wide_term(rng, depth - 1) for _ in range(sym.arity)))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import trs
 from nonterm import AnalysisConfig, analyze, emit_certificate
-from nonterm.rewriting import Rule, _resolution, rename_apart
+from nonterm.rewriting import Rule, _resolution
 from nonterm.substitution import Substitution, apply, mgu, renaming_apart
 from nonterm.terms import App, Symbol, Var, max_var_id, subterms, term_vars
 from nonterm.unfolding import _clash, _joining, _renamed, overlap_closure, unfold_trs
@@ -90,6 +90,13 @@ def reference_rename_apart(rule, avoid):
         out[v] = Var(next_id, f"{v.name.rstrip('0123456789_') or '_'}{next_id}")
         next_id += 1
     return rule.rename(Substitution(out))
+
+
+def rename_apart(rule, avoid):
+    """A variant of ``rule`` whose variables are disjoint from ``avoid``:
+    ``renaming_apart`` from the largest id in ``avoid``."""
+    top = max((v.id for v in avoid), default=-1)
+    return rule.rename(renaming_apart(rule.all_vars(), top))
 
 
 def exact(theta):

@@ -1,6 +1,8 @@
 """Properties of the term core: ``App`` equality, hash and size caches,
-``apply``'s sharing of the subterms a substitution leaves unchanged, and
-the immutable leaf classes ``Var`` and ``Symbol``."""
+``apply``'s sharing of the subterms a substitution leaves unchanged, the
+unfolding's instance and spine walks at arities 0 to 4, the recursion
+depth the walks leave to ``analyze``, and the immutable leaf classes
+``Var`` and ``Symbol``."""
 
 import copy
 import os
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nonterm
-from conftest import GEN_VARS, random_term
+from conftest import GEN_VARS, random_term, random_wide_term
 from nonterm.errors import ResourceLimitError
 from nonterm.substitution import Substitution, apply
 from nonterm.terms import (
@@ -25,9 +27,12 @@ from nonterm.terms import (
     Symbol,
     Var,
     check_size,
+    iter_positions,
+    replace_at,
     term_size,
     term_vars,
 )
+from nonterm.unfolding import _instance, _spine
 
 
 def reference_apply(theta, x):
@@ -125,6 +130,73 @@ def test_empty_substitution_returns_its_input(t):
     assert apply(Substitution(), t) is t
     goal = (t, t)
     assert apply(Substitution(), goal) is goal
+
+
+# The walks of ``apply``, of the unfolding's instance and of its spine
+# spell out arities 1 and 2 and take leaf arguments in line; these draw
+# arities 0 to 4, so the general path is walked too.
+@st.composite
+def wide_terms(draw, depth=4):
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_wide_term(random.Random(seed), draw(st.integers(0, depth)))
+
+
+@st.composite
+def wide_substitutions(draw):
+    domain = draw(st.lists(st.sampled_from(GEN_VARS), unique=True))
+    return Substitution({v: draw(wide_terms(depth=2)) for v in domain})
+
+
+def assert_shares_what_theta_leaves(theta, before, after):
+    """Every subterm of ``before`` with no variable ``theta`` binds is
+    the same object at its place in ``after``."""
+    if not theta.domain() & term_vars(before):
+        assert after is before
+    elif isinstance(before, App):
+        for a, b in zip(before.args, after.args):
+            assert_shares_what_theta_leaves(theta, a, b)
+
+
+def assert_built_from(table, t, kept):
+    """Every node of ``t`` not among the objects ``kept`` is the table's
+    node for its symbol and argument objects."""
+    if isinstance(t, App) and id(t) not in kept:
+        assert table[(id(t.symbol), *map(id, t.args))] is t
+        for a in t.args:
+            assert_built_from(table, a, kept)
+
+
+@given(wide_substitutions(), wide_terms())
+@settings(max_examples=300, deadline=None)
+def test_apply_at_every_arity_equals_the_structural_apply_and_shares(theta, t):
+    got = apply(theta, t)
+    assert frozen(got) == frozen(reference_apply(theta, t))
+    assert_shares_what_theta_leaves(theta, t, got)
+
+
+@given(wide_substitutions(), wide_terms())
+@settings(max_examples=300, deadline=None)
+def test_instance_walk_at_every_arity_equals_apply_through_the_table(theta, t):
+    table = {}
+    got = _instance(t, theta._bindings.get, table)
+    assert frozen(got) == frozen(apply(theta, t))
+    assert_shares_what_theta_leaves(theta, t, got)
+    kept = {id(n) for s in (t, *theta.bindings.values()) for n in nodes(s)}
+    assert_built_from(table, got, kept)
+    assert all(key == (id(n.symbol), *map(id, n.args)) for key, n in table.items())
+    # built again from the same objects, the instance is the same object
+    assert _instance(t, theta._bindings.get, table) is got
+
+
+@given(wide_terms(), wide_terms(depth=2))
+@settings(max_examples=300, deadline=None)
+def test_spine_at_every_arity_and_position_equals_replace_at(t, u):
+    table = {}
+    for p in iter_positions(t):
+        got = _spine(t, p, u, table)
+        assert frozen(got) == frozen(replace_at(t, p, u))
+        assert_built_from(table, got, {id(n) for s in (t, u) for n in nodes(s)})
+        assert _spine(t, p, u, table) is got
 
 
 @given(terms(), terms())
@@ -234,6 +306,33 @@ def test_repr_of_a_shared_tower_names_its_node_count():
         preexec_fn=_limit_memory,
     ).stdout
     assert out.decode() == f"<g(...): term of {3 * 2**64 - 2} nodes>\n"
+
+
+def test_deep_towers_leave_analyze_room_to_answer():
+    # the largest towers that answer, under Python 3.10 and 3.11, are
+    # about 493 levels for this pair of rules and 123 for this clause,
+    # over s/1 as over h/3; a walk that took one more frame per level
+    # would halve them, and fail here, in a child process with a time
+    # and memory limit
+    script = (
+        "from nonterm import analyze, parse_lp, parse_trs\n"
+        "for up, down in (('s(', ')'), ('h(', ',a,a)')):\n"
+        "    t = up * 480 + 'x' + down * 480\n"
+        "    print(analyze(parse_trs(f'(VAR x)(RULES f({t}) -> g({t}) g(x) -> f(x))')).answer)\n"
+        "    a = up * 115 + 'X' + down * 115\n"
+        "    print(analyze(parse_lp(f'p(X) :- p({a}).')).answer)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(nonterm.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        timeout=60,
+        preexec_fn=_limit_memory,
+    )
+    assert out.returncode == 0, out.stderr.decode()[-2000:]
+    assert out.stdout.decode().split() == ["NO", "MAYBE", "NO", "MAYBE"]
 
 
 def test_repr_below_the_size_cap_renders_the_term():

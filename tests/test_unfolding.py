@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import lp, random_term, term, trs
+from test_step_oracles import rename_apart
 from test_substitution import terms
 from nonterm import parse_trs, unfolding
 from nonterm.errors import DeadlineError, ResourceLimitError
 from nonterm.parsing import render_program
-from nonterm.rewriting import Mode, Rule, Semantics, rename_apart, run_word, successors
+from nonterm.rewriting import Mode, Rule, Semantics, run_word, successors
 from nonterm.substitution import Substitution, apply, mgu, renaming_apart
 from nonterm.terms import App, Symbol, Var, canonical, is_variant, render, term_vars
 from nonterm.unfolding import (
