@@ -22,8 +22,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import islice
 from typing import Optional, Union
 
 from .detection import (
@@ -153,23 +151,26 @@ def _rule_loop_witness(r, kind: EmbeddingKind) -> Optional[LoopWitness]:
 def _pools(
     program: Program, cfg: AnalysisConfig, stats: dict, deadline: Optional[float]
 ):
-    """Yield the programs to search: the input itself under ``raw``,
+    """Yield the programs to search, each with the index of its first
+    rule new since the program before: the input itself under ``raw``,
     otherwise the unfolded pool of each depth in turn, so cheap witnesses
     are found before the pool grows large.  Each depth resumes the
     unfolding of the one before: dependency-pair unfolding for a TRS,
-    binary unfolding for a logic program.  From depth 1 on, unfolding
+    binary unfolding for a logic program, each pool extending the one
+    before with its rules kept in order.  From depth 1 on, unfolding
     raises ``DeadlineError`` once ``deadline`` (a ``time.monotonic()``
     reading, or None) has passed; the pool of the depth before is then
     the last one searched."""
     if cfg.raw:
         stats["unfolding"] = "none"
-        yield program
+        yield program, 0
         return
     trs = program.mode is Mode.TRS
     stats["unfolding"] = "dependency-pair" if trs else "binary"
     unfold = unfold_trs if trs else binary_unfold
     resume = Unfolding()
     resume.deadline = deadline
+    fresh = 0
     for depth in range(cfg.unfold_depth + 1):
         pool = unfold(program, depth, resume=resume)
         if trs and depth == 0:
@@ -181,20 +182,18 @@ def _pools(
             # nothing resumes the unfolding now: free its variant keys and
             # tables before the deepest pool is searched
             resume = None
-        yield unfolded_program(pool, program.mode)
+        yield unfolded_program(pool, program.mode), fresh
+        fresh = len(pool)
 
 
-def _loop_witnesses(
-    cand: Program, cfg: AnalysisConfig, budget: Budget, checked: list[int]
-):
+def _loop_witnesses(cand: Program, fresh: int, cfg: AnalysisConfig, budget: Budget):
     """Loop candidates: one full-context word search on the input rules,
-    or a context-free self-loop check of every unfolded rule.
+    or a context-free self-loop check of each unfolded rule from index
+    ``fresh`` on, the rules the pool gained.
 
-    Each pool extends the one before, its rules kept in order, and
-    ``checked[0]`` counts the rules checked, so a pool checks only the
-    rules it gained.  A rejected witness is not tried again: its prefix
-    and its verification depend only on its rule and on rule ids that a
-    deeper pool keeps.
+    A rejected witness is not tried again: its prefix and its
+    verification depend only on its rule and on rule ids that a deeper
+    pool keeps.
     """
     if cfg.raw:
         lw = find_loop(cand, cfg.word_len(), budget=budget)
@@ -202,10 +201,9 @@ def _loop_witnesses(
             yield lw
         return
     kind = EmbeddingKind.INS if cand.mode is Mode.TRS else EmbeddingKind.MG
-    for r in islice(cand.rules, checked[0], None):
+    for r in cand.rules[fresh:]:
         if not budget.tick():
             return
-        checked[0] += 1
         lw = _rule_loop_witness(r, kind)
         if lw is not None:
             yield lw
@@ -245,19 +243,18 @@ def analyze(program: Program, cfg: Optional[AnalysisConfig] = None) -> Verdict:
     # one deadline bounds every search and the unfolding
     deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
     budgets = {t: Budget(deadline) for t in cfg.techniques}
-    # each depth's searches skip what the depth before searched
-    searches = {
-        TECHNIQUE_LOOP: partial(_loop_witnesses, checked=[0]),
-        TECHNIQUE_RECPAIR: partial(_recpair_witnesses, resume=PairSweep()),
-    }
+    sweep = PairSweep()  # what the recurrent-pair search swept before
     cand = None  # the last program searched
     try:
-        for cand in _pools(program, cfg, stats, deadline):
+        for cand, fresh in _pools(program, cfg, stats, deadline):
             for tech in cfg.techniques:
                 budget = budgets[tech]
                 if budget.exhausted:
                     continue
-                witnesses = searches[tech](cand, cfg, budget)
+                if tech == TECHNIQUE_LOOP:
+                    witnesses = _loop_witnesses(cand, fresh, cfg, budget)
+                else:
+                    witnesses = _recpair_witnesses(cand, cfg, budget, sweep)
                 verdicts = (_verified(tech, cand, w, cfg, stats) for w in witnesses)
                 v = next((v for v in verdicts if v is not None), None)
                 if budget.exhausted:

@@ -647,16 +647,20 @@ def _extended_chains(program, seeds, max_word_len, budget):
 # Witness-chain generation
 
 
-# Towers c2^n[s] of the current witness, keyed (c2, n): each one is
+# Towers c2^n[s] of the current witness, keyed (c2, n, s): each one is
 # built once, around the tower below it, so towers share structure.
+# Towers are ground, so equal keys mean equal towers, and one read per
+# lookup leaves no gap: a clear from a concurrent analysis can make a
+# tower be built again, but never hand one witness another's towers.
 _power_cache: dict[tuple, Term] = {}
 
 
 def _tower(c2: Term, n: int, base: Term) -> Term:
-    key = (c2, n)
-    if key not in _power_cache:
-        _power_cache[key] = plug(c2, _tower(c2, n - 1, base)) if n else base
-    return _power_cache[key]
+    key = (c2, n, base)
+    tower = _power_cache.get(key)
+    if tower is None:
+        tower = _power_cache[key] = plug(c2, _tower(c2, n - 1, base)) if n else base
+    return tower
 
 
 def witness_chain(rp: RecurrentPair, m: int, n0: int, k: int) -> Chain:

@@ -16,13 +16,15 @@ same steps, so a replay reconstructs the rule up to variable renaming.
 
 All three keep their whole state in one ``Unfolding``: the pool, its
 variant keys, the derivation counter, the frontier, the renamed rules,
-the table of unifiers and the table of nodes.  Given the same
-``Unfolding`` at each call, dependency-pair and binary unfolding resume
-depth by depth from where the last call stopped.  An unfolding whose
-pool would grow past ``RULE_CAP`` rules raises ``ResourceLimitError``.
-A narrowing whose two sides carry different function symbols at a
-shared position is skipped before the rule is renamed apart, since no
-renaming can make them unify.
+the names a renamed variable may not take, the table of unifiers and
+the table of nodes.  Every derivation step takes that ``Unfolding``
+whole, and ``replay_provenance`` replays through a fresh one.  Given
+the same ``Unfolding`` at each call, dependency-pair and binary
+unfolding resume depth by depth from where the last call stopped.  An
+unfolding whose pool would grow past ``RULE_CAP`` rules raises
+``ResourceLimitError``.  A narrowing whose two sides carry different
+function symbols at a shared position is skipped before the rule is
+renamed apart, since no renaming can make them unify.
 
 Each derivation is checked for variants before it is built:
 ``Unfolding.derive`` computes the variant key of ``apply(theta, lhs) ->
@@ -66,8 +68,6 @@ display names, are never merged.  Each entry's node holds its symbol
 and children, so no id in a key is reused while the table lives, and
 the table lives as long as its ``Unfolding``.  Every node these two
 walks build goes through the table, at every depth.
-``replay_provenance``, which has no ``Unfolding``, lets ``_narrowings``
-use a table of its own per call, as it does for renamings and unifiers.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from operator import is_not
-from typing import Callable, Container, Optional
+from typing import Callable, Optional
 
 from .errors import DeadlineError, InvalidPositionError, ResourceLimitError
 from .rewriting import Mode, Program, Rule
@@ -308,6 +308,11 @@ class Unfolding:
     shared between programs would print one program's variable names in
     another's rules.
 
+    ``taken`` holds the names of the program's function symbols, which
+    no variable renamed apart may take.  Dependency-pair unfolding and
+    the overlap closure set it at depth 0; binary unfolding and replay
+    leave it empty, so their renamings keep plain names.
+
     ``unifiers`` is the table of unifiers that ``_narrowings`` fills:
     ``(id(sub), id(side))`` maps to ``(sub, side, mgu(sub, side))`` for
     each subterm ``sub`` of a pair unified with the side ``side`` of a
@@ -342,6 +347,7 @@ class Unfolding:
         self.depth = -1  # deepest depth unfolded
         self.frontier: list[UnfoldedRule] = []  # rules new at that depth
         self.renamed: dict[tuple[Rule, int], Rule] = {}
+        self.taken: frozenset[str] = frozenset()
         self.unifiers: dict[tuple[int, int], tuple] = {}
         self.nodes: dict[tuple[int, ...], App] = {}
         self.dependency_pairs: list[UnfoldedRule] = []
@@ -422,19 +428,15 @@ class Unfolding:
         return list(self.pool)
 
 
-def _renamed(
-    rule: Rule,
-    top: int,
-    renamed: dict[tuple[Rule, int], Rule],
-    taken: Container[str] = (),
-) -> Rule:
+def _renamed(rule: Rule, top: int, state: Unfolding) -> Rule:
     """``rule`` renamed apart from the variable ids up to ``top``, no
-    fresh name in ``taken``.  The memo ``renamed`` serves one unfolding,
-    whose ``taken`` does not change, so the renaming is built once per
-    ``(rule, top)``."""
+    fresh name in ``state.taken``.  The memo ``state.renamed`` serves one
+    unfolding, whose ``taken`` does not change, so the renaming is built
+    once per ``(rule, top)``."""
+    renamed = state.renamed
     fresh = renamed.get((rule, top))
     if fresh is None:
-        gamma = renaming_apart(rule.all_vars(), top, taken)
+        gamma = renaming_apart(rule.all_vars(), top, state.taken)
         fresh = renamed[rule, top] = rule.rename(gamma)
     return fresh
 
@@ -465,10 +467,7 @@ def _narrowings(
     kinds: tuple[str, ...],
     rules_at: Callable[[Position], list[Rule]],
     allow_var: bool,
-    renamed: Optional[dict[tuple[Rule, int], Rule]] = None,
-    unifiers: Optional[dict[tuple[int, int], tuple]] = None,
-    nodes: Optional[dict[tuple[int, ...], App]] = None,
-    taken: Container[str] = (),
+    state: Unfolding,
 ):
     """Every narrowing of the pair ``host``, the one place a pair is
     narrowed.
@@ -485,21 +484,15 @@ def _narrowings(
 
     The renaming of a rule depends only on the rule and the largest
     variable id of ``host``, so it is built once per such key, in
-    ``renamed`` if given, else once per call.  Likewise each pair of a
-    subterm object and a renamed side object is unified once, in
-    ``unifiers`` (an ``Unfolding.unifiers`` table) if given.  The spine
-    that splices the renamed rule into the pair takes its nodes from
-    ``nodes`` (an ``Unfolding.nodes`` table) if given, else from a table
-    of this call's own.  No renamed variable takes a name in ``taken``.
+    ``state.renamed``.  Likewise each pair of a subterm object and a
+    renamed side object is unified once, in ``state.unifiers``.  The
+    spine that splices the renamed rule into the pair takes its nodes
+    from ``state.nodes``.  No renamed variable takes a name in
+    ``state.taken``.
     """
     lhs, rhs = host.lhs, host.rhs[0]
     top = max_var_id((lhs, rhs))
-    if renamed is None:
-        renamed = {}
-    if unifiers is None:
-        unifiers = {}
-    if nodes is None:
-        nodes = {}
+    unifiers, nodes = state.unifiers, state.nodes
     for kind in kinds:
         forward = kind.endswith("forward")
         side, other = (rhs, lhs) if forward else (lhs, rhs)
@@ -511,7 +504,7 @@ def _narrowings(
                     sub, with_rule.lhs if forward else with_rule.rhs[0]
                 ):
                     continue
-                fresh = _renamed(with_rule, top, renamed, taken)
+                fresh = _renamed(with_rule, top, state)
                 src, dst = fresh.lhs, fresh.rhs[0]
                 target = src if forward else dst
                 key = (id(sub), id(target))
@@ -544,10 +537,10 @@ def unfold_trs(
     if r.mode is not Mode.TRS:
         raise ValueError("unfold_trs requires a TRS program")
     state = resume if resume is not None else Unfolding()
-    taken = _symbol_names(r)
 
     def layer(depth: int) -> list[UnfoldedRule]:
         if depth == 0:
+            state.taken = _symbol_names(r)
             state.dependency_pairs = dependency_pairs(r)
             return [u for u in state.dependency_pairs if state.add(u) is not None]
         dp_rules = [dp.rule for dp in state.dependency_pairs]
@@ -556,14 +549,7 @@ def unfold_trs(
         for parent in state.frontier:
             state.check_deadline()
             for kind, pos, with_rule, lhs, rhs, theta in _narrowings(
-                parent.rule,
-                ("forward", "backward"),
-                rules_at,
-                True,
-                state.renamed,
-                state.unifiers,
-                state.nodes,
-                taken,
+                parent.rule, ("forward", "backward"), rules_at, True, state
             ):
                 step = (kind, (parent.rule.id, with_rule.id), pos, theta)
                 added = state.derive("u", lhs, (rhs,), theta, depth, step)
@@ -585,10 +571,10 @@ def overlap_closure(
     if r.mode is not Mode.TRS:
         raise ValueError("overlap_closure requires a TRS program")
     state = Unfolding()
-    taken = _symbol_names(r)
 
     def layer(depth: int) -> list[UnfoldedRule]:
         if depth == 0:
+            state.taken = _symbol_names(r)
             base = [
                 UnfoldedRule(
                     rule, 0, ProvenanceStep("base", (rule.id,), ROOT, Substitution())
@@ -611,14 +597,7 @@ def overlap_closure(
                     (("oc-backward",), b.rule, a.rule),
                 ):
                     for kind, pos, _, lhs, rhs, theta in _narrowings(
-                        host,
-                        kinds,
-                        lambda pos: (with_rule,),
-                        False,
-                        state.renamed,
-                        state.unifiers,
-                        state.nodes,
-                        taken,
+                        host, kinds, lambda pos: (with_rule,), False, state
                     ):
                         step = (kind, (a.rule.id, b.rule.id), pos, theta)
                         added = state.derive("oc", lhs, (rhs,), theta, depth, step)
@@ -629,14 +608,12 @@ def overlap_closure(
     return state.deepen(r, max_depth, layer)
 
 
-def _joining(
-    joined: Rule, rule: Rule, theta: Substitution, renamed: dict[tuple[Rule, int], Rule]
-) -> Rule:
+def _joining(joined: Rule, rule: Rule, theta: Substitution, state: Unfolding) -> Rule:
     """``joined`` renamed apart from the variables in use in the
     derivation of ``rule`` under ``theta``: the clause's own, and those
     the rules joined before brought in through ``theta``."""
     top = max_var_id((rule.lhs, *rule.rhs, *theta._bindings.values()))
-    return _renamed(joined, top, renamed)
+    return _renamed(joined, top, state)
 
 
 def _erase(
@@ -644,16 +621,16 @@ def _erase(
     theta: Substitution,
     j: int,
     unit: Rule,
-    renamed: dict[tuple[Rule, int], Rule],
+    state: Unfolding,
 ) -> Optional[Substitution]:
     """``theta`` extended to erase body atom ``j`` (0-based) of ``rule``
     with the unit rule ``unit``, renamed apart from ``rule`` and from the
-    range of ``theta`` through the memo ``renamed``; None if the two do
-    not unify."""
+    range of ``theta`` through the memo ``state.renamed``; None if the
+    two do not unify."""
     atom = apply(theta, rule.rhs[j])
     if _clash(atom, unit.lhs):
         return None
-    fresh = _joining(unit, rule, theta, renamed)
+    fresh = _joining(unit, rule, theta, state)
     sigma = mgu(atom, fresh.lhs)
     return None if sigma is None else compose(theta, sigma)
 
@@ -664,7 +641,7 @@ def _binunf(
     theta: Substitution,
     i: int,
     binr: Optional[Rule],
-    renamed: dict[tuple[Rule, int], Rule],
+    state: Unfolding,
 ) -> Optional[tuple[Term, tuple, Substitution]]:
     """One binary-unfolding clause applied to ``rule`` once ``theta`` has
     erased the body atoms before atom ``i`` (1-based): ``binunf-A`` keeps
@@ -679,7 +656,7 @@ def _binunf(
         return apply(theta, rule.lhs), (atom,), theta
     if _clash(atom, binr.lhs):
         return None
-    fresh = _joining(binr, rule, theta, renamed)
+    fresh = _joining(binr, rule, theta, state)
     sigma = mgu(atom, fresh.lhs)
     if sigma is None:
         return None
@@ -704,23 +681,25 @@ def binary_unfold(
         raise ValueError("binary_unfold requires an LP program")
     state = resume if resume is not None else Unfolding()
 
-    def erase_prefix(rule: Rule, upto: int, units: list[UnfoldedRule]):
-        """All ways of erasing body atoms 1..upto with derived unit rules,
-        as (accumulated substitution, used unit ids, max unit depth)."""
+    def erased_prefixes(rule: Rule, units: list[UnfoldedRule]) -> list[list]:
+        """For each i from 0 to the body length, all ways of erasing body
+        atoms 1..i with derived unit rules, as (accumulated substitution,
+        used unit ids, max unit depth); the ways for i extend those for
+        i - 1."""
         states = [(Substitution(), (), -1)]
-        for j in range(upto):
+        prefixes = [states]
+        for j in range(len(rule.rhs)):
             states = [
                 (acc, used + (unit.rule.id,), max(dmax, unit.depth))
                 for theta, used, dmax in states
                 for unit in units
-                if (acc := _erase(rule, theta, j, unit.rule, state.renamed)) is not None
+                if (acc := _erase(rule, theta, j, unit.rule, state)) is not None
             ]
-            if not states:
-                break
-        return states
+            prefixes.append(states)
+        return prefixes
 
     def emit(kind, rule, theta, i, used, dmax, binr=None):
-        out = _binunf(kind, rule, theta, i, binr.rule if binr else None, state.renamed)
+        out = _binunf(kind, rule, theta, i, binr.rule if binr else None, state)
         if out is None:
             return
         lhs, rhs, unifier = out
@@ -739,11 +718,11 @@ def binary_unfold(
         for rule in p.rules:
             if iteration:
                 state.check_deadline()
-            n = len(rule.rhs)
-            for theta, used, dmax in erase_prefix(rule, n, units):
-                emit("binunf-C", rule, theta, n, used, dmax)
-            for i in range(1, n + 1):
-                for theta, used, dmax in erase_prefix(rule, i - 1, units):
+            *kept, erased = erased_prefixes(rule, units)
+            for theta, used, dmax in erased:
+                emit("binunf-C", rule, theta, len(kept), used, dmax)
+            for i, states in enumerate(kept, 1):
+                for theta, used, dmax in states:
                     emit("binunf-A", rule, theta, i, used, dmax)
                     for binr in binaries:
                         emit("binunf-B", rule, theta, i, used, dmax, binr)
@@ -773,6 +752,7 @@ def replay_provenance(
     stored rule up to variant equivalence.
     """
     pv = u.provenance
+    state = Unfolding()
 
     def lookup(rule_id: str) -> Optional[Rule]:
         if rule_id in pool:
@@ -799,7 +779,7 @@ def replay_provenance(
         host, with_rule = parents[::-1] if pv.kind == "oc-backward" else parents
         at = lambda pos: (with_rule,) if pos == pv.position else ()  # noqa: E731
         allow_var = not pv.kind.startswith("oc")
-        for _, _, _, lhs, rhs, theta in _narrowings(host, (pv.kind,), at, allow_var):
+        for _, _, _, lhs, rhs, theta in _narrowings(host, (pv.kind,), at, allow_var, state):
             return Rule(u.rule.id, apply(theta, lhs), (apply(theta, rhs),))
         return None
     if pv.kind in ("binunf-A", "binunf-B", "binunf-C"):
@@ -814,11 +794,11 @@ def replay_provenance(
             fits = len(used) < n and pv.position == (len(used) + 1,)
         if not fits or (pv.kind == "binunf-B" and binr is None):
             return None
-        theta, renamed = Substitution(), {}
+        theta = Substitution()
         for j, unit in enumerate(used):
-            theta = _erase(rule, theta, j, unit, renamed)
+            theta = _erase(rule, theta, j, unit, state)
             if theta is None:
                 return None
-        out = _binunf(pv.kind, rule, theta, pv.position[0], binr, renamed)
+        out = _binunf(pv.kind, rule, theta, pv.position[0], binr, state)
         return None if out is None else Rule(u.rule.id, out[0], out[1])
     return None

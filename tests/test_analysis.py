@@ -1,6 +1,7 @@
 import gc
 import inspect
 import json
+import threading
 import time
 import weakref
 
@@ -68,12 +69,37 @@ def test_witness_chain_builds_each_tower_around_the_one_below():
     towers = detection._power_cache
     holes = hole_positions(rp.c2)
     assert len(holes) == 2
-    assert max(n for _, n in towers) >= 2
-    assert towers[(rp.c2, 0)] is rp.s
-    for (body, n), tower in towers.items():
+    assert max(n for _, n, _ in towers) >= 2
+    assert towers[(rp.c2, 0, rp.s)] is rp.s
+    for (body, n, base), tower in towers.items():
         assert body == rp.c2
         for hp in holes if n else ():
-            assert subterm_at(tower, hp) is towers[(body, n - 1)]
+            assert subterm_at(tower, hp) is towers[(body, n - 1, base)]
+
+
+# Two analyses in two threads share detection's tower memo.  Keyed
+# without the base, it handed one witness the towers of the other; read
+# with ``in`` and then ``[]``, a clear between the two raised KeyError.
+def test_concurrent_analyses_give_their_single_thread_certificates():
+    cfg = AnalysisConfig(timeout=None, simulate_steps=40)
+    programs = [trs(f"f(x,s(y)) -> f(s(x),y)  f(x,{c}) -> f(s({c}),x)") for c in "0a"]
+    expected = [emit_certificate(analyze(p, cfg)) for p in programs]
+    got, errors = ([], []), []
+
+    def run(k):
+        try:
+            for _ in range(50):
+                got[k].append(emit_certificate(analyze(programs[k], cfg)))
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors == []
+    assert [certs.count(want) for certs, want in zip(got, expected)] == [50, 50]
 
 
 def test_analyze_anonymous_variables_are_distinct():

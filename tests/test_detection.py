@@ -1082,7 +1082,7 @@ def test_witness_chain_keeps_one_witness_powers():
     witness_chain(counting, 1, 0, 3)
     witness_chain(swapping, 1, 0, 3)
     assert detection._power_cache
-    assert {c2 for c2, _ in detection._power_cache} == {swapping.c2}
+    assert {c2 for c2, _, _ in detection._power_cache} == {swapping.c2}
 
 
 # The parent's witness_chain, kept as an oracle: it instantiated both

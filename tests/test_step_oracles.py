@@ -17,7 +17,14 @@ from nonterm import AnalysisConfig, analyze, emit_certificate
 from nonterm.rewriting import Rule, _resolution
 from nonterm.substitution import Substitution, apply, mgu, renaming_apart
 from nonterm.terms import App, Symbol, Var, max_var_id, subterms, term_vars
-from nonterm.unfolding import _clash, _joining, _renamed, overlap_closure, unfold_trs
+from nonterm.unfolding import (
+    Unfolding,
+    _clash,
+    _joining,
+    _renamed,
+    overlap_closure,
+    unfold_trs,
+)
 
 
 def reference_mgu(s, t):
@@ -270,11 +277,11 @@ def test_unfolding_renamings_match_the_reference(seed):
     avoid = reference_term_vars((host.lhs, *host.rhs))
     top = max((v.id for v in avoid), default=-1)
     expected = reference_rename_apart(rule, avoid)
-    got = _renamed(rule, top, {})
+    got = _renamed(rule, top, Unfolding())
     assert (spelt(got.lhs), spelt(got.rhs)) == (spelt(expected.lhs), spelt(expected.rhs))
     in_use = reference_term_vars((host.lhs, *host.rhs, *theta._bindings.values()))
     expected = reference_rename_apart(rule, in_use)
-    got = _joining(rule, host, theta, {})
+    got = _joining(rule, host, theta, Unfolding())
     assert (spelt(got.lhs), spelt(got.rhs)) == (spelt(expected.lhs), spelt(expected.rhs))
 
 

@@ -510,14 +510,14 @@ def test_each_unfolding_prints_only_its_own_variable_names():
 DOUBLE_QUAD = "d(0) -> 0  d(s(x)) -> s(s(d(x)))  q(0) -> 0  q(s(x)) -> d(d(q(x)))"
 
 
-def _narrowed(r, hosts, renamed, unifiers):
+def _narrowed(r, hosts, state):
     """Every narrowing of ``hosts`` as ``unfold_trs`` makes it, as text."""
     dp_rules = [u.rule for u in dependency_pairs(r)]
     at = lambda pos: dp_rules if pos == () else r.rules  # noqa: E731
     out = []
     for host in hosts:
         for kind, pos, rule, lhs, rhs, theta in _narrowings(
-            host, ("forward", "backward"), at, True, renamed, unifiers
+            host, ("forward", "backward"), at, True, state
         ):
             out.append((host.id, kind, pos, rule.id, render(lhs), render(rhs), theta.text(render)))
     return out
@@ -531,13 +531,15 @@ def test_unifier_table_is_transparent():
     programs = [trs(DOUBLE_QUAD.replace("x", name), variables=name) for name in ("x", "u")]
     hosts = [[u.rule for u in unfold_trs(r, 2)] for r in programs]
     unifiers: dict = {}
-    renamed = [{} for _ in programs]
-    for r, rules, memo in zip(programs, hosts, renamed):
-        _narrowed(r, rules, memo, unifiers)
+    states = [Unfolding() for _ in programs]
+    for state in states:
+        state.unifiers = unifiers
+    for r, rules, state in zip(programs, hosts, states):
+        _narrowed(r, rules, state)
     warm = len(unifiers)
-    for r, rules, memo in zip(programs, hosts, renamed):
-        plain = _narrowed(r, rules, None, None)
-        assert plain and _narrowed(r, rules, memo, unifiers) == plain
+    for r, rules, state in zip(programs, hosts, states):
+        plain = _narrowed(r, rules, Unfolding())
+        assert plain and _narrowed(r, rules, state) == plain
     # the second pass found every pair in the table
     assert len(unifiers) == warm
 
@@ -714,6 +716,32 @@ def test_binary_unfolding_renames_each_rule_once_per_key(monkeypatch):
     binary_unfold(lp(REV_LP), 4, resume=state)
     # one renaming per (rule, largest id) key of the memo
     assert len(calls) == len(state.renamed) == 35
+
+
+# Each iteration builds a clause's erased prefixes once: the ways of
+# erasing atoms 1..i extend those of atoms 1..i-1.  With two units, the
+# prefixes of this clause cost 2 + 4 + 4 + 4 erasures an iteration;
+# building each prefix again from atom 1 cost 32.
+ERASING_LP = "p(X) :- q(X), q(X), q(X), p(X).  q(a).  q(b)."
+
+
+def test_each_erasure_extends_one_prefix_state_by_one_unit(monkeypatch):
+    erase, calls = unfolding._erase, []
+
+    def counting(rule, theta, j, unit, state):
+        calls.append((rule.id, theta, j, unit.id))
+        return erase(rule, theta, j, unit, state)
+
+    monkeypatch.setattr(unfolding, "_erase", counting)
+    p, state = lp(ERASING_LP), Unfolding()
+    per_iteration = []
+    for depth in range(3):
+        calls.clear()
+        binary_unfold(p, depth, resume=state)
+        # no (state, atom, unit) is extended twice in one iteration
+        assert len(set(calls)) == len(calls)
+        per_iteration.append(len(calls))
+    assert per_iteration == [0, 14, 14]
 
 
 # Anonymous variables and no numeric constant: a unit rule renamed apart
