@@ -188,12 +188,11 @@ def _find_term_embedding(kind, source: Term, target: Term):
 
 
 def _find_goal_embedding(kind, source: Goal, target: Goal):
-    n = len(target)
-    # by start, then by length
-    windows = [
-        (i, j) for i in range(n + 1) for j in range(i, n + 1)
-    ]
-    for i, j in windows:
+    # by start; two goals match only if their lengths are equal, so the
+    # window at a start is the one of the source's length
+    n = len(source)
+    for i in range(len(target) - n + 1):
+        j = i + n
         window = target[i:j]
         theta = (
             match(source, window)
@@ -219,8 +218,10 @@ def find_loop(
 
     Starts from the left-hand side of each rule (wrapped as a singleton
     goal under narrowing) and explores all rule words of length at most
-    ``max_word_len``.
+    ``max_word_len``, which must be at least 1.
     """
+    if max_word_len < 1:
+        raise ValueError(f"max_word_len must be at least 1, not {max_word_len!r}")
     budget = budget or Budget()
     if program.mode is Mode.TRS:
         kind, semantics = EmbeddingKind.INS, Semantics.TRS
@@ -241,14 +242,11 @@ def find_loop(
                     if emb is not None:
                         return LoopWitness(emb, extended)
                     key = canonical(step.target)
-                    key = key if isinstance(key, tuple) else (key,)
                     if key in seen:
                         continue
                     seen.add(key)
                     nxt.append(extended)
             frontier = nxt
-            if not frontier:
-                break
     return None
 
 
@@ -554,7 +552,9 @@ def find_recurrent_pair(
     resume: Optional[PairSweep] = None,
 ) -> Optional[RecurrentPair]:
     """First recurrent pair among the chains of the program's rules, in
-    canonical order.
+    canonical order: the one-step chains of the usable rules, then, for
+    words of up to ``max_word_len`` rules (at least 1), those chains
+    extended step by step, all paired in one sweep.
 
     Chains use a substitution-closed relation: term rewriting, or the
     restricted relation for a logic program.  A first chain that fails
@@ -566,22 +566,14 @@ def find_recurrent_pair(
     ``match_recurrent_pattern`` depends only on its two chains, so the
     first hit is the one a full search would return.
     """
+    if max_word_len < 1:
+        raise ValueError(f"max_word_len must be at least 1, not {max_word_len!r}")
     if resume is not None and max_word_len > 1:
         raise ValueError("only a search over one-rule words can resume")
     budget = budget or Budget()
     candidates = program.rules
     restricted = program.mode is not Mode.TRS
     semantics = Semantics.LP_RESTRICTED if restricted else Semantics.TRS
-    if max_word_len > 1:
-        chains = [
-            _one_step_chain(r, semantics)
-            for r in candidates
-            if (r.restricted_usable if restricted else r.trs_usable)
-        ]
-        chains += _extended_chains(program, chains, max_word_len, budget)
-        ends = [(c.start, c.end) for c in chains]
-        firsts = [i for i, (u, v) in enumerate(ends) if _may_decompose(u, v)]
-        return _first_pair(ends, firsts, 0, chains.__getitem__, budget)
     resume = resume if resume is not None else PairSweep()
     known, kinds, swept = resume.rules, resume.kinds, resume.swept
     if len(known) > len(candidates) or not all(map(is_, known, candidates)):
@@ -593,12 +585,18 @@ def find_recurrent_pair(
         else:
             kinds.append(2 if _may_decompose(r.lhs, r.rhs[0]) else 1)
     rp, swept_all = None, True
-    if 2 in kinds:
+    if 2 in kinds or max_word_len > 1:
         usable = [(r, k) for r, k in zip(candidates, kinds) if k]
         ends = [(r.lhs, r.rhs[0]) for r, _ in usable]
         firsts = [i for i, (_, k) in enumerate(usable) if k == 2]
         old = len(swept) - kinds.count(0, 0, len(swept))  # the swept chains
         chain = cache(lambda i: _one_step_chain(usable[i][0], semantics))
+        if max_word_len > 1:  # the one-step chains, then their extensions
+            chains = [chain(i) for i in range(len(usable))]
+            longer = _extended_chains(program, chains, max_word_len, budget)
+            ends += [(c.start, c.end) for c in longer]
+            firsts += [i for i in range(len(chains), len(ends)) if _may_decompose(*ends[i])]
+            chain = (chains + longer).__getitem__
         rp = _first_pair(ends, firsts, old, chain, budget)
         swept_all = rp is None and not budget.exhausted
     resume.rules, resume.kinds = tuple(candidates), kinds

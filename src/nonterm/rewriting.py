@@ -286,7 +286,6 @@ def run_word(
                 if step.rule_id != rule_id:
                     continue
                 key = canonical(step.target)
-                key = key if isinstance(key, tuple) else (key,)
                 if key in seen:
                     continue
                 seen.add(key)

@@ -359,11 +359,9 @@ class Unfolding:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise DeadlineError("unfolding passed its deadline")
 
-    def add(self, u: UnfoldedRule) -> Optional[UnfoldedRule]:
-        if not self._is_new(_dedup_key(u.rule)):
-            return None
-        self.pool.append(u)
-        return u
+    def add(self, u: UnfoldedRule) -> None:
+        if self._is_new(_dedup_key(u.rule)):
+            self.pool.append(u)
 
     def _is_new(self, key: tuple) -> bool:
         """Record ``key``; False if a variant had it already.  The key is
@@ -387,7 +385,7 @@ class Unfolding:
         theta: Substitution,
         depth: int,
         step: tuple,
-    ) -> Optional[UnfoldedRule]:
+    ) -> None:
         """Name the rule ``apply(theta, lhs) -> apply(theta, rhs)``
         ``<prefix><n>`` and pool it, with ``ProvenanceStep(*step)``; ``n``
         counts every derivation, including variants that are dropped.  A
@@ -395,24 +393,25 @@ class Unfolding:
         is built."""
         self._derived += 1
         if not self._is_new(_variant_key(lhs, rhs, theta)):
-            return None
+            return
         bound, nodes = theta._bindings.get, self.nodes
         lhs = _instance(lhs, bound, nodes)
         rhs = tuple([_instance(t, bound, nodes) for t in rhs])
         named = Rule(f"{prefix}{self._derived}", lhs, rhs)
-        u = UnfoldedRule(named, depth, ProvenanceStep(*step))
-        self.pool.append(u)
-        return u
+        self.pool.append(UnfoldedRule(named, depth, ProvenanceStep(*step)))
 
     def deepen(
         self,
         program: Program,
         max_depth: int,
-        layer: Callable[[int], list[UnfoldedRule]],
+        layer: Callable[[int], None],
     ) -> list[UnfoldedRule]:
         """Run ``layer(depth)`` for each depth after the last one done, up
         to ``max_depth``, stopping once a depth adds no rule; return the
-        pool as a new list."""
+        pool as a new list.  The frontier is the rules the last depth
+        added to the pool, its tail from where that depth began."""
+        if max_depth < 0:
+            raise ValueError(f"the depth must be at least 0, not {max_depth!r}")
         if self.program is None:
             self.program = program
         elif self.program is not program:
@@ -423,7 +422,9 @@ class Unfolding:
             raise ValueError(f"already unfolded to depth {self.depth} > {max_depth}")
         while self.depth < max_depth and (self.depth < 0 or self.frontier):
             depth, self.depth = self.depth + 1, None
-            self.frontier = layer(depth)
+            before = len(self.pool)
+            layer(depth)
+            self.frontier = self.pool[before:]
             self.depth = depth
         return list(self.pool)
 
@@ -538,24 +539,22 @@ def unfold_trs(
         raise ValueError("unfold_trs requires a TRS program")
     state = resume if resume is not None else Unfolding()
 
-    def layer(depth: int) -> list[UnfoldedRule]:
+    def layer(depth: int) -> None:
         if depth == 0:
             state.taken = _symbol_names(r)
             state.dependency_pairs = dependency_pairs(r)
-            return [u for u in state.dependency_pairs if state.add(u) is not None]
+            for u in state.dependency_pairs:
+                state.add(u)
+            return
         dp_rules = [dp.rule for dp in state.dependency_pairs]
         rules_at = lambda pos: dp_rules if pos == ROOT else r.rules  # noqa: E731
-        new = []
         for parent in state.frontier:
             state.check_deadline()
             for kind, pos, with_rule, lhs, rhs, theta in _narrowings(
                 parent.rule, ("forward", "backward"), rules_at, True, state
             ):
                 step = (kind, (parent.rule.id, with_rule.id), pos, theta)
-                added = state.derive("u", lhs, (rhs,), theta, depth, step)
-                if added is not None:
-                    new.append(added)
-        return new
+                state.derive("u", lhs, (rhs,), theta, depth, step)
 
     return state.deepen(r, max_depth, layer)
 
@@ -572,18 +571,14 @@ def overlap_closure(
         raise ValueError("overlap_closure requires a TRS program")
     state = Unfolding()
 
-    def layer(depth: int) -> list[UnfoldedRule]:
+    def layer(depth: int) -> None:
         if depth == 0:
             state.taken = _symbol_names(r)
-            base = [
-                UnfoldedRule(
-                    rule, 0, ProvenanceStep("base", (rule.id,), ROOT, Substitution())
-                )
-                for rule in r.rules
-                if rule.trs_usable
-            ]
-            return [u for u in base if state.add(u) is not None]
-        new = []
+            for rule in r.rules:
+                if rule.trs_usable:
+                    step = ProvenanceStep("base", (rule.id,), ROOT, Substitution())
+                    state.add(UnfoldedRule(rule, 0, step))
+            return
         known = list(state.pool)
         # overlap every known pair in which at least one member is new at
         # the previous depth: forward narrows a's rhs with b, backward
@@ -600,10 +595,7 @@ def overlap_closure(
                         host, kinds, lambda pos: (with_rule,), False, state
                     ):
                         step = (kind, (a.rule.id, b.rule.id), pos, theta)
-                        added = state.derive("oc", lhs, (rhs,), theta, depth, step)
-                        if added is not None:
-                            new.append(added)
-        return new
+                        state.derive("oc", lhs, (rhs,), theta, depth, step)
 
     return state.deepen(r, max_depth, layer)
 
@@ -710,11 +702,9 @@ def binary_unfold(
 
     # Iteration j combines only rules of earlier iterations, so every rule
     # it emits has depth at most j.
-    def layer(iteration: int) -> list[UnfoldedRule]:
-        pool = state.pool
-        units = [u for u in pool if len(u.rule.rhs) == 0]
-        binaries = [u for u in pool if len(u.rule.rhs) == 1]
-        before = len(pool)
+    def layer(iteration: int) -> None:
+        units = [u for u in state.pool if len(u.rule.rhs) == 0]
+        binaries = [u for u in state.pool if len(u.rule.rhs) == 1]
         for rule in p.rules:
             if iteration:
                 state.check_deadline()
@@ -726,7 +716,6 @@ def binary_unfold(
                     emit("binunf-A", rule, theta, i, used, dmax)
                     for binr in binaries:
                         emit("binunf-B", rule, theta, i, used, dmax, binr)
-        return pool[before:]
 
     return state.deepen(p, max_depth, layer)
 

@@ -18,6 +18,7 @@ from nonterm.analysis import (
 )
 from nonterm.detection import (
     Budget,
+    Embedding,
     EmbeddingKind,
     PairSweep,
     RecurrentPair,
@@ -42,11 +43,12 @@ from nonterm.rewriting import (
     Semantics,
     Step,
     rewrite_at,
+    successors,
     verify_chain,
 )
 from nonterm.errors import DeadlineError, InvalidPositionError, ResourceLimitError, UnrollError
 from nonterm.parsing import parse_trs
-from nonterm.substitution import Substitution, apply, compose
+from nonterm.substitution import Substitution, apply, compose, match
 from nonterm.terms import (
     App,
     HOLE,
@@ -131,6 +133,31 @@ def test_embedding_goal_mg():
     emb = find_embedding(EmbeddingKind.MG, src, tgt)
     assert emb is not None
     assert render(emb.context) == "<[],q(x)>"
+
+
+def reference_goal_embedding(kind, source, target):
+    """The goal embedding search over every window, by start, then by
+    length."""
+    n = len(target)
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            window = target[i:j]
+            theta = match(source, window) if kind is EmbeddingKind.INS else match(window, source)
+            if theta is not None:
+                return Embedding(kind, (*target[:i], App(HOLE), *target[j:]), theta)
+    return None
+
+
+def test_goal_embedding_tries_the_windows_that_can_match():
+    atoms = [term(t, "x y") for t in ("p(x)", "p(a)", "q(x,y)", "q(y,y)", "p(y)")]
+    goals = [()] + [(a,) for a in atoms]
+    goals += [(a, b) for a in atoms for b in atoms]
+    targets = goals + [(a, b, c) for a in atoms[:3] for b in atoms for c in atoms[1:]]
+    for kind in EmbeddingKind:
+        for source in goals:
+            for target in targets:
+                want = reference_goal_embedding(kind, source, target)
+                assert find_embedding(kind, source, target) == want, (kind, source, target)
 
 
 def test_embedding_none():
@@ -1149,3 +1176,55 @@ def test_witness_chain_matches_the_instantiating_construction(name):
     if name == "paper":
         with pytest.raises(ResourceLimitError):
             witness_chain(rp, rp.n2, rp.n2, 5)
+
+
+def test_searches_refuse_a_word_length_below_one():
+    counting = trs(COUNTING)
+    assert find_recurrent_pair(counting, 1) is not None
+    self_loop = trs("f(x) -> f(x)")
+    assert find_loop(self_loop, 1) is not None
+    for words in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            find_recurrent_pair(counting, words)
+        with pytest.raises(ValueError, match="at least 1"):
+            find_loop(self_loop, words)
+
+
+# The raw programs of the benchmark's recurrent-pair workloads, copied.
+RAW_PAIR_SYSTEMS = {
+    "counting": "f(x,s(y)) -> f(s(x),y) f(x,0) -> f(s(0),x)",
+    "swapping": "f(c,a(x),y) -> f(c,x,a(y)) f(c,a(x),y) -> f(x,y,a(a(c)))",
+    "paper-nonloop": "f(x,g(y,0,y),x) -> h(x,y) h(x,y) -> f(g(x,0,x),y,g(x,0,x)) "
+    "f(x,0,x) -> f(g(x,0,x),g(x,1,x),g(x,0,x)) 1 -> 0",
+}
+
+
+def unfiltered_raw_first_hit(program, max_word_len):
+    """The first recurrent pair over words of up to ``max_word_len`` rules,
+    with no precheck and no root filter: the one-step chains, then their
+    extensions through ``successors``, every ordered pair matched."""
+    chains = [one_step_chain(r) for r in program.rules if r.trs_usable]
+    layer = chains
+    for _ in range(max_word_len - 1):
+        layer = [
+            Chain(c.start, c.steps + [st], c.semantics)
+            for c in layer
+            for st in successors(program, c.end, c.semantics)
+        ]
+        chains = chains + layer
+    hits = (match_recurrent_pattern(c1, c2) for c1 in chains for c2 in chains)
+    return next((rp for rp in hits if rp is not None), None)
+
+
+@pytest.mark.parametrize("words", [2, 3])
+@pytest.mark.parametrize("name", sorted(RAW_PAIR_SYSTEMS))
+def test_longer_word_search_matches_the_unfiltered_sweep(name, words, monkeypatch):
+    monkeypatch.setattr(detection, "NODE_CAP", 10**9)
+    p = trs(RAW_PAIR_SYSTEMS[name], "x y")
+    want = unfiltered_raw_first_hit(p, words)
+    assert want is not None
+    assert find_recurrent_pair(p, words) == want
+    if name == "paper-nonloop":
+        # no one-rule word pairs; both words of the hit are extended chains
+        assert find_recurrent_pair(p, 1) is None
+        assert (want.word1, want.word2) == (("r1", "r2"), ("r3", "r4"))

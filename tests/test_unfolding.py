@@ -764,3 +764,64 @@ def test_rendered_pool_with_anonymous_variables_parses_back():
 def test_rendered_pool_names_a_repeated_anonymous_variable():
     # unification makes the two body ``_`` of ``b6`` one variable
     assert_pool_parses_back("q(Z,f(_)) :- q(Z,Z). r(_) :- q(f(_),_).")
+
+
+class _Stepped(Unfolding):
+    """An ``Unfolding`` that deepens one depth per ``deepen`` call and
+    records, after each, its frontier and the pool's tail since the depth
+    before."""
+
+    def __init__(self):
+        super().__init__()
+        self.tails = []
+
+    def deepen(self, program, max_depth, layer):
+        for depth in range(max_depth + 1):
+            before = len(self.pool)
+            pool = super().deepen(program, depth, layer)
+            self.tails.append((self.frontier, self.pool[before:]))
+        return pool
+
+
+@pytest.mark.parametrize(
+    "unfold, program",
+    [
+        (unfold_trs, trs(EX_TRS)),
+        (unfold_trs, trs(COUNTING, variables="x y")),
+        (overlap_closure, trs(EX_TRS)),
+        (binary_unfold, lp(REV_LP)),
+        (binary_unfold, lp(ERASING_LP)),
+    ],
+)
+def test_each_depth_frontier_is_the_pool_tail_it_added(unfold, program, monkeypatch):
+    # overlap_closure takes no resume, so every unfolder is given the
+    # stepped Unfolding the same way
+    made = []
+
+    def stepped():
+        made.append(_Stepped())
+        return made[-1]
+
+    monkeypatch.setattr(unfolding, "Unfolding", stepped)
+    pool = unfold(program, 3)
+    (state,) = made
+    assert len(state.tails) == 4 and len(pool) == len(state.pool)
+    assert any(frontier for frontier, _ in state.tails[1:])
+    for frontier, tail in state.tails:
+        assert len(frontier) == len(tail)
+        assert all(u is v for u, v in zip(frontier, tail))
+
+
+@pytest.mark.parametrize("depth", [-1, -2])
+def test_every_unfolder_refuses_a_negative_depth(depth):
+    for unfold, program in (
+        (unfold_trs, trs(EX_TRS)),
+        (overlap_closure, trs(EX_TRS)),
+        (binary_unfold, lp(REV_LP)),
+    ):
+        with pytest.raises(ValueError, match="at least 0"):
+            unfold(program, depth)
+    state = Unfolding()
+    with pytest.raises(ValueError):
+        unfold_trs(trs(EX_TRS), depth, resume=state)
+    assert state.pool == [] and state.program is None
