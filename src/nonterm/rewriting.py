@@ -26,7 +26,7 @@ build it; ``_admissible`` holds the guards the two share.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import InvalidPositionError, ResourceLimitError
@@ -61,11 +61,27 @@ class Semantics(enum.Enum):
     LP_RESTRICTED = "LP-RESTRICTED"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
+    """A rule ``id: lhs -> rhs``, equal to another with the same three
+    fields.  Its hash, the value a frozen dataclass of the three has, is
+    computed on first use and cached, as on ``App``; ``__reduce__`` drops
+    the cache, since ``str`` hashes differ between processes."""
+
     id: str
     lhs: Term
     rhs: Goal
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.id, self.lhs, self.rhs))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return Rule, (self.id, self.lhs, self.rhs)
 
     @property
     def trs_usable(self) -> bool:

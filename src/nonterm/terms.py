@@ -15,8 +15,9 @@ larger than its number of objects.  Each ``App`` caches its hash and its
 tree size on first use, which makes ``term_size`` and ``check_size``
 cost only the nodes not sized before.  ``Var`` and ``Symbol`` are
 immutable and compute their hash once, when built, so the many dict
-and set lookups of unification, renaming and variant keys cost no
-Python-level tuple per lookup.  Terms are not interned: ``Var``
+and set lookups of unification and renaming cost no Python-level tuple
+per lookup.  Variant keys hold symbol names, not symbols, so they hash
+in C (``unfolding``).  Terms are not interned: ``Var``
 equality ignores display names, so a global table would merge ``f(x)``
 and ``f(u)`` from two parses and print the wrong names.
 

@@ -26,6 +26,13 @@ unfolding whose pool would grow past ``RULE_CAP`` rules raises
 function symbols at a shared position is skipped before the rule is
 renamed apart, since no renaming can make them unify.
 
+Within one unfolding a symbol's name determines the symbol: the parsers
+refuse a name used at two arities, and each unfolder refuses such a
+program at depth 0 (``_symbol_names``), its marked copies included.  So
+variant keys hold symbol names and ``_clash`` compares names; both then
+hash and compare ``str`` objects in C, never calling ``Symbol.__hash__``
+or ``Symbol.__eq__``.
+
 Each derivation is checked for variants before it is built:
 ``Unfolding.derive`` computes the variant key of ``apply(theta, lhs) ->
 apply(theta, rhs)`` from the uninstantiated pair and its unifier, and
@@ -99,7 +106,7 @@ DEFAULT_DEPTH = 4
 RULE_CAP = 50_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProvenanceStep:
     """How one rule was derived.
 
@@ -128,7 +135,7 @@ class ProvenanceStep:
         return f"{self.kind}({','.join(self.parents)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnfoldedRule:
     rule: Rule
     depth: int
@@ -151,7 +158,8 @@ def unmark_root(t: Term) -> Term:
 
 def _marks(r: Program) -> dict[Symbol, Symbol]:
     """Each defined symbol of ``r`` with its marked copy, one object per
-    symbol, so marked roots compare by identity in ``mgu`` and ``_clash``."""
+    symbol, so marked roots compare by identity in ``mgu`` and share the
+    node table's entries."""
     return {f: Symbol(f.name + MARK_SUFFIX, f.arity) for f in defined_symbols(r)}
 
 
@@ -187,9 +195,11 @@ def dependency_pairs(r: Program) -> list[UnfoldedRule]:
 def _variant_key(lhs: Term, body: tuple, theta: Substitution) -> tuple:
     """The flat variant key of the rule ``apply(theta, lhs) -> apply(theta,
     body)``, computed without building it: the body length, then the
-    symbols of the head and body in preorder, each variable replaced by
-    the number of its first occurrence.  Two rules get equal keys exactly
-    when their ``canonical`` forms are equal.
+    symbol names of the head and body in preorder, each variable replaced
+    by the number of its first occurrence.  Within one unfolding a name
+    stands for one symbol, whose arity tells where its arguments end, so
+    two rules get equal keys exactly when their ``canonical`` forms are
+    equal; the key hashes and compares only ``str`` and ``int`` objects.
 
     A bound variable is replaced by its image as the walk meets it;
     ``theta`` is idempotent, so the image holds no bound variable."""
@@ -213,7 +223,7 @@ def _key_walk(t: Term, push, numbers: dict[Var, int], bound) -> None:
         else:
             _key_walk(image, push, numbers, bound)
     else:
-        push(t.symbol)
+        push(t.symbol.name)
         for a in t.args:
             _key_walk(a, push, numbers, bound)
 
@@ -308,10 +318,11 @@ class Unfolding:
     shared between programs would print one program's variable names in
     another's rules.
 
-    ``taken`` holds the names of the program's function symbols, which
-    no variable renamed apart may take.  Dependency-pair unfolding and
-    the overlap closure set it at depth 0; binary unfolding and replay
-    leave it empty, so their renamings keep plain names.
+    ``taken`` holds the names of the program's function symbols (for
+    dependency-pair unfolding, of their marked copies too), which no
+    variable renamed apart may take.  Dependency-pair unfolding and the
+    overlap closure set it at depth 0; binary unfolding and replay leave
+    it empty, so their renamings keep plain names.
 
     ``unifiers`` is the table of unifiers that ``_narrowings`` fills:
     ``(id(sub), id(side))`` maps to ``(sub, side, mgu(sub, side))`` for
@@ -365,7 +376,8 @@ class Unfolding:
 
     def _is_new(self, key: tuple) -> bool:
         """Record ``key``; False if a variant had it already.  The key is
-        hashed once, since each hash calls ``Symbol.__hash__`` per symbol.
+        hashed once: a tuple does not cache its hash, and a key is as long
+        as its rule.
         A key recorded just before the ``RULE_CAP`` error stays recorded;
         that error leaves the unfolding unusable anyway."""
         keys = self._keys
@@ -442,25 +454,35 @@ def _renamed(rule: Rule, top: int, state: Unfolding) -> Rule:
     return fresh
 
 
-def _symbol_names(p: Program) -> frozenset[str]:
-    """The names of the function symbols of ``p``, which no variable that
-    renaming makes may take."""
-    return frozenset(
-        f.symbol.name
-        for rule in p.rules
-        for t in (rule.lhs, *rule.rhs)
-        for _, f in subterms(t)
-        if f.__class__ is App
-    )
+def _symbol_names(rules: list[Rule]) -> frozenset[str]:
+    """The names of the function symbols of ``rules``, which no variable
+    that renaming makes may take.
+
+    Refuses a name used at two arities: the unfolders check this at depth
+    0, over every rule that later depths combine, so that within one
+    unfolding a name stands for one symbol, and variant keys and
+    ``_clash`` compare names only."""
+    arities: dict[str, int] = {}
+    for rule in rules:
+        for t in (rule.lhs, *rule.rhs):
+            for _, f in subterms(t):
+                if f.__class__ is App:
+                    name, arity = f.symbol.name, f.symbol.arity
+                    if arities.setdefault(name, arity) != arity:
+                        raise ValueError(
+                            f"symbol {name} used with arities {arities[name]} and {arity}"
+                        )
+    return frozenset(arities)
 
 
 def _clash(s: Term, t: Term) -> bool:
-    """True when ``s`` and ``t`` carry different function symbols at a
-    position where both have one; they then have no unifier, under any
-    renaming of their variables."""
+    """True when ``s`` and ``t`` carry function symbols of different
+    names at a position where both have one; they then have no unifier,
+    under any renaming of their variables.  Symbols of different names
+    differ whatever their arities, so this holds for any two terms."""
     if isinstance(s, Var) or isinstance(t, Var):
         return False
-    return s.symbol != t.symbol or any(map(_clash, s.args, t.args))
+    return s.symbol.name != t.symbol.name or any(map(_clash, s.args, t.args))
 
 
 def _narrowings(
@@ -541,8 +563,8 @@ def unfold_trs(
 
     def layer(depth: int) -> None:
         if depth == 0:
-            state.taken = _symbol_names(r)
             state.dependency_pairs = dependency_pairs(r)
+            state.taken = _symbol_names(r.rules + [u.rule for u in state.dependency_pairs])
             for u in state.dependency_pairs:
                 state.add(u)
             return
@@ -573,7 +595,7 @@ def overlap_closure(
 
     def layer(depth: int) -> None:
         if depth == 0:
-            state.taken = _symbol_names(r)
+            state.taken = _symbol_names(r.rules)
             for rule in r.rules:
                 if rule.trs_usable:
                     step = ProvenanceStep("base", (rule.id,), ROOT, Substitution())
@@ -703,6 +725,8 @@ def binary_unfold(
     # Iteration j combines only rules of earlier iterations, so every rule
     # it emits has depth at most j.
     def layer(iteration: int) -> None:
+        if not iteration:
+            _symbol_names(p.rules)  # refuses a name at two arities
         units = [u for u in state.pool if len(u.rule.rhs) == 0]
         binaries = [u for u in state.pool if len(u.rule.rhs) == 1]
         for rule in p.rules:

@@ -1,5 +1,9 @@
+import copy
 import dataclasses
+import os
+import pickle
 import random
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import GEN_VARS, lp, random_term, term, trs
+import nonterm
 from nonterm import AnalysisConfig, analyze, parse_lp, parse_trs, rewriting, substitution, terms
 from nonterm.errors import ResourceLimitError
 from nonterm.rewriting import (
@@ -522,3 +527,66 @@ def test_checker_builds_no_term(monkeypatch):
         monkeypatch.setattr(module, name, builds)
     for p, chain in prefixes:
         assert verify_chain(p, chain)
+
+
+# A rule caches its hash on first use, as an App does.  The cache must
+# not travel: str hashes differ between processes, and a copy or a
+# replaced rule hashes its own fields.
+HASHED_RULE = "f(g(x),y) -> f(x,h(y,a))"
+
+
+@pytest.mark.parametrize(
+    "copy_of",
+    [
+        lambda r: pickle.loads(pickle.dumps(r)),
+        copy.copy,
+        copy.deepcopy,
+        dataclasses.replace,
+    ],
+    ids=["pickle", "copy", "deepcopy", "replace"],
+)
+def test_copied_rule_equals_and_hashes_like_a_fresh_one(copy_of):
+    rule = trs(HASHED_RULE).rules[0]
+    want = hash(rule)
+    assert rule._hash == want == hash((rule.id, rule.lhs, rule.rhs))
+    other = copy_of(rule)
+    assert other == rule and other._hash is None
+    assert hash(other) == want and other in {rule}
+    assert repr(other) == repr(rule)
+
+
+def test_replaced_rule_hashes_its_new_fields():
+    rule = trs(HASHED_RULE).rules[0]
+    hash(rule)
+    renamed = dataclasses.replace(rule, id="s1")
+    assert renamed != rule and renamed.id == "s1"
+    assert hash(renamed) == hash(("s1", rule.lhs, rule.rhs))
+
+
+def test_rule_hash_leaves_equality_by_value():
+    first, second = trs(HASHED_RULE).rules[0], trs(HASHED_RULE).rules[0]
+    assert first is not second and first.lhs is not second.lhs
+    hash(first)
+    assert first == second and second._hash is None
+    assert hash(second) == hash(first) and {first: 1}[second] == 1
+
+
+def test_pickled_rule_hashes_like_a_fresh_one_in_another_process():
+    # the hash mixes in the id's and the symbols' str hashes, which
+    # differ between processes: a pickled hash would miss the set lookup
+    script = (
+        "import pickle, sys\n"
+        "from nonterm.rewriting import Rule\n"
+        "from nonterm.terms import App, Symbol, Var\n"
+        "r = Rule('r1', App(Symbol('f', 1), (Var(0, 'x'),)), (App(Symbol('a', 0)),))\n"
+        "hash(r)\n"
+        "sys.stdout.buffer.write(pickle.dumps(r))\n"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="12345")
+    env["PYTHONPATH"] = str(Path(nonterm.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, check=True
+    ).stdout
+    r = pickle.loads(out)
+    fresh = Rule("r1", App(Symbol("f", 1), (Var(0, "x"),)), (App(Symbol("a", 0)),))
+    assert r in {fresh} and hash(r) == hash(fresh)

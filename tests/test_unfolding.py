@@ -1,3 +1,4 @@
+import pickle
 import random
 import sys
 import time
@@ -7,13 +8,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import lp, random_term, term, trs
+from conftest import lp, random_term, random_wide_term, term, trs
 from test_step_oracles import rename_apart
 from test_substitution import terms
-from nonterm import parse_trs, unfolding
+from nonterm import cli, parse_trs, unfolding
 from nonterm.errors import DeadlineError, ResourceLimitError
 from nonterm.parsing import render_program
-from nonterm.rewriting import Mode, Rule, Semantics, run_word, successors
+from nonterm.rewriting import Mode, Program, Rule, Semantics, run_word, successors
 from nonterm.substitution import Substitution, apply, mgu, renaming_apart
 from nonterm.terms import App, Symbol, Var, canonical, is_variant, render, term_vars
 from nonterm.unfolding import (
@@ -825,3 +826,136 @@ def test_every_unfolder_refuses_a_negative_depth(depth):
     with pytest.raises(ValueError):
         unfold_trs(trs(EX_TRS), depth, resume=state)
     assert state.pool == [] and state.program is None
+
+
+# Variant keys hold symbol names and ``_clash`` compares names, which is
+# exact while a name stands for one symbol.  f/2(f/1(a), b) and
+# f/1(f/2(a, b)) spell the same names in preorder, so an unfolding of a
+# program that used f at both arities could merge two rules that are no
+# variants; the unfolders refuse such a program at depth 0.
+def _two_arity_program(mode):
+    f1, f2, p1 = Symbol("f", 1), Symbol("f", 2), Symbol("p", 1)
+    a, b = App(Symbol("a", 0)), App(Symbol("b", 0))
+    lhs, rhs = App(f2, (App(f1, (a,)), b)), App(f1, (App(f2, (a, b)),))
+    if mode is Mode.LP:
+        lhs, rhs = App(p1, (lhs,)), App(p1, (rhs,))
+    return Program([Rule("r1", lhs, (rhs,))], mode)
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+@pytest.mark.parametrize(
+    "unfold, mode",
+    [(unfold_trs, Mode.TRS), (overlap_closure, Mode.TRS), (binary_unfold, Mode.LP)],
+)
+def test_every_unfolder_refuses_a_name_at_two_arities(unfold, mode, depth):
+    with pytest.raises(ValueError, match="symbol f used with arities 2 and 1"):
+        unfold(_two_arity_program(mode), depth)
+
+
+def test_marked_copies_take_part_in_the_arity_check():
+    # a hand-built program that already holds f# at another arity than
+    # the marked copy of its defined symbol f, which its pair f#(x) ->
+    # f#(x) holds
+    f1, g2, mark = Symbol("f", 1), Symbol("g", 2), Symbol("f#", 2)
+    x = Var(0, "x")
+    rhs = App(g2, (App(mark, (x, x)), App(f1, (x,))))
+    p = Program([Rule("r1", App(f1, (x,)), (rhs,))], Mode.TRS)
+    with pytest.raises(ValueError, match="symbol f# used with arities"):
+        unfold_trs(p, 0)
+
+
+def test_cli_reports_a_name_at_two_arities_on_one_line(tmp_path, capsys, monkeypatch):
+    # the parsers refuse such a program; a hand-built one reaches the
+    # unfolder, whose refusal main reports like any other ValueError
+    path = tmp_path / "two.trs"
+    path.write_text("(RULES a -> a)\n")
+    monkeypatch.setattr(cli, "parse_program", lambda text, mode: _two_arity_program(mode))
+    assert cli.main([str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: symbol f used with arities 2 and 1\n"
+
+
+def test_unfolding_hashes_and_compares_no_symbol_past_depth_zero(monkeypatch):
+    # past depth 0 a symbol is hashed only inside the first hash of a
+    # rule (the memo of renamed rules keys on rules), compared never, and
+    # a rule computes its hash at most once
+    p = parse_trs(UNFOLD_CORPUS["double-quad"].text)
+    state = Unfolding()
+    unfold_trs(p, 0, resume=state)
+    counts = {"outside": 0, "inside": 0, "eq": 0}
+    computed: dict[int, int] = {}
+    first = []
+    symbol_hash, symbol_eq, rule_hash = Symbol.__hash__, Symbol.__eq__, Rule.__hash__
+
+    def counting_symbol_hash(s):
+        counts["inside" if first else "outside"] += 1
+        return symbol_hash(s)
+
+    def counting_symbol_eq(s, other):
+        counts["eq"] += 1
+        return symbol_eq(s, other)
+
+    def counting_rule_hash(rule):
+        if getattr(rule, "_hash", None) is not None:
+            return rule_hash(rule)
+        computed[id(rule)] = computed.get(id(rule), 0) + 1
+        first.append(rule)
+        try:
+            return rule_hash(rule)
+        finally:
+            first.pop()
+
+    monkeypatch.setattr(Symbol, "__hash__", counting_symbol_hash)
+    monkeypatch.setattr(Symbol, "__eq__", counting_symbol_eq)
+    monkeypatch.setattr(Rule, "__hash__", counting_rule_hash)
+    pool = unfold_trs(p, 3, resume=state)
+    assert len(pool) == 912 and state.renamed
+    assert counts["eq"] == 0 and counts["outside"] == 0
+    assert 0 < counts["inside"] <= 100
+    assert computed and max(computed.values()) == 1
+
+
+@st.composite
+def wide_rules(draw):
+    """A random rule over ``random_wide_term``'s signature; half the
+    time, paired with a renamed variant."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def rule(name):
+        body = tuple(random_wide_term(rng, 2) for _ in range(rng.randint(0, 2)))
+        return Rule(name, random_wide_term(rng, 3), body)
+
+    a = rule("a")
+    if not draw(st.booleans()):
+        return a, rule("b")
+    ids = list(range(3))
+    rng.shuffle(ids)
+    return a, a.rename(Substitution({Var(i): Var(10 + ids[i]) for i in range(3)}))
+
+
+@given(wide_rules())
+@settings(max_examples=500, deadline=None)
+def test_name_keys_and_name_clashes_are_exact_over_wide_terms(pair):
+    a, b = pair
+    assert (_dedup_key(a) == _dedup_key(b)) == (_old_key(a) == _old_key(b))
+    for s in (a.lhs, *a.rhs):
+        for t in (b.lhs, *b.rhs):
+            fresh = rename_apart(Rule("r", t, ()), term_vars(s)).lhs
+            if _clash(s, t):
+                assert mgu(s, fresh) is None
+
+
+@pytest.mark.parametrize(
+    "unfold, program",
+    [(unfold_trs, trs(EX_TRS)), (overlap_closure, trs(EX_TRS)), (binary_unfold, lp(REV_LP))],
+)
+def test_unfolded_rules_round_trip_through_pickle(unfold, program):
+    pool = unfold(program, 2)
+    assert any(u.provenance.unifier for u in pool)
+    again = pickle.loads(pickle.dumps(pool))
+    assert again == pool
+    assert [repr(u) for u in again] == [repr(u) for u in pool]
+    for u in pool:
+        step = u.provenance
+        assert pickle.loads(pickle.dumps(step)) == step
