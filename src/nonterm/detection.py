@@ -441,7 +441,7 @@ def _first_chain_decompositions(u1, v1) -> list[tuple]:
     x, t, d, y = found
     c2 = replace_all(d, {y: App(HOLE)})
     if x is None:
-        xs, n1 = sorted(term_vars(u1) - {y}, key=lambda v: v.id), 0
+        xs, n1 = sorted(term_vars(u1) - {y}), 0
     else:
         xs = [x]
         n1 = next((n for n, st in enumerate(_peel_stages(t, c2)) if st == x), None)

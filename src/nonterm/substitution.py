@@ -6,10 +6,11 @@ which binding targets never mention domain variables; when either
 orientation of a variable-variable equation is legal, the variable with
 the smaller id is bound.  This keeps all outputs deterministic.  A
 pending equation is instantiated by the solved bindings when it is
-popped, not each time a binding is added, and two sides that are one
-object, or two variables with one id, are dropped without comparing
-them; other equal sides simply decompose.  The solved form is the one
-an eager instantiation of every pending equation gives.
+popped, not each time a binding is added; two sides that are one
+object are dropped without comparing them, and two variables with one
+id after comparing the ids; other equal sides simply decompose.  The
+solved form is the one an eager instantiation of every pending equation
+gives.
 
 Renaming apart starts from the largest variable id the fresh variables
 must avoid, which ``terms.max_var_id`` finds in one walk.  A fresh name
@@ -17,8 +18,8 @@ is the old name's stem followed by the new id, with underscores between
 while it is in a given set of taken names (a rewrite system's symbols).
 
 Walks tell a variable from an application by class, compare variables
-by id and symbols by identity first, so the common cases of these hot
-loops make no Python-level ``__eq__`` call.
+as the ints they are and symbols by identity first, so the common cases
+of these hot loops make no Python-level ``__eq__`` call.
 
 Application shares structure: every subterm a substitution leaves
 unchanged comes back as the same object, so narrowing and instantiation
@@ -52,8 +53,8 @@ class Substitution:
         clean = {}
         if bindings:
             for v, t in bindings.items():
-                # an x -> x binding, told by class and id, not by __eq__
-                if t.__class__ is not Var or t.id != v.id:
+                # an x -> x binding: a variable with v's id
+                if t.__class__ is not Var or t != v:
                     clean[v] = t
         self._bindings = clean
 
@@ -150,7 +151,7 @@ def _solved(bindings: dict[Var, Term]) -> Substitution:
 
 def _occurs(v: Var, t: Term) -> bool:
     if t.__class__ is Var:
-        return t.id == v.id
+        return t == v
     for a in t.args:
         if _occurs(v, a):
             return True
@@ -163,8 +164,9 @@ def mgu(s: Term, t: Term) -> Optional[Substitution]:
     An equation is instantiated by the bindings solved so far when it is
     popped, not each time a binding is added; the solved bindings are
     kept idempotent, so one application suffices.  Two sides that are
-    one object, or two variables with one id, are skipped without
-    comparing them; other equal sides decompose into such pairs."""
+    one object are skipped without comparing them, and two variables
+    with one id once ``<`` finds neither id smaller; other equal sides
+    decompose into such pairs."""
     solved: dict[Var, Term] = {}
     bound = solved.get
     stack: list[tuple[Term, Term]] = [(s, t)]
@@ -176,10 +178,14 @@ def mgu(s: Term, t: Term) -> Optional[Substitution]:
             continue
         if a.__class__ is Var:
             if b.__class__ is Var:
-                if a.id == b.id:
+                # deterministic orientation: bind the smaller id; one id
+                # needs no binding
+                if a < b:
+                    v, u = a, b
+                elif b < a:
+                    v, u = b, a
+                else:
                     continue
-                # deterministic orientation: bind the smaller id
-                v, u = (a, b) if a.id < b.id else (b, a)
             elif _occurs(a, b):
                 return None
             else:
@@ -247,8 +253,8 @@ def renaming_apart(
     a variable.  While the name is in ``taken`` (the names of a
     program's symbols), one more ``_`` goes between stem and id.
     """
-    vs = sorted(set(vs), key=lambda v: v.id)
-    next_id = max(top, vs[-1].id if vs else -1) + 1
+    vs = sorted(set(vs))
+    next_id = max(top, vs[-1] if vs else -1) + 1
     out = {}
     for v in vs:
         stem = v.name.rstrip("0123456789_") or "_"

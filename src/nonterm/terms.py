@@ -13,13 +13,14 @@ Terms share subterms freely (``substitution.apply`` returns unchanged
 subterms as they are), so a term is a DAG whose tree size may be far
 larger than its number of objects.  Each ``App`` caches its hash and its
 tree size on first use, which makes ``term_size`` and ``check_size``
-cost only the nodes not sized before.  ``Var`` and ``Symbol`` are
-immutable and compute their hash once, when built, so the many dict
-and set lookups of unification and renaming cost no Python-level tuple
-per lookup.  Variant keys hold symbol names, not symbols, so they hash
-in C (``unfolding``).  Terms are not interned: ``Var``
-equality ignores display names, so a global table would merge ``f(x)``
-and ``f(u)`` from two parses and print the wrong names.
+cost only the nodes not sized before.  A ``Var`` is an ``int`` whose
+value is its id, so the many dict and set lookups, comparisons and
+sorts of variables in unification, matching and renaming run in C with
+no Python-level call.  ``Symbol`` is immutable and computes its hash
+once, when built.  Variant keys hold symbol names, not symbols, so they
+hash in C (``unfolding``).  Terms are not interned: ``Var`` equality
+ignores display names, so a global table would merge ``f(x)`` and
+``f(u)`` from two parses and print the wrong names.
 
 Rendering walks each distinct object once per call: ``renderer`` looks
 a subterm met before up by identity, so a shared tower renders in time
@@ -93,34 +94,30 @@ HOLE = Symbol("[]", 0)
 HOLE2 = Symbol("[]'", 0)
 
 
-class Var:
-    """A variable, identified by an interned integer id.
+class Var(int):
+    """A variable: an ``int`` whose value is its id, with a display name.
 
-    The display name takes no part in equality or hashing, so variants
-    that differ only in how variables are printed still compare different
-    (ids differ) while a renamed copy of a variable keeps its identity.
-    Immutable, with its hash ``hash((id,))`` computed once.
+    Hashing, equality and ordering are ``int``'s, so they run in C and
+    ignore the name: variants that differ only in how variables are
+    printed still compare different (ids differ) while a renamed copy of
+    a variable keeps its identity.  ``Var(0)`` is true, as every term is.
+    Immutable; the name sits in the instance dict, since a subclass of
+    ``int`` can have no slots.
     """
 
-    __slots__ = ("id", "name", "_hash")
+    def __new__(cls, id: int, name: str = ""):
+        self = int.__new__(cls, id)
+        self.__dict__["name"] = name or f"x{id}"
+        return self
 
-    def __init__(self, id: int, name: str = ""):
-        _set(self, "id", id)
-        _set(self, "name", name or f"x{id}")
-        _set(self, "_hash", hash((id,)))
+    #: The id as a plain ``int``.
+    id = property(int.__int__)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not Var:
-            return NotImplemented
-        return self.id == other.id
-
-    def __hash__(self):
-        return self._hash
+    def __bool__(self):
+        return True
 
     def __reduce__(self):
-        return Var, (self.id, self.name)
+        return Var, (int(self), self.name)
 
     __setattr__ = __delattr__ = _frozen
 
@@ -252,7 +249,8 @@ def _add_vars(t: Term, add) -> None:
 
 def max_var_id(x: Union[Term, Goal]) -> int:
     """The largest variable id in a term or a goal, -1 if it has no
-    variable: one walk that builds no set."""
+    variable: one walk that builds no set.  The id may come back as the
+    ``Var`` that holds it, which is an ``int``."""
     top = -1
     for t in x if isinstance(x, tuple) else (x,):
         top = _max_id(t, top)
@@ -262,7 +260,7 @@ def max_var_id(x: Union[Term, Goal]) -> int:
 def _max_id(t: Term, top: int) -> int:
     """``max_var_id``'s walk of one term."""
     if t.__class__ is Var:
-        return t.id if t.id > top else top
+        return t if t > top else top
     for a in t.args:
         top = _max_id(a, top)
     return top

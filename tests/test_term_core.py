@@ -240,6 +240,9 @@ def test_copies_and_pickles_are_equal_with_equal_hashes(t):
     for other in (copy.deepcopy(t), copy.copy(t), pickle.loads(pickle.dumps(t))):
         assert other == t and hash(other) == hash(t)
         assert repr(other) == repr(t)
+        for a, b in zip(nodes(other), nodes(t)):
+            if isinstance(b, Var):
+                assert a.__class__ is Var and (a.id, a.name) == (b.id, b.name)
     for node in nodes(pickle.loads(pickle.dumps(t))):
         if isinstance(node, App):
             assert node._hash is None and node._size is None
@@ -349,16 +352,17 @@ def test_term_size_counts_every_occurrence():
 
 
 # ---------------------------------------------------------------------------
-# The leaf classes: Var and Symbol hash once, as the frozen dataclasses
-# they replaced did, and cannot be changed.
+# The leaf classes: a Var is an int that hashes and compares as its id, in
+# C; a Symbol hashes once, as the frozen dataclass it replaced did.
+# Neither can be changed.
 
 names = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=4)
 
 
 @given(st.integers(-5, 10**6), names, st.integers(0, 5))
 def test_leaf_hashes_equal_the_dataclass_hashes(i, name, arity):
-    assert hash(Var(i, name)) == hash((i,))
-    assert hash(Var(i)) == hash((i,))
+    assert hash(Var(i, name)) == hash(i)
+    assert hash(Var(i)) == hash(i)
     assert hash(Symbol(name, arity)) == hash((name, arity))
 
 
@@ -368,6 +372,15 @@ def test_var_equality_ignores_names(i, a, b):
     assert Var(i, a) != Var(i + 1, a) and not Var(i, a) == Var(i + 1, a)
     assert len({Var(i, a), Var(i, b)}) == 1
     assert Var(i, a).name == a and Var(i).name == f"x{i}"
+    v = Var(i, a)
+    assert str(v) == repr(v) == f"{v}" == "%s" % v == a
+    assert bool(v) and bool(Var(0, a))
+    for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert w.__class__ is Var and (w.id, w.name) == (i, a)
+
+
+def test_var_hashes_and_compares_in_c():
+    assert Var.__hash__ is int.__hash__ and Var.__eq__ is int.__eq__
 
 
 @given(names, st.integers(0, 3))
@@ -391,12 +404,23 @@ def test_leaves_are_never_equal_to_an_app_or_to_each_other(t):
     assert Var(0).__eq__(App(sym)) is NotImplemented
     assert sym.__eq__(App(sym)) is NotImplemented
     assert Var(0) != (0,) and sym != ("a", 0)
+    for other in (App(sym), App(Symbol("0", 0)), sym, Symbol("0", 0), (0,), (Var(0),)):
+        assert Var(0) != other and other != Var(0)
+        assert not Var(0) == other and not other == Var(0)
 
 
+# ids spelt out, since pytest names an int parameter, such as a Var, by
+# its str
 @pytest.mark.parametrize(
     "leaf, field",
-    [(Var(0, "x"), f) for f in ("id", "name", "_hash")]
-    + [(Symbol("f", 1), f) for f in ("name", "arity", "_hash")],
+    [
+        pytest.param(leaf, f, id=f"leaf{i}-{f}")
+        for i, (leaf, f) in enumerate(
+            [(Var(0, "x"), f) for f in ("id", "name", "_hash")]
+            + [(Symbol("f", 1), f) for f in ("name", "arity", "_hash")]
+            + [(Var(0, "x"), f) for f in ("__dict__", "real")]
+        )
+    ],
 )
 def test_assigning_to_a_leaf_raises(leaf, field):
     before = (repr(leaf), hash(leaf))
@@ -432,4 +456,4 @@ def test_pickled_leaves_hash_like_fresh_ones_in_another_process():
     ).stdout
     sym, var = pickle.loads(out)
     assert sym in {Symbol("f", 1)} and hash(sym) == hash(("f", 1))
-    assert var in {Var(3)} and var.name == "y" and hash(var) == hash((3,))
+    assert var in {Var(3)} and var.name == "y" and hash(var) == hash(3)
