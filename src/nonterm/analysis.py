@@ -12,6 +12,12 @@ pool and re-verifying every witness it yields.  The searches resume from
 the depth before: the loop check and the recurrent-pair precheck see only
 the rules a pool gained (semi-naive evaluation).
 
+Every limit stops work by raising, and ``analyze`` alone decides what
+each ends: a node cap (``ExhaustedError``) ends one technique, the
+deadline (``DeadlineError``) every technique still running, and any
+other ``ResourceLimitError`` the whole analysis.  Each way the answer
+is MAYBE, never a wrong NO.
+
 All output is deterministic: certificates for the same input and
 configuration are byte-identical across runs.
 """
@@ -36,7 +42,7 @@ from .detection import (
     infinite_chain_prefix,
     witness_chain,
 )
-from .errors import DeadlineError, ResourceLimitError, UnrollError
+from .errors import DeadlineError, ExhaustedError, ResourceLimitError, UnrollError
 from .rewriting import (
     Chain,
     Mode,
@@ -202,8 +208,7 @@ def _loop_witnesses(cand: Program, fresh: int, cfg: AnalysisConfig, budget: Budg
         return
     kind = EmbeddingKind.INS if cand.mode is Mode.TRS else EmbeddingKind.MG
     for r in cand.rules[fresh:]:
-        if not budget.tick():
-            return
+        budget.tick()
         lw = _rule_loop_witness(r, kind)
         if lw is not None:
             yield lw
@@ -242,33 +247,35 @@ def analyze(program: Program, cfg: Optional[AnalysisConfig] = None) -> Verdict:
     stats: dict = {"mode": program.mode.value, "input_rules": len(program.rules)}
     # one deadline bounds every search and the unfolding
     deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
+    # the techniques still running
     budgets = {t: Budget(deadline) for t in cfg.techniques}
     sweep = PairSweep()  # what the recurrent-pair search swept before
     cand = None  # the last program searched
     try:
         for cand, fresh in _pools(program, cfg, stats, deadline):
-            for tech in cfg.techniques:
-                budget = budgets[tech]
-                if budget.exhausted:
-                    continue
+            for tech, budget in list(budgets.items()):
                 if tech == TECHNIQUE_LOOP:
                     witnesses = _loop_witnesses(cand, fresh, cfg, budget)
                 else:
                     witnesses = _recpair_witnesses(cand, cfg, budget, sweep)
                 verdicts = (_verified(tech, cand, w, cfg, stats) for w in witnesses)
-                v = next((v for v in verdicts if v is not None), None)
-                if budget.exhausted:
+                try:
+                    v = next((v for v in verdicts if v is not None), None)
+                except ExhaustedError:
+                    # the node cap ends this technique only
+                    del budgets[tech]
                     stats.setdefault("exhausted", []).append(tech)
+                    continue
                 if v is not None:
                     return v
-            if all(b.exhausted for b in budgets.values()):
+            if not budgets:
                 break
     except DeadlineError as exc:
         # the clock ends every technique still running
         stats["deadline"] = str(exc)
-        running = [t for t, b in budgets.items() if not b.exhausted]
-        stats.setdefault("exhausted", []).extend(running)
+        stats.setdefault("exhausted", []).extend(budgets)
     except ResourceLimitError as exc:
+        # any other limit ends the whole analysis
         stats["resource_limit"] = str(exc)
     return Verdict("MAYBE", used_program=cand, stats=stats)
 

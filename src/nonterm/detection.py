@@ -32,14 +32,13 @@ not precheck a candidate an earlier search prechecked.
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass
 from functools import cache
 from itertools import islice
 from operator import is_
 from typing import Optional, Sequence, Union
 
-from .errors import DeadlineError, UnrollError
+from .errors import ExhaustedError, UnrollError, check_deadline
 from .rewriting import (
     Chain,
     Mode,
@@ -138,25 +137,21 @@ NODE_CAP = 200_000
 
 class Budget:
     """Node budget and deadline of a search; never produces wrong NOs.
-    Past ``NODE_CAP`` steps the search is ``exhausted`` and degrades to
-    "nothing found", which ends this technique only.  ``deadline`` is
-    the ``time.monotonic()`` reading of the whole analysis, or None for
-    no time limit; once it has passed, ``tick`` raises
-    ``DeadlineError``, which ends the analysis."""
+    ``tick`` raises ``ExhaustedError`` past ``NODE_CAP`` steps, which
+    ends this technique only, and ``DeadlineError`` once ``deadline``
+    (the ``time.monotonic()`` reading of the whole analysis, or None for
+    no time limit) has passed, which ends the analysis."""
 
     def __init__(self, deadline: Optional[float] = None):
         self.deadline = deadline
         self.nodes = 0
-        self.exhausted = False
 
-    def tick(self) -> bool:
-        """Consume one step; True while steps remain."""
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise DeadlineError("search passed its deadline")
+    def tick(self) -> None:
+        """Consume one step."""
+        check_deadline(self.deadline, "search")
         self.nodes += 1
         if self.nodes > NODE_CAP:
-            self.exhausted = True
-        return not self.exhausted
+            raise ExhaustedError(f"search took more than {NODE_CAP} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +229,7 @@ def find_loop(
             nxt: list[Chain] = []
             seen = set()
             for chain in frontier:
-                if not budget.tick():
-                    return None
+                budget.tick()
                 for step in successors(program, chain.end, semantics):
                     extended = Chain(start, chain.steps + [step], semantics)
                     emb = find_embedding(kind, start, step.target)
@@ -535,8 +529,9 @@ class PairSweep:
     that fails ``_may_decompose``, 2 for one that passes.  A rule's kind
     depends on that rule alone, so the next call prechecks only new
     rules.  ``swept`` is ``rules`` when the last call paired all of them
-    with no hit, and empty when it found a pair or ran out of budget; the
-    next call pairs only chains of which at least one is past ``swept``.
+    with no hit, and empty when it found a pair; the next call pairs only
+    chains of which at least one is past ``swept``.  A call that raises
+    leaves all three empty.
     """
 
     def __init__(self):
@@ -584,7 +579,7 @@ def find_recurrent_pair(
             kinds.append(0)
         else:
             kinds.append(2 if _may_decompose(r.lhs, r.rhs[0]) else 1)
-    rp, swept_all = None, True
+    rp = None
     if 2 in kinds or max_word_len > 1:
         usable = [(r, k) for r, k in zip(candidates, kinds) if k]
         ends = [(r.lhs, r.rhs[0]) for r, _ in usable]
@@ -598,9 +593,8 @@ def find_recurrent_pair(
             firsts += [i for i in range(len(chains), len(ends)) if _may_decompose(*ends[i])]
             chain = (chains + longer).__getitem__
         rp = _first_pair(ends, firsts, old, chain, budget)
-        swept_all = rp is None and not budget.exhausted
     resume.rules, resume.kinds = tuple(candidates), kinds
-    if swept_all:
+    if rp is None:
         resume.swept = resume.rules
     return rp
 
@@ -617,8 +611,7 @@ def _first_pair(ends, firsts, old, chain, budget) -> Optional[RecurrentPair]:
         for j in range(old if i < old else 0, len(ends)):
             if roots[j] != r:
                 continue
-            if not budget.tick():
-                return None
+            budget.tick()
             rp = match_recurrent_pattern(chain(i), chain(j))
             if rp is not None:
                 return rp
@@ -631,8 +624,7 @@ def _extended_chains(program, seeds, max_word_len, budget):
     for _ in range(max_word_len - 1):
         nxt = []
         for chain in frontier:
-            if not budget.tick():
-                return out
+            budget.tick()
             for step in successors(program, chain.end, chain.semantics):
                 ext = Chain(chain.start, chain.steps + [step], chain.semantics)
                 nxt.append(ext)

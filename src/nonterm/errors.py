@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the deadline check.
+
+Every limit of an analysis stops work by raising one of them, and
+``analyze`` alone decides what each ends: an ``ExhaustedError`` ends one
+technique, a ``DeadlineError`` every technique still running, and any
+other ``ResourceLimitError`` the whole analysis.
+"""
+
+import time
 
 
 class NontermError(Exception):
@@ -15,6 +23,10 @@ class HoleMismatchError(NontermError):
 
 class ResourceLimitError(NontermError):
     """A configured size / count / time budget was exceeded."""
+
+
+class ExhaustedError(ResourceLimitError):
+    """A search took more than ``detection.NODE_CAP`` steps."""
 
 
 class DeadlineError(NontermError):
@@ -34,3 +46,11 @@ class ParseError(NontermError):
         if line is not None:
             message = f"{message} (line {line}, column {column})"
         super().__init__(message)
+
+
+def check_deadline(deadline, what: str) -> None:
+    """Raise ``DeadlineError`` once ``deadline``, a ``time.monotonic()``
+    reading, has passed; None is no deadline.  ``what`` names the work
+    that passed it."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise DeadlineError(f"{what} passed its deadline")

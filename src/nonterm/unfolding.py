@@ -79,12 +79,11 @@ walks build goes through the table, at every depth.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from operator import is_not
 from typing import Callable, Optional
 
-from .errors import DeadlineError, InvalidPositionError, ResourceLimitError
+from .errors import InvalidPositionError, ResourceLimitError, check_deadline
 from .rewriting import Mode, Program, Rule
 from .substitution import EMPTY_SUBST, Substitution, apply, compose, mgu, renaming_apart
 from .terms import (
@@ -346,10 +345,11 @@ class Unfolding:
     depths narrow with them.
 
     ``deadline``, when set, is the ``time.monotonic()`` reading past which
-    the unfolding raises ``DeadlineError``.  Dependency-pair unfolding
-    checks it once per frontier rule, binary unfolding once per clause,
-    both from depth 1 on: depth 0 takes time linear in the program, and
-    always ends.
+    the unfolding raises ``DeadlineError``, through the one
+    ``errors.check_deadline`` that the searches' ``Budget`` calls too.
+    Dependency-pair unfolding checks it once per frontier rule, binary
+    unfolding once per clause, both from depth 1 on: depth 0 takes time
+    linear in the program, and always ends.
     """
 
     def __init__(self):
@@ -365,10 +365,6 @@ class Unfolding:
         self.deadline: Optional[float] = None
         self._keys: set = set()  # variant keys of the pool
         self._derived = 0
-
-    def check_deadline(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise DeadlineError("unfolding passed its deadline")
 
     def add(self, u: UnfoldedRule) -> None:
         if self._is_new(_dedup_key(u.rule)):
@@ -571,7 +567,7 @@ def unfold_trs(
         dp_rules = [dp.rule for dp in state.dependency_pairs]
         rules_at = lambda pos: dp_rules if pos == ROOT else r.rules  # noqa: E731
         for parent in state.frontier:
-            state.check_deadline()
+            check_deadline(state.deadline, "unfolding")
             for kind, pos, with_rule, lhs, rhs, theta in _narrowings(
                 parent.rule, ("forward", "backward"), rules_at, True, state
             ):
@@ -731,7 +727,7 @@ def binary_unfold(
         binaries = [u for u in state.pool if len(u.rule.rhs) == 1]
         for rule in p.rules:
             if iteration:
-                state.check_deadline()
+                check_deadline(state.deadline, "unfolding")
             *kept, erased = erased_prefixes(rule, units)
             for theta, used, dmax in erased:
                 emit("binunf-C", rule, theta, len(kept), used, dmax)

@@ -542,6 +542,29 @@ def test_budget_exhaustion_reported(text, parse, raw, exhausted):
     assert raw or v.stats["unfold_depth"] == 0
 
 
+PAPER_CAPPED = {"simulate_steps": 3, "timeout": None}
+
+
+def test_a_node_cap_ends_one_technique_only(monkeypatch):
+    program = trs(PAPER_TRS)
+    uncapped = analyze(program, AnalysisConfig(**PAPER_CAPPED))
+    # the loop check runs out of steps at depth 0; the recurrent-pair
+    # search goes on and finds the uncapped run's pair at depth 1
+    monkeypatch.setattr(detection, "NODE_CAP", 20)
+    v = analyze(program, AnalysisConfig(**PAPER_CAPPED))
+    assert (v.answer, v.technique) == ("NO", "recpair")
+    assert v.stats["unfold_depth"] == 1
+    assert v.stats["exhausted"] == ["loop"]
+    assert emit_certificate(v) == emit_certificate(uncapped)
+    # once every technique is out of steps the analysis ends, by no
+    # deadline and no other limit
+    monkeypatch.setattr(detection, "NODE_CAP", 1)
+    v = analyze(program, AnalysisConfig(**PAPER_CAPPED))
+    assert v.answer == "MAYBE"
+    assert v.stats["exhausted"] == ["loop", "recpair"]
+    assert "deadline" not in v.stats and "resource_limit" not in v.stats
+
+
 GOLDEN_LOOP = "(VAR x)(RULES f(x) -> g(h(x,1),x) 1 -> 0 h(x,0) -> f(f(x)))"
 REV = (
     "app(nil,Y,Y).\napp(cons(X,Xs),Y,cons(X,Z)) :- app(Xs,Y,Z).\n"
@@ -550,28 +573,33 @@ REV = (
 
 
 @pytest.mark.parametrize(
-    "parse, text, settings",
+    "parse, text, settings, node_cap",
     [
-        (parse_trs, GOLDEN_LOOP, {}),
-        (parse_trs, GOLDEN_LOOP, {"raw": True}),
+        (parse_trs, GOLDEN_LOOP, {}, None),
+        (parse_trs, GOLDEN_LOOP, {"raw": True}, None),
         (parse_trs, "(VAR x y)(RULES f(x,s(y)) -> f(s(x),y) f(x,0) -> f(s(0),x))",
-         {"simulate_steps": 40}),
+         {"simulate_steps": 40}, None),
         (parse_trs, "(VAR x)(RULES d(0) -> 0 d(s(x)) -> s(s(d(x))) q(0) -> 0 "
-         "q(s(x)) -> d(d(q(x))))", {"unfold_depth": 3}),
+         "q(s(x)) -> d(d(q(x))))", {"unfold_depth": 3}, None),
         # MAYBE at a resource limit, and MAYBE at the deadline
-        (parse_trs, f"(VAR x y)(RULES {PAPER_TRS})", {}),
-        (parse_trs, f"(VAR x y)(RULES {PAPER_TRS})", {"timeout": 1e-9}),
-        (parse_lp, REV, {}),
-        (parse_lp, "q(s(X)) :- q(s(s(X))).", {}),
+        (parse_trs, f"(VAR x y)(RULES {PAPER_TRS})", {}, None),
+        (parse_trs, f"(VAR x y)(RULES {PAPER_TRS})", {"timeout": 1e-9}, None),
+        (parse_lp, REV, {}, None),
+        (parse_lp, "q(s(X)) :- q(s(s(X))).", {}, None),
+        # a node cap that ends one technique, and one that ends both
+        (parse_trs, f"(VAR x y)(RULES {PAPER_TRS})", PAPER_CAPPED, 20),
+        (parse_trs, f"(VAR x y)(RULES {PAPER_TRS})", PAPER_CAPPED, 1),
     ],
     ids=["golden-loop", "golden-loop-raw", "counting", "double-quad", "paper",
-         "paper-deadline", "rev", "q-ss"],
+         "paper-deadline", "rev", "q-ss", "paper-cap-20", "paper-cap-1"],
 )
-def test_an_analysis_leaves_no_cyclic_garbage(parse, text, settings):
+def test_an_analysis_leaves_no_cyclic_garbage(parse, text, settings, node_cap, monkeypatch):
     # With no reference cycles, refcounting frees every term, key and memo
     # an analysis drops, and the cycle collector has nothing to find.  The
     # JSON certificate is left out: the standard library's json encoder
     # with indent leaves cyclic garbage of its own, 33 objects a call.
+    if node_cap is not None:
+        monkeypatch.setattr(detection, "NODE_CAP", node_cap)
     gc.collect()
     gc.disable()
     try:

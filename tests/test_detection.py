@@ -46,7 +46,13 @@ from nonterm.rewriting import (
     successors,
     verify_chain,
 )
-from nonterm.errors import DeadlineError, InvalidPositionError, ResourceLimitError, UnrollError
+from nonterm.errors import (
+    DeadlineError,
+    ExhaustedError,
+    InvalidPositionError,
+    ResourceLimitError,
+    UnrollError,
+)
 from nonterm.parsing import parse_trs
 from nonterm.substitution import Substitution, apply, compose, match
 from nonterm.terms import (
@@ -195,11 +201,16 @@ def test_find_loop_skips_a_variant_target():
 
 
 def test_find_loop_budget_degrades(monkeypatch):
+    # the step past NODE_CAP raises, in either search; analyze then ends
+    # that technique only
     monkeypatch.setattr(detection, "NODE_CAP", 1)
     p = trs("f(x) -> g(h(x,one),x)  one -> zero  h(x,zero) -> f(f(x))")
-    budget = Budget()
-    assert find_loop(p, 3, budget=budget) is None
-    assert budget.exhausted
+    pool = unfolded_candidates(COUNTDOWN, 2)
+    for search, program, words in ((find_loop, p, 3), (find_recurrent_pair, pool, 1)):
+        budget = Budget()
+        with pytest.raises(ExhaustedError):
+            search(program, words, budget=budget)
+        assert budget.nodes == 2
 
 
 def test_loop_unrolling_matches_by_hand():
@@ -565,14 +576,15 @@ def test_recurrent_pair_budget_ticks_once_per_pair(monkeypatch):
 
 def test_a_passed_deadline_ends_the_search():
     # the clock ends the whole analysis, not one technique: the search
-    # raises rather than report its budget exhausted
+    # raises before its first step, and not as a node cap would
     p = trs("f(x) -> g(h(x,one),x)  one -> zero  h(x,zero) -> f(f(x))")
     pool = unfolded_candidates(COUNTDOWN, 2)
     for search, program in ((find_loop, p), (find_recurrent_pair, pool)):
         budget = Budget(time.monotonic() - 1)
-        with pytest.raises(DeadlineError):
+        with pytest.raises(DeadlineError) as raised:
             search(program, 1, budget)
-        assert not budget.exhausted
+        assert not isinstance(raised.value, ExhaustedError)
+        assert budget.nodes == 0
 
 
 # ---------------------------------------------------------------------------
